@@ -1,0 +1,9 @@
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+
+import worker  # noqa: E402
+
+worker.load_flagrep(str(HERE.parent.parent / "src"))
