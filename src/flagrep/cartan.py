@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -23,6 +23,9 @@ Weight = tuple[int, ...]
 
 #: Practical cap on the size of a single Weyl orbit.
 ORBIT_CAP = 10**6
+
+#: Built-in groups whose Cartan data one process keeps.
+BUILTIN_CACHE_SIZE = 64
 
 _TAG_RE = re.compile(r"^([A-Za-z])[-_ ]?(\d+)$")
 
@@ -260,10 +263,18 @@ def _series_matrix(series: str, rank: int) -> list[list[int]]:
 
 
 def builtin_cartan(series: str, rank: int) -> CartanData:
-    """Standard Cartan data for the series A, B, C, D and G2."""
+    """Standard Cartan data for the series A, B, C, D and G2.
+
+    Built once per (series, rank) and shared: CartanData is immutable.
+    """
     series = series.upper()
     if series == "G2":
         series = "G"
+    return _builtin_cartan(series, rank)
+
+
+@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+def _builtin_cartan(series: str, rank: int) -> CartanData:
     return custom_cartan(_series_matrix(series, rank), label=f"{series}{rank}")
 
 

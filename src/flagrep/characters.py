@@ -1,7 +1,8 @@
 """Irreducible characters and decomposition into them.
 
 Characters are computed with the Freudenthal multiplicity recursion run
-over the dominant weights only, then expanded along Weyl orbits; dimensions
+over the dominant weights only, which a breadth-first walk down the
+positive roots finds, then expanded along Weyl orbits; dimensions
 come from the Weyl product formula.  Both are exact: rationals cancel to
 integers by construction and the code asserts that they do.
 
@@ -13,7 +14,6 @@ weight whose coefficient went negative during the reduction.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -104,30 +104,33 @@ def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
     return lam
 
 
-def _dominant_support(cd: CartanData, lam: Weight) -> list[Weight]:
+def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> list[Weight]:
     """Dominant weights below ``lam``, sorted by depth in the root lattice.
 
-    Every dominant weight mu with lam - mu a nonnegative integer combination
-    of simple roots occurs in the module with highest weight lam, so plain
-    box enumeration of the root coordinates is complete.
+    Any two dominant weights mu < nu are linked by a chain of dominant
+    weights, each a positive root below the previous (Stembridge, The
+    partial order of dominant weights, 1998), so a breadth-first walk down
+    the positive roots from ``lam`` reaches every one of them.  Each is a
+    term of the character, so more than ``max_terms`` of them hits the cap.
     """
-    m = cd.rank
-    inv = cd.inverse_cartan
-    bounds = []
-    for i in range(m):
-        b = sum(lam[j] * inv[j][i] for j in range(m))
-        bounds.append(int(b))  # floor: entries of b are nonnegative rationals
-    cartan = cd.cartan_matrix
-    found = []
-    for coords in itertools.product(*(range(b + 1) for b in bounds)):
-        mu = tuple(
-            lam[j] - sum(coords[i] * cartan[i][j] for i in range(m) if coords[i])
-            for j in range(m)
-        )
-        if all(x >= 0 for x in mu):
-            found.append((sum(coords), mu))
-    found.sort()
-    return [mu for _, mu in found]
+    roots = cd.positive_roots
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        below = []
+        for mu in frontier:
+            for root in roots:
+                nu = tuple(a - b for a, b in zip(mu, root))
+                if nu not in seen and all(x >= 0 for x in nu):
+                    if len(seen) == max_terms:
+                        raise ResourceCapError(
+                            "term-cap", f"support exceeds cap {max_terms}"
+                        )
+                    seen.add(nu)
+                    below.append(nu)
+        frontier = below
+    # the height key is a positive multiple of the root-coordinate sum
+    return sorted(seen, key=lambda mu: (-cd.height_key(mu), mu))
 
 
 def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = TERM_CAP) -> CharPoly:
@@ -139,7 +142,7 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
     with _cache_lock:
         cached = _char_cache.get(key)
     if cached is None:
-        support = _dominant_support(cd, lam)
+        support = _dominant_support(cd, lam, max_terms)
         dominant = _kernels.freudenthal(
             cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
         )

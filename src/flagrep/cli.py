@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import characters, realize
-from .cartan import CartanData, cartan_from_tag, custom_cartan
+from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
 from .charpoly import parse as parse_poly
 from .charpoly import render
 from .errors import InputError, ResourceCapError
@@ -66,6 +66,12 @@ def _group_from_args(args) -> CartanData:
     return cartan_from_tag(tag)
 
 
+def _max_terms(args) -> int:
+    if args.max_terms <= 0:
+        raise InputError("invalid-cap", f"--max-terms must be positive, got {args.max_terms}")
+    return args.max_terms
+
+
 def _parse_weight(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -92,7 +98,7 @@ def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
 
 def _cmd_char(args) -> int:
     cd = _group_from_args(args)
-    char = characters.weight_multiplicities(cd, _parse_weight(args.weight), args.max_terms)
+    char = characters.weight_multiplicities(cd, _parse_weight(args.weight), _max_terms(args))
     print(render(char))
     return EXIT_OK
 
@@ -111,13 +117,13 @@ def _cmd_smap(args) -> int:
 
 def _cmd_realize(args) -> int:
     cd = _group_from_args(args)
+    max_terms = _max_terms(args)
     hom, group = realize.cohom_from_json(_load_json_arg(args.hom))
-    if group is not None and getattr(args, "group", None) is not None:
-        if cartan_from_tag(group) != cd:
-            raise InputError(
-                "group-mismatch", f"JSON group {group!r} differs from {args.group!r}"
-            )
-    result = realize.check_realizable(cd, hom, args.max_terms)
+    # compare matrices: a --group-matrix group carries its own label
+    if group is not None and cartan_from_tag(group).cartan_matrix != cd.cartan_matrix:
+        given = args.group if args.group is not None else "--group-matrix"
+        raise InputError("group-mismatch", f"JSON group {group!r} differs from {given!r}")
+    result = realize.check_realizable(cd, hom, max_terms)
     if isinstance(result, characters.Certificate):
         if args.format == "json":
             print(json.dumps(result.to_json_dict()))
@@ -153,7 +159,7 @@ def _cmd_schur(args) -> int:
 
 def _cmd_alpha(args) -> int:
     cd = _group_from_args(args)
-    if not cd.label.startswith("A"):
+    if cd.cartan_matrix != builtin_cartan("A", cd.rank).cartan_matrix:
         raise InputError("typea-required", "alpha is defined for type A groups only")
     poly = parse_poly(args.poly, cd.rank)
     print(render_ypoly(alpha(poly)))

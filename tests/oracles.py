@@ -3,11 +3,12 @@
 Everything here is deliberately written from first principles, separate
 from the library code paths it checks: ladder enumeration for rank-1
 characters, explicit small-matrix inverses, determinant-based Schur
-polynomials, and a standalone greedy reduction for rank-1 decompositions.
+polynomials, a standalone greedy reduction for rank-1 decompositions, and
+box enumeration of the dominant weights below a highest weight.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 
 def sl2_char_terms(k):
@@ -131,3 +132,33 @@ def a1_greedy_decompose(terms):
                 work[(j,)] = v
         out.append(((k,), mult))
     return ("ok", out)
+
+
+def _root_coordinates(cartan, w):
+    """x with sum_i x[i] * cartan[i] == w, by exact Gauss-Jordan elimination."""
+    n = len(cartan)
+    aug = [[Fraction(cartan[i][j]) for i in range(n)] + [Fraction(w[j])] for j in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def box_dominant_support(cartan, lam):
+    """Dominant weights lam - sum_i c[i] * root_i over the whole box of root
+    coordinates c between 0 and those of lam, sorted by (sum of c, weight)."""
+    n = len(cartan)
+    bounds = [int(x) for x in _root_coordinates(cartan, lam)]  # floor; all >= 0
+    found = []
+    for coords in product(*(range(b + 1) for b in bounds)):
+        mu = tuple(
+            lam[j] - sum(coords[i] * cartan[i][j] for i in range(n)) for j in range(n)
+        )
+        if all(x >= 0 for x in mu):
+            found.append((sum(coords), mu))
+    found.sort()
+    return [mu for _, mu in found]

@@ -238,3 +238,17 @@ def test_custom_cartan_rejects_non_matrix_input():
         custom_cartan([[2, -1], 5])
     with pytest.raises(InputError):
         custom_cartan([[2, True], [-1, 2]])
+
+
+def test_builtin_cartan_is_built_once_per_group():
+    b3 = builtin_cartan("b", 3)
+    assert b3 is builtin_cartan("B", 3)
+    assert b3 is cartan_from_tag("B3")
+    assert builtin_cartan("g2", 2) is builtin_cartan("G", 2)
+    # a custom matrix is rebuilt, and agrees on the root data
+    again = custom_cartan(b3.cartan_matrix, label="B3")
+    assert again is not b3
+    assert again == b3
+    assert again.positive_roots == b3.positive_roots
+    assert again.gram == b3.gram
+

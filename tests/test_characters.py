@@ -10,6 +10,7 @@ from flagrep import (
     ResourceCapError,
     cartan_from_tag,
     certificate_character,
+    custom_cartan,
     decompose,
     dimension,
     dominant_weights_up_to_dim,
@@ -19,6 +20,7 @@ from flagrep import (
     weight_multiplicities,
     weyl_orbit,
 )
+from flagrep.characters import _dominant_support
 from flagrep.charpoly import CharPoly, render
 
 import oracles
@@ -91,6 +93,49 @@ def test_character_support_is_union_of_orbits():
 def test_term_cap():
     with pytest.raises(ResourceCapError):
         weight_multiplicities(cartan_from_tag("A3"), (2, 2, 2), max_terms=5)
+
+
+# --- dominant support -------------------------------------------------------
+
+BUILTIN_TAGS = "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2".split()
+
+
+def _support_grid(rank):
+    """Entries 0..2 up to rank 3, 0/1 at rank 4, at most two 1s beyond."""
+    if rank <= 3:
+        return list(itertools.product(range(3), repeat=rank))
+    return [
+        w for w in itertools.product(range(2), repeat=rank) if rank == 4 or sum(w) <= 2
+    ]
+
+
+@pytest.mark.parametrize("tag", BUILTIN_TAGS)
+def test_root_walk_matches_box_enumeration(tag):
+    cd = cartan_from_tag(tag)
+    for lam in _support_grid(cd.rank):
+        assert _dominant_support(cd, lam) == oracles.box_dominant_support(
+            cd.cartan_matrix, lam
+        ), lam
+
+
+SMALL_GROUPS = [cartan_from_tag(t) for t in ("A2", "A3", "B2", "B3", "C3", "D3", "G2")]
+SMALL_GROUPS.append(custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2"))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(SMALL_GROUPS), st.lists(st.integers(0, 4), min_size=3, max_size=3))
+def test_root_walk_matches_box_enumeration_random(cd, coords):
+    lam = tuple(coords[: cd.rank])
+    assert _dominant_support(cd, lam) == oracles.box_dominant_support(cd.cartan_matrix, lam)
+
+
+def test_root_walk_term_cap_is_exact():
+    cd = cartan_from_tag("B3")
+    lam = (2, 1, 2)
+    size = len(oracles.box_dominant_support(cd.cartan_matrix, lam))
+    assert len(_dominant_support(cd, lam, max_terms=size)) == size
+    with pytest.raises(ResourceCapError, match=f"support exceeds cap {size - 1}"):
+        _dominant_support(cd, lam, max_terms=size - 1)
 
 
 # --- dimensions -------------------------------------------------------------
@@ -317,8 +362,6 @@ def test_character_cache_transparency():
 
 def test_product_group_character():
     # block-diagonal Cartan data: the 2 (x) 2 module of a rank-two product
-    from flagrep import custom_cartan
-
     cd = custom_cartan([[2, 0], [0, 2]], label="A1xA1")
     char = weight_multiplicities(cd, (1, 1))
     assert char.terms == {(1, 1): 1, (1, -1): 1, (-1, 1): 1, (-1, -1): 1}

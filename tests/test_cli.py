@@ -243,3 +243,55 @@ def test_cor3_rejects_full_last_part(capsys):
 
 def test_omega_determinism(capsys):
     assert run(capsys, "omega", "B2", "5") == run(capsys, "omega", "B2", "5")
+
+
+def test_char_term_cap_fires_before_freudenthal(capsys, monkeypatch):
+    from flagrep import _kernels
+
+    def fail(*args):
+        raise AssertionError("Freudenthal ran past the term cap")
+
+    monkeypatch.setattr(_kernels, "freudenthal", fail)
+    code, out, err = run(capsys, "char", "A1", "1000000", "--max-terms", "1000")
+    assert (code, out) == (3, "")
+    assert err == "error[term-cap]: support exceeds cap 1000\n"
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_char_rejects_non_positive_cap(capsys, cap):
+    code, out, err = run(capsys, "char", "A1", "1", "--max-terms", cap)
+    assert (code, out) == (2, "")
+    assert "error[invalid-cap]" in err
+
+
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_realize_rejects_non_positive_cap(capsys, cap):
+    code, out, err = run(capsys, "realize", "A1", '{"n":2,"rows":[[1]]}', "--max-terms", cap)
+    assert (code, out) == (2, "")
+    assert "error[invalid-cap]" in err
+
+
+def test_alpha_decides_type_a_from_the_matrix(capsys, tmp_path):
+    b2 = tmp_path / "b2.json"
+    b2.write_text(json.dumps({"cartan": [[2, -2], [-1, 2]], "label": "Abc"}))
+    code, _, err = run(capsys, "alpha", "--group-matrix", str(b2), "w1 + rho")
+    assert code == 2
+    assert "typea-required" in err
+    a2 = tmp_path / "a2.json"
+    a2.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "label": "custom"}))
+    poly = "w1 + w1*rho + w2^2*rho"
+    expected = run(capsys, "alpha", "A2", poly)
+    assert expected[0] == 0
+    assert run(capsys, "alpha", "--group-matrix", str(a2), poly) == expected
+
+
+def test_realize_json_group_checked_against_group_matrix(capsys, tmp_path):
+    a2 = tmp_path / "a2.json"
+    a2.write_text("[[2,-1],[-1,2]]")
+    rows = '"n":3,"rows":[[1,0],[-1,1]]'
+    code, out, err = run(capsys, "realize", "--group-matrix", str(a2), "{%s,\"group\":\"B2\"}" % rows)
+    assert (code, out) == (2, "")
+    assert "group-mismatch" in err
+    expected = run(capsys, "realize", "A2", "{%s}" % rows)
+    assert expected[0] == 0
+    assert run(capsys, "realize", "--group-matrix", str(a2), "{%s,\"group\":\"A2\"}" % rows) == expected
