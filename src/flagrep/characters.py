@@ -147,7 +147,7 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
             cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
         )
         terms = _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms)
-        cached = CharPoly(cd.rank, terms)
+        cached = CharPoly._trusted(cd.rank, terms)
         with _cache_lock:
             _char_cache.setdefault(key, cached)
     if len(cached.terms) > max_terms:

@@ -11,6 +11,11 @@ reduced monomial rendering in w1..wm, rho with nonnegative exponents at
 least one of which is zero.  Keeping the relation out of the internal
 representation makes it a property of the rendering instead of a rewrite
 rule that arithmetic would have to maintain.
+
+Input is validated once, where it enters: the public ``CharPoly(...)``
+constructor and ``parse`` check every term.  Results the library computes
+itself (arithmetic, characters, s-invariants) already satisfy the invariant
+and are wrapped by ``CharPoly._trusted`` without being re-validated.
 """
 
 from __future__ import annotations
@@ -78,6 +83,18 @@ class CharPoly:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, rank: int, terms: dict[Weight, int]) -> "CharPoly":
+        """Wrap a term dict the library built itself, with no checks or copy.
+
+        ``terms`` must already be clean: tuple keys of length ``rank`` and
+        nonzero ``int`` coefficients, and no other reference may mutate it.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "rank", rank)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("CharPoly is immutable")
 
@@ -138,10 +155,10 @@ class CharPoly:
                 out[w] = c
             elif w in out:
                 del out[w]
-        return CharPoly(self.rank, out)
+        return CharPoly._trusted(self.rank, out)
 
     def __neg__(self) -> "CharPoly":
-        return CharPoly(self.rank, {w: -c for w, c in self.terms.items()})
+        return CharPoly._trusted(self.rank, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other: "CharPoly") -> "CharPoly":
         if not isinstance(other, CharPoly):
@@ -151,12 +168,12 @@ class CharPoly:
     def __mul__(self, other) -> "CharPoly":
         if isinstance(other, int):
             if other == 0:
-                return CharPoly.zero(self.rank)
-            return CharPoly(self.rank, {w: c * other for w, c in self.terms.items()})
+                return CharPoly._trusted(self.rank, {})
+            return CharPoly._trusted(self.rank, {w: c * other for w, c in self.terms.items()})
         if not isinstance(other, CharPoly):
             return NotImplemented
         self._check_rank(other)
-        return CharPoly(self.rank, _kernels.poly_mul(self.terms, other.terms))
+        return CharPoly._trusted(self.rank, _kernels.poly_mul(self.terms, other.terms))
 
     def __rmul__(self, other) -> "CharPoly":
         return self.__mul__(other)

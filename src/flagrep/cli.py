@@ -5,12 +5,14 @@ file path; polynomials use the canonical text grammar.  Results go to
 stdout, diagnostics to stderr, and output is byte-stable across runs.
 
 Exit codes: 0 success or certified, 1 not certified (realize only),
-2 input error, 3 resource cap exceeded.
+2 input error, 3 resource cap exceeded, 4 internal error (a bug: the
+exception is reported as ``error[internal]`` on stderr, without a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -25,6 +27,7 @@ EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json_arg(arg: str):
@@ -198,7 +201,9 @@ def _add_group_options(sub, positional: bool = True):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not mutate it."""
     parser = argparse.ArgumentParser(
         prog="flagrep",
         description="Exact character arithmetic for cohomology maps between flag manifolds.",
@@ -275,6 +280,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except Exception as exc:
+        print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ homomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple, Sequence
 
 from .cartan import CartanData, Weight
 from .characters import (
@@ -39,6 +41,32 @@ from .schur import (
 NotCertified = NotInOmega
 
 
+def _int_vectors(vectors, m: int, code: str, message: str):
+    """``vectors`` checked to be integer vectors of length ``m``.
+
+    One bulk pass accepts the common case, exact ints, and returns
+    ``vectors`` as given.  Otherwise a per-vector pass accepts int
+    subclasses other than bool, names the first bad vector in ``message``,
+    and returns tuples of exact ints, the form ``s_map`` assumes.
+    """
+    try:
+        if all(len(v) == m for v in vectors) and set(
+            map(type, chain.from_iterable(vectors))
+        ) <= {int}:
+            return vectors
+    except TypeError:
+        pass
+    for v in vectors:
+        if len(v) != m or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
+            raise InputError(code, message.format(v))
+    return tuple(tuple(map(int, v)) for v in vectors)
+
+
+def _count_weights(rank: int, weights: Iterable[Sequence[int]]) -> CharPoly:
+    """Sum of one monomial per validated weight, repeats accumulating."""
+    return CharPoly._trusted(rank, dict(Counter(map(tuple, weights))))
+
+
 @dataclass(frozen=True)
 class CohomHom:
     """Integer matrix of a candidate homomorphism on second cohomology.
@@ -58,11 +86,8 @@ class CohomHom:
             raise InputError("invalid-hom", "target flag size n must be at least 2")
         if self.m < 1:
             raise InputError("invalid-hom", "rank m must be positive")
-        for row in self.rows:
-            if len(row) != self.m or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in row
-            ):
-                raise InputError("invalid-hom", f"row {row} is not an integer m-vector")
+        rows = _int_vectors(self.rows, self.m, "invalid-hom", "row {} is not an integer m-vector")
+        object.__setattr__(self, "rows", rows)
 
     @property
     def derived_row(self) -> Weight:
@@ -116,11 +141,8 @@ class TorusRestriction:
         if len(self.weights) < 2:
             raise InputError("invalid-weights", "need at least two weights")
         m = len(self.weights[0])
-        for w in self.weights:
-            if len(w) != m or not all(
-                isinstance(x, int) and not isinstance(x, bool) for x in w
-            ):
-                raise InputError("invalid-weights", f"weight {w} is not an integer vector")
+        weights = _int_vectors(self.weights, m, "invalid-weights", "weight {} is not an integer vector")
+        object.__setattr__(self, "weights", weights)
         if any(sum(col) != 0 for col in zip(*self.weights)):
             raise InputError("weights-not-balanced", "weights must sum to zero")
 
@@ -135,7 +157,7 @@ class TorusRestriction:
 
 def s_map(h: CohomHom) -> CharPoly:
     """Sum of the n row monomials (the derived row included)."""
-    return CharPoly.from_weights(h.m, list(h.rows) + [h.derived_row])
+    return _count_weights(h.m, chain(h.rows, (h.derived_row,)))
 
 
 def check_realizable(cd: CartanData, h: CohomHom, max_terms: int | None = None) -> DecomposeResult:
@@ -173,7 +195,7 @@ def verify_factorization(cd: CartanData, tr: TorusRestriction) -> FactorizationC
     """
     if tr.m != cd.rank:
         raise InputError("rank-mismatch", f"weights rank {tr.m} for group rank {cd.rank}")
-    character = CharPoly.from_weights(tr.m, tr.weights)
+    character = _count_weights(tr.m, tr.weights)
     via = s_map(induced_hom(tr))
     return FactorizationCheck(character == via, character, via)
 

@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from flagrep import InputError
+from flagrep import InputError, cartan_from_tag, weight_multiplicities
 from flagrep.charpoly import CharPoly, NormalMonomial, denormalize, normalize, parse, render
 
 import oracles
@@ -102,6 +104,50 @@ def test_immutability():
     p = CharPoly.one(1)
     with pytest.raises(AttributeError):
         p.rank = 2
+
+
+# --- trusted results and the validating boundary ---------------------------
+
+def assert_clean(p):
+    """``p`` equals its own validated rebuild and stores no zero coefficient."""
+    assert p == CharPoly(p.rank, p.terms)
+    assert all(p.terms.values())
+
+
+def poly_pairs():
+    return st.integers(1, 3).flatmap(lambda r: st.tuples(polys(r), polys(r)))
+
+
+@given(poly_pairs(), st.integers(-10**6, 10**6))
+def test_arithmetic_results_are_clean(pq, k):
+    p, q = pq
+    for result in (p + q, p - q, -p, p * q, p + (-p)):
+        assert_clean(result)
+    for j in (k, 0, -1, -k):
+        assert_clean(p * j)
+        assert_clean(j * p)
+        assert (p * j).terms == {w: c * j for w, c in p.terms.items() if j}
+
+
+@pytest.mark.parametrize("tag", ["A2", "B2", "G2"])
+def test_characters_are_clean(tag):
+    cd = cartan_from_tag(tag)
+    for lam in itertools.product(range(3), repeat=2):
+        assert_clean(weight_multiplicities(cd, lam))
+
+
+@pytest.mark.parametrize(
+    "terms, code, message",
+    [
+        ([((1, True), 1)], "invalid-term", "exponents and coefficients must be integers"),
+        ([((1, 0), 1.0)], "invalid-term", "exponents and coefficients must be integers"),
+        ([((1,), 1)], "rank-mismatch", "term (1,) does not have rank 2"),
+    ],
+)
+def test_constructor_still_validates(terms, code, message):
+    with pytest.raises(InputError) as info:
+        CharPoly(2, terms)
+    assert (info.value.code, str(info.value)) == (code, message)
 
 
 # --- text form -------------------------------------------------------------

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from flagrep.cli import main
+from flagrep import characters
+from flagrep.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -295,3 +296,33 @@ def test_realize_json_group_checked_against_group_matrix(capsys, tmp_path):
     expected = run(capsys, "realize", "A2", "{%s}" % rows)
     assert expected[0] == 0
     assert run(capsys, "realize", "--group-matrix", str(a2), "{%s,\"group\":\"A2\"}" % rows) == expected
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_repeated_calls_give_the_same_result(capsys):
+    calls = [
+        ("realize",),  # usage error first
+        ("char", "A2", "1,1"),
+        ("realize", "A2", '{"n":3,"rows":[[1,0],[-1,1]]}'),
+        ("realize", "A2", '{"n":3,"rows":[[1,0],[1,0]]}'),
+        ("dim", "B2", "1,x"),
+        ("schur", "2,1", "3"),
+    ]
+    first = [run(capsys, *argv) for argv in calls]
+    assert [r[0] for r in first] == [2, 0, 0, 1, 2, 0]
+    assert first[0][2].startswith("usage: flagrep realize")
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == first
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(characters, "weight_multiplicities", broken)
+    code, out, err = run(capsys, "char", "A2", "1,1")
+    assert (code, out) == (4, "")
+    assert err == "error[internal]: RuntimeError: boom\n"

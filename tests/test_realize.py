@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -61,6 +62,83 @@ def test_cohom_validation():
         CohomHom(n=1, m=1, rows=())  # point target
     with pytest.raises(InputError):
         cohom_from_rows([[1, 0], [1]])
+
+
+def test_s_map_matches_validated_sum():
+    for rows in (
+        [[1, 0], [1, 0], [-1, 1]],  # repeated rows
+        [[1, 0], [-2, 0]],  # the derived row (1, 0) repeats the first
+        [[0, 0], [0, 0], [0, 0]],  # every monomial is 1
+        [[3, -1], [-4, 2], [0, 5], [1, -6]],
+    ):
+        for h in (cohom_from_rows(rows), CohomHom(n=len(rows) + 1, m=2, rows=rows)):
+            expected = CharPoly.from_weights(h.m, list(h.rows) + [h.derived_row])
+            assert s_map(h) == expected
+            assert s_map(h) == CharPoly(h.m, s_map(h).terms)
+
+
+def test_s_map_matches_validated_sum_random():
+    rng = random.Random(11)
+    for _ in range(500):
+        m = rng.randint(1, 3)
+        rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(1, 7))]
+        h = cohom_from_rows(rows)
+        assert s_map(h) == CharPoly.from_weights(m, list(h.rows) + [h.derived_row])
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        (((1, 0), (True, 0), (0, 1)), "(True, 0)"),
+        (((1, 0), (0, 1.0), (0, 1)), "(0, 1.0)"),
+        (((1, 0), (2,), (0, 1)), "(2,)"),
+        (((1, 0), (0, 1), (1, 2, 3)), "(1, 2, 3)"),
+        (((1, 0), (True, 0), (1.0, 0)), "(True, 0)"),
+        (((1, 0), (0, 1.0), (True, 0)), "(0, 1.0)"),
+        (((1, 0), (2,), (True, 0)), "(2,)"),
+        (((1, 0), (0, 1.0), 5), "(0, 1.0)"),  # a row with no length comes later
+    ],
+)
+def test_cohom_rejects_first_bad_row(rows, bad):
+    with pytest.raises(InputError) as info:
+        CohomHom(n=len(rows) + 1, m=2, rows=rows)
+    assert info.value.code == "invalid-hom"
+    assert str(info.value) == f"row {bad} is not an integer m-vector"
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+def test_cohom_accepts_int_enum_entries():
+    h = CohomHom(n=3, m=2, rows=((Level.ONE, 0), (-1, Level.ONE)))
+    assert h.rows == ((1, 0), (-1, 1))
+    assert h.derived_row == (0, -1)
+
+
+def test_int_enum_entries_are_stored_as_ints():
+    h = CohomHom(n=3, m=2, rows=((Level.ONE, 0), (-1, Level.ONE)))
+    assert {type(x) for row in h.rows for x in row} == {int}
+    assert s_map(h) == CharPoly(2, {(1, 0): 1, (-1, 1): 1, (0, -1): 1})
+    assert isinstance(check_realizable(A2, h), Certificate)
+    tr = TorusRestriction(((Level.ONE, 0), (-1, Level.ONE), (0, -1)))
+    assert verify_factorization(A2, tr).equal
+    assert {type(x) for w in tr.weights for x in w} == {int}
+
+
+@pytest.mark.parametrize(
+    "weights, bad",
+    [
+        (((1, 0), (False, 0), (-1, 0)), "(False, 0)"),
+        (((1, 0), (0, 0.0), (-1, 0)), "(0, 0.0)"),
+        (((1, 0), (-1,), (0, 0)), "(-1,)"),
+    ],
+)
+def test_torus_restriction_rejects_first_bad_weight(weights, bad):
+    with pytest.raises(InputError) as info:
+        TorusRestriction(weights)
+    assert info.value.code == "invalid-weights"
+    assert str(info.value) == f"weight {bad} is not an integer vector"
 
 
 def test_cohom_json():
