@@ -10,10 +10,11 @@ value in this module is ever rounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -37,7 +38,10 @@ class CartanData:
     ``cartan_matrix`` rows are the simple roots in weight coordinates;
     ``symmetrizer`` holds the minimal positive integers d with
     C[i][j] * d[j] symmetric in (i, j), so that root i has squared length
-    2 * d[i] under the invariant form.
+    2 * d[i] under the invariant form.  ``height_vector`` is an integer
+    vector h with h . w proportional to the root-coordinate sum of w; it
+    strictly refines the dominance order.  The last two fields derive
+    from ``cartan_matrix`` and take no part in comparison.
     """
 
     rank: int
@@ -46,10 +50,8 @@ class CartanData:
     positive_roots: tuple[Weight, ...]
     weyl_vector: Weight
     label: str
-
-    @cached_property
-    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _invert(self.cartan_matrix)
+    inverse_cartan: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
+    height_vector: tuple[int, ...] = field(compare=False, repr=False)
 
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -69,39 +71,36 @@ class CartanData:
             tuple(int(f * scale) for f in row) for row in self.gram
         )
 
-    @cached_property
-    def height_vector(self) -> tuple[int, ...]:
-        """Integer vector h with h . w proportional to the root-coordinate
-        sum of w; it strictly refines the dominance order."""
-        inv = self.inverse_cartan
-        sums = [sum(inv[j][i] for i in range(self.rank)) for j in range(self.rank)]
-        scale = lcm(*[f.denominator for f in sums])
-        return tuple(int(f * scale) for f in sums)
-
     def height_key(self, w: Weight) -> int:
         hv = self.height_vector
         return sum(a * b for a, b in zip(hv, w))
 
 
+def _eliminate(aug: list[list[int]], col: int, rows: Iterable[int]) -> None:
+    """Clear column ``col`` of ``rows`` against row ``col`` in integers: a
+    multiple of the rational row operation, by the pivot over a gcd, so a
+    row's ratios stay exact, and its signs too when the pivot is positive."""
+    top = aug[col]
+    p = top[col]
+    for r in rows:
+        f = aug[r][col]
+        if f:
+            row = [p * x - f * y for x, y in zip(aug[r], top)]
+            g = gcd(*row) or 1  # a singular matrix can clear a whole row
+            aug[r] = [x // g for x in row]
+
+
 def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse by integer Gauss-Jordan elimination of [matrix | 1]."""
     n = len(matrix)
-    aug = [
-        [Fraction(matrix[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
+    aug = [list(matrix[i]) + [int(j == i) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if pivot is None:
             raise InputError("invalid-cartan", "Cartan matrix is singular")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        _eliminate(aug, col, (r for r in range(n) if r != col))
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(aug))
 
 
 def _symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -156,37 +155,26 @@ def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in matrix)
 
 
-def _positive_definite(matrix: Sequence[Sequence[Fraction]]) -> bool:
+def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
+    """Sylvester's criterion: each pivot has the sign of a leading minor."""
     n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] for i in range(n)]
-    # leading principal minors via fraction-preserving elimination
+    a = [list(row) for row in matrix]
     for k in range(n):
         if a[k][k] <= 0:
             return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+        _eliminate(a, k, range(k + 1, n))
     return True
 
 
-def _positive_roots(cartan) -> tuple[Weight, ...]:
-    m = len(cartan)
+def _positive_roots(cartan, height: tuple[int, ...]) -> tuple[Weight, ...]:
+    """Positive roots sorted by (height, weight); a root's root coordinates
+    have one sign, so the sign of its height tells which it is."""
     simple = [tuple(row) for row in cartan]
     roots = _kernels.weyl_orbit(cartan, simple[0], ORBIT_CAP)
     for s in simple[1:]:
-        roots |= _kernels.weyl_orbit(cartan, s, ORBIT_CAP)
-    inv = _invert(cartan)
-    positive = []
-    for r in roots:
-        coords = [
-            sum(r[i] * inv[i][j] for i in range(m)) for j in range(m)
-        ]
-        if all(c >= 0 for c in coords):
-            if any(c.denominator != 1 for c in coords):
-                raise InputError("invalid-cartan", "root lattice inconsistency")
-            positive.append((sum(coords), r))
-    positive.sort(key=lambda t: (t[0], t[1]))
+        if s not in roots:  # an orbit already found holds all of its roots
+            roots |= _kernels.weyl_orbit(cartan, s, ORBIT_CAP)
+    positive = sorted((h, r) for r in roots if (h := sum(map(mul, r, height))) > 0)
     return tuple(r for _, r in positive)
 
 
@@ -203,18 +191,24 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
     cartan = _validate_cartan(rows)
     d = _symmetrizer(cartan)
     n = len(cartan)
-    sym = [[Fraction(cartan[i][j] * d[j]) for j in range(n)] for i in range(n)]
+    sym = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
     if not _positive_definite(sym):
         raise InputError(
             "invalid-cartan", "Cartan matrix is not of finite type"
         )
+    inv = _invert(cartan)
+    sums = [sum(row) for row in inv]  # root-coordinate sums of the weights
+    scale = lcm(*[f.denominator for f in sums])
+    height = tuple(int(f * scale) for f in sums)
     return CartanData(
         rank=n,
         cartan_matrix=cartan,
         symmetrizer=d,
-        positive_roots=_positive_roots(cartan),
+        positive_roots=_positive_roots(cartan, height),
         weyl_vector=(1,) * n,
         label=label,
+        inverse_cartan=inv,
+        height_vector=height,
     )
 
 

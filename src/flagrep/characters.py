@@ -138,6 +138,12 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
     lam = _require_dominant(cd, lam)
     if cd.rank > RANK_CAP:
         raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
+    return _character(cd, lam, max_terms)
+
+
+def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPoly:
+    """``weight_multiplicities`` of a checked ``lam``, memoised, with no rank
+    cap: Schur polynomials in any number of variables come through it."""
     key = (cd, lam)
     with _cache_lock:
         cached = _char_cache.get(key)

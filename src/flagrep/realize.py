@@ -223,6 +223,7 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     For a partition with fewer than m parts, the tableau weights assemble a
     torus restriction;  its induced matrix h satisfies
     alpha(s_map(h)) == schur(mu, m) with target size n = schur_dim(mu, m).
+    An n above ``TERM_CAP`` raises the term cap before any row is built.
     """
     mu = validate_partition(mu)
     if m < 2:

@@ -1,20 +1,32 @@
-"""Type-A specialization: partitions, tableaux, Schur polynomials.
+"""Type-A specialization: partitions, Schur polynomials, tableau weights.
 
 Schur polynomials live in the semiring of exponent vectors on y1..ym taken
 modulo the relation y1*...*ym = 1; a canonical representative has at least
 one zero exponent.  The substitution wk -> y1*...*yk identifies rank-(m-1)
 lattice polynomials with these, with inverse ek -> ek - e(k+1); both
 directions are exact monomial maps.
+
+No tableau is enumerated: s_mu in m variables is alpha of the character of
+the A_(m-1) irreducible of highest weight the part differences of mu, whose
+weights, repeated by multiplicity, are the tableau contents.  The character
+rank cap does not apply: the character is computed in max(2, |mu|)
+variables, and its terms are spread over m variables when m is larger.
+The hook-content count caps the content list, and the term count times m
+caps the orbits.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate, chain, combinations
+from math import comb
+from operator import sub
+from typing import Iterable, Mapping
 
-from .cartan import Weight
+from . import characters
+from .cartan import Weight, builtin_cartan
+from .characters import TERM_CAP
 from .charpoly import CharPoly, _Parser, _monomial_text, _render_terms
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Partition = tuple[int, ...]
 
@@ -50,12 +62,16 @@ class YPoly:
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
         if nvars < 1:
             raise InputError("invalid-rank", "need at least one variable")
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = [(tuple(e), c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
+        types = set(map(type, chain.from_iterable(e for e, _ in items)))
+        types.update(type(c) for _, c in items)
+        exact = types <= {int}  # else find the first bad term, as CharPoly does
         clean: dict[tuple[int, ...], int] = {}
         for e, c in items:
-            e = tuple(e)
             if len(e) != nvars:
                 raise InputError("rank-mismatch", f"exponent {e} for {nvars} variables")
+            if not exact and not (all(type(x) is int for x in e) and type(c) is int):
+                raise InputError("invalid-term", "exponents and coefficients must be integers")
             e = _canonical(e)
             c = clean.get(e, 0) + c
             if c:
@@ -151,65 +167,86 @@ def parse_ypoly(text: str, nvars: int) -> YPoly:
     return YPoly(nvars, ((tuple(e[:nvars]), c) for e, c in raw))
 
 
-def _ssyt_rows(prev_row: tuple[int, ...], width: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing rows of the given width, strictly below prev_row."""
-    row = [0] * width
-
-    def fill(j: int, low: int) -> Iterator[tuple[int, ...]]:
-        if j == width:
-            yield tuple(row)
-            return
-        lower = max(low, prev_row[j] + 1 if j < len(prev_row) else 1)
-        for v in range(lower, m + 1):
-            row[j] = v
-            yield from fill(j + 1, v)
-
-    return fill(0, 1)
-
-
-@lru_cache(maxsize=None)
-def ssyt_contents(mu: Partition, m: int) -> tuple[tuple[int, ...], ...]:
-    """Content vectors of all semistandard tableaux of shape mu, entries <= m.
-
-    One vector per tableau (so repeats appear), sorted descending; this
-    fixed order is what the weight listings downstream rely on.
-    """
+def _shape(mu: Iterable[int], m: int) -> Partition:
+    """Nonzero parts of a valid partition, which must number at most m."""
     mu = validate_partition(mu)
     shape = tuple(p for p in mu if p > 0)
     if len(shape) > m:
-        raise InputError(
-            "invalid-partition", f"partition {mu} has more than {m} parts"
-        )
-    contents: list[tuple[int, ...]] = []
-    counts = [0] * m
+        raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
+    return shape
 
-    def fill(r: int, prev: tuple[int, ...]) -> None:
-        if r == len(shape):
-            contents.append(tuple(counts))
-            return
-        for row in _ssyt_rows(prev, shape[r], m):
-            for v in row:
-                counts[v - 1] += 1
-            fill(r + 1, row)
-            for v in row:
-                counts[v - 1] -= 1
 
-    fill(0, ())
-    contents.sort(reverse=True)
-    return tuple(contents)
+def _type_a_character(shape: Partition, m: int) -> CharPoly:
+    """Character of V(lambda(shape)) in A_(m-1), for m >= 2; no rank cap.
+
+    A weight's multiplicity is a Kostka number, which depends only on the
+    sorted nonzero parts of its content, and a content has at most |shape|
+    nonzero parts.  So the engine runs in A_(k-1) for k = max(2, |shape|)
+    variables, and when m is larger each sequence of nonzero parts it
+    shows is placed on every support of its length in m variables: the
+    root data does not grow with m.  The term count times m is held to
+    ``TERM_CAP`` before any term is built.
+    """
+    size = sum(shape)
+    k = min(m, max(2, size))
+    char = characters._character(builtin_cartan("A", k - 1), weight_of_partition(shape, k))
+    if k == m:
+        return char
+    compositions = []  # each nonzero part sequence once, from its left-justified content
+    for w, c in char.terms.items():
+        e = _content(w, size)
+        nonzero = tuple(x for x in e if x)
+        if e[:len(nonzero)] == nonzero:
+            compositions.append((nonzero, c))
+    n = sum(comb(m, len(e)) for e, _ in compositions)
+    if n * m > TERM_CAP:
+        raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
+    terms = {}
+    for e, c in compositions:
+        for support in combinations(range(m), len(e)):
+            vec = [0] * m
+            for i, x in zip(support, e):
+                vec[i] = x
+            terms[_content_to_weight(vec)] = c
+    return CharPoly._trusted(m - 1, terms)
+
+
+def _content(w: Weight, size: int) -> tuple[int, ...]:
+    """Tableau content of the weight w: its suffix sums, shifted to total size."""
+    e = _suffix_sums(w)
+    shift = (size - sum(e)) // len(e)
+    return tuple(x + shift for x in e)
+
+
+def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
+    """Content vectors of all semistandard tableaux of shape mu, entries <= m.
+
+    One vector per tableau (so repeats appear), sorted descending; this
+    fixed order is what the weight listings downstream rely on.  A weight
+    of the character, repeated by its multiplicity, has one content.
+    """
+    shape = _shape(mu, m)
+    n = schur_dim(shape, m)
+    if n > TERM_CAP:
+        raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
+    size = sum(shape)
+    if m < 2 or not shape:
+        return ((size,) * m,)  # m = 0 leaves the empty content
+    counted = sorted(((_content(w, size), c) for w, c in _type_a_character(shape, m).terms.items()), reverse=True)
+    return tuple(chain.from_iterable([e] * c for e, c in counted))
 
 
 def schur(mu: Iterable[int], m: int) -> YPoly:
-    """Schur polynomial in m variables: the tableau generating function."""
-    return YPoly(m, ((e, 1) for e in ssyt_contents(validate_partition(mu), m)))
+    """Schur polynomial in m variables: alpha of the type-A character."""
+    shape = _shape(mu, m)
+    if m < 2 or not shape:
+        return YPoly(m, [((sum(shape),) * m, 1)])
+    return alpha(_type_a_character(shape, m))
 
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
     """Value at (1,..,1) by the hook-content product; counts the tableaux."""
-    mu = validate_partition(mu)
-    shape = [p for p in mu if p > 0]
-    if len(shape) > m:
-        raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
+    shape = _shape(mu, m)
     conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
     num = 1
     den = 1
@@ -234,41 +271,27 @@ def weight_of_partition(mu: Iterable[int], m: int) -> Weight:
     return tuple(padded[k] - padded[k + 1] for k in range(m - 1))
 
 
+def _suffix_sums(w: Weight) -> tuple[int, ...]:
+    """Exponents of alpha's image of w: ek = w_k + ... + w_(m-1), and em = 0."""
+    return (*accumulate(reversed(w)),)[::-1] + (0,)
+
+
 def _content_to_weight(e: tuple[int, ...]) -> Weight:
-    return tuple(e[k] - e[k + 1] for k in range(len(e) - 1))
+    return tuple(map(sub, e, e[1:]))
 
 
 def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
-    """Torus weights of the Schur module: one per tableau, fixed order.
-
-    The content totals are balanced across the variables, so the weights
-    always sum to zero; this is asserted.
-    """
+    """Torus weights of the Schur module: one per tableau, fixed order, and
+    summing to zero as a character's weights do; capped by ``TERM_CAP``."""
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
-    contents = ssyt_contents(mu, m)
-    totals = [0] * m
-    for e in contents:
-        for i, x in enumerate(e):
-            totals[i] += x
-    if any(t != totals[0] for t in totals):
-        raise ArithmeticError("tableau contents are not balanced")
-    return [_content_to_weight(e) for e in contents]
+    return [_content_to_weight(e) for e in ssyt_contents(mu, m)]
 
 
 def alpha(p: CharPoly) -> YPoly:
     """Substitute wk -> y1*...*yk (rho -> y2*y3^2*...*ym^(m-1)), reduced."""
-    m = p.rank + 1
-    terms = []
-    for w, c in p.terms.items():
-        suffix = 0
-        e = [0] * m
-        for k in range(p.rank - 1, -1, -1):
-            suffix += w[k]
-            e[k] = suffix
-        terms.append((tuple(e), c))
-    return YPoly(m, terms)
+    return YPoly(p.rank + 1, [(_suffix_sums(w), c) for w, c in p.terms.items()])
 
 
 def alpha_inverse(q: YPoly) -> CharPoly:

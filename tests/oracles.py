@@ -3,12 +3,18 @@
 Everything here is deliberately written from first principles, separate
 from the library code paths it checks: ladder enumeration for rank-1
 characters, explicit small-matrix inverses, determinant-based Schur
-polynomials, a standalone greedy reduction for rank-1 decompositions, and
-box enumeration of the dominant weights below a highest weight.
+polynomials, semistandard tableau enumeration, a standalone greedy
+reduction for rank-1 decompositions, and box enumeration of the dominant
+weights below a highest weight.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
+from typing import Iterator
+
+from flagrep.errors import InputError
+from flagrep.schur import Partition, YPoly, validate_partition
 
 
 def sl2_char_terms(k):
@@ -106,6 +112,67 @@ def jacobi_trudi_terms(mu, m):
         key = tuple(x - low for x in e)
         reduced[key] = reduced.get(key, 0) + c
     return {e: c for e, c in reduced.items() if c}
+
+
+def _ssyt_rows(prev_row: tuple[int, ...], width: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing rows of the given width, strictly below prev_row."""
+    row = [0] * width
+
+    def fill(j: int, low: int) -> Iterator[tuple[int, ...]]:
+        if j == width:
+            yield tuple(row)
+            return
+        lower = max(low, prev_row[j] + 1 if j < len(prev_row) else 1)
+        for v in range(lower, m + 1):
+            row[j] = v
+            yield from fill(j + 1, v)
+
+    return fill(0, 1)
+
+
+@lru_cache(maxsize=None)
+def ssyt_contents(mu: Partition, m: int) -> tuple[tuple[int, ...], ...]:
+    """Content vectors of all semistandard tableaux of shape mu, entries <= m.
+
+    One vector per tableau (so repeats appear), sorted descending; this
+    fixed order is what the weight listings downstream rely on.
+    """
+    mu = validate_partition(mu)
+    shape = tuple(p for p in mu if p > 0)
+    if len(shape) > m:
+        raise InputError(
+            "invalid-partition", f"partition {mu} has more than {m} parts"
+        )
+    contents: list[tuple[int, ...]] = []
+    counts = [0] * m
+
+    def fill(r: int, prev: tuple[int, ...]) -> None:
+        if r == len(shape):
+            contents.append(tuple(counts))
+            return
+        for row in _ssyt_rows(prev, shape[r], m):
+            for v in row:
+                counts[v - 1] += 1
+            fill(r + 1, row)
+            for v in row:
+                counts[v - 1] -= 1
+
+    fill(0, ())
+    contents.sort(reverse=True)
+    return tuple(contents)
+
+
+def tableau_schur(mu, m):
+    """Schur polynomial as the tableau generating function."""
+    return YPoly(m, ((e, 1) for e in ssyt_contents(validate_partition(mu), m)))
+
+
+def tableau_weights(mu, m):
+    """Torus weights of the Schur module, one per tableau in content order."""
+    mu = validate_partition(mu)
+    if m < 2:
+        raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
+    return [tuple(e[k] - e[k + 1] for k in range(m - 1)) for e in ssyt_contents(mu, m)]
 
 
 def a1_greedy_decompose(terms):

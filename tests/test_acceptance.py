@@ -109,7 +109,9 @@ def test_characters_map_onto_schur_polynomials(capsys):
                 image = alpha(weight_multiplicities(cd, weight_of_partition(mu, m)))
                 direct = schur(mu, m)
                 assert image == direct
+                # schur is alpha of the character itself: the oracles keep it honest
                 assert direct.terms == oracles.jacobi_trudi_terms(mu, m)
+                assert direct == oracles.tableau_schur(mu, m)
         ok = True
     finally:
         _report("type-A characters map onto Schur polynomials (|mu| <= 8, m in 2..4)", ok)

@@ -16,6 +16,7 @@ from flagrep import (
     simple_reflection,
     weyl_orbit,
 )
+from flagrep import cartan
 from flagrep.characters import dimension
 
 import oracles
@@ -221,6 +222,39 @@ def test_positive_roots_lie_in_the_positive_root_lattice():
             ]
             assert all(c.denominator == 1 and c >= 0 for c in coords)
             assert dominant_representative(cd, root) in cd.positive_roots
+
+
+def test_inverse_cartan_is_exact():
+    for tag in ("A1", "A7", "B5", "C5", "D6", "G2"):
+        cd = cartan_from_tag(tag)
+        c, inv, n = cd.cartan_matrix, cd.inverse_cartan, cd.rank
+        for i in range(n):
+            for j in range(n):
+                assert sum(c[i][k] * inv[k][j] for k in range(n)) == (i == j)
+
+
+def test_cartan_matrix_is_inverted_once_per_build(monkeypatch):
+    calls = []
+    real = cartan._invert
+    monkeypatch.setattr(cartan, "_invert", lambda c: calls.append(c) or real(c))
+    cd = custom_cartan([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], label="B3")
+    cd.inverse_cartan, cd.gram_scaled, cd.height_key((1, 0, 0))
+    assert len(calls) == 1
+    # derived fields take no part in comparison or hashing
+    assert cd == cartan_from_tag("B3") and hash(cd) == hash(cartan_from_tag("B3"))
+
+
+def test_type_a_positive_roots_in_closed_form():
+    # the positive roots of A_n are the sums of consecutive simple roots,
+    # of height the number of summands
+    n = 40
+    c = builtin_cartan("A", n).cartan_matrix
+    expected = sorted(
+        (j - i + 1, tuple(sum(col[i:j + 1]) for col in zip(*c)))
+        for i in range(n)
+        for j in range(i, n)
+    )
+    assert builtin_cartan("A", n).positive_roots == tuple(r for _, r in expected)
 
 
 def test_symmetrized_product_is_symmetric():

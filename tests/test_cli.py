@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from flagrep import characters
+from flagrep import characters, weight_of_partition
 from flagrep.cli import build_parser, main
 
 
@@ -326,3 +327,88 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "char", "A2", "1,1")
     assert (code, out) == (4, "")
     assert err == "error[internal]: RuntimeError: boom\n"
+
+
+# --- byte pins: schur, cor3 and alpha -----------------------------------------
+
+def _pin_partitions(total, max_parts):
+    """Partitions of size <= total with at most max_parts nonzero parts."""
+    out = [()]
+    for size in range(1, total + 1):
+        def rec(prefix, remaining, cap):
+            if remaining == 0:
+                out.append(tuple(prefix))
+                return
+            if len(prefix) == max_parts:
+                return
+            for part in range(min(remaining, cap), 0, -1):
+                rec(prefix + [part], remaining - part, part)
+        rec([], size, size)
+    return out
+
+
+def _pin_grid():
+    """CLI calls covering every small case, trailing zeros and error paths."""
+    calls = []
+    for m in range(1, 6):
+        for mu in _pin_partitions(4, m):
+            text = ",".join(map(str, mu))
+            if mu:
+                calls.append(("schur", text, str(m)))
+                calls.append(("cor3", text, str(m)))
+                calls.append(("schur", text + ",0", str(m)))
+                calls.append(("cor3", text + ",0", str(m)))
+            if m >= 2:
+                lam = ",".join(map(str, weight_of_partition(mu, m)))
+                calls.append(("char", f"A{m - 1}", lam))
+    calls += [
+        # groups past the character rank cap: schur and cor3 still answer
+        ("schur", "1", "12"),
+        ("cor3", "2,1", "10"),
+        ("schur", "0", "0"),
+        ("schur", "1", "0"),
+        ("schur", "0", "-1"),
+        ("schur", "2,1,1", "2"),
+        ("cor3", "1,1", "2"),
+        ("cor3", "1,1,1", "2"),
+        ("cor3", "0", "3"),
+        ("cor3", "1", "1"),
+        ("schur", "1,2", "3"),
+        ("cor3", "x", "3"),
+    ]
+    return calls
+
+
+def _pin_digest(capsys, calls):
+    h = hashlib.sha256()
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        h.update(repr((argv, code, out, err)).encode())
+        if argv[0] == "char" and code == 0:
+            # the character's text is the alpha input: pin alpha on it too
+            code, out, err = run(capsys, "alpha", argv[1], out.strip())
+            h.update(repr(("alpha", code, out, err)).encode())
+    return h.hexdigest()
+
+
+def test_schur_cor3_alpha_byte_pins(capsys):
+    assert run(capsys, "cor3", "2,1", "3") == (
+        0,
+        "n: 8\n"
+        "rows: [[1, 1], [2, -1], [-1, 2], [0, 0], [0, 0], [1, -2], [-2, 1]]\n"
+        "alpha-s: y1^2*y2 + y1^2*y3 + y1*y2^2 + y1*y3^2 + y2^2*y3 + y2*y3^2 + 2\n"
+        "check: ok\n",
+        "",
+    )
+    assert run(capsys, "schur", "2,1", "1") == (2, "", "error[invalid-partition]: partition (2, 1) has more than 1 parts\n")
+    assert _pin_digest(capsys, _pin_grid()) == "21e0bc9f4c1506a0acb98c76ff43220cda90df9009b821f06c94e513c8c911c3"
+
+
+def test_schur_cor3_many_variables(capsys):
+    code, out, err = run(capsys, "schur", "1", "1000")
+    assert (code, err) == (0, "")
+    assert out == " + ".join(f"y{i}" for i in range(1, 1001)) + "\n"
+    for argv, n, m in ((("schur", "1", "1000000"), 10**6, 10**6), (("cor3", "1,1", "1000"), 499500, 1000)):
+        assert run(capsys, *argv) == (
+            3, "", f"error[term-cap]: {n} terms times {m} variables exceed cap 10000000\n"
+        )

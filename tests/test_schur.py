@@ -1,14 +1,18 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagrep import (
     InputError,
+    ResourceCapError,
     alpha,
     alpha_inverse,
     cartan_from_tag,
     decompose,
     dimension,
     parse_partition,
+    realize_schur,
     schur,
     schur_dim,
     ssyt_contents,
@@ -16,7 +20,7 @@ from flagrep import (
     weight_of_partition,
     weights_of_schur,
 )
-from flagrep.characters import Certificate
+from flagrep.characters import TERM_CAP, Certificate
 from flagrep.charpoly import CharPoly
 from flagrep.schur import YPoly, parse_ypoly, render_ypoly, validate_partition
 
@@ -95,6 +99,71 @@ def test_schur_matches_jacobi_trudi():
     for m in (2, 3, 4):
         for mu in partitions_up_to(5, m - 1):
             assert schur(mu, m).terms == oracles.jacobi_trudi_terms(mu, m)
+
+
+def _outcome(f, *args):
+    try:
+        return ("ok", f(*args))
+    except InputError as exc:
+        return ("error", exc.code, str(exc))
+
+
+def test_character_engine_matches_tableau_oracle():
+    # every partition of size <= 6, so some have len == m and some len > m
+    cases = []
+    for m in range(-1, 8):
+        for mu in partitions_up_to(6, 6):
+            cases += [(mu, m), (mu + (0,), m), (mu + (0, 0), m)]
+    for mu, m in cases:
+        assert _outcome(ssyt_contents, mu, m) == _outcome(oracles.ssyt_contents, mu, m)
+        assert _outcome(weights_of_schur, mu, m) == _outcome(oracles.tableau_weights, mu, m)
+        assert _outcome(schur, mu, m) == _outcome(oracles.tableau_schur, mu, m)
+
+
+def test_schur_does_not_enumerate_tableaux():
+    # 6.4 million tableaux, 36,746 distinct contents
+    q = schur((40, 20, 10), 4)
+    assert len(q.terms) == 36_746
+    assert q.evaluate_at_one() == schur_dim((40, 20, 10), 4) == 6_410_096
+
+
+def test_many_variables_match_tableau_oracle():
+    # m > |mu|: the engine runs in fewer variables and only the orbits are
+    # taken in m; in at most |mu| variables it runs in A_(m-1)
+    cases = [(mu, m) for m in (10, 11, 13) for mu in partitions_up_to(4, 4)]
+    cases += [((1,) * 10, 10), ((1,) * 10, 11), ((2,) + (1,) * 8, 11), ((1,) * 11, 12)]
+    for mu, m in cases:
+        assert ssyt_contents(mu, m) == oracles.ssyt_contents(mu, m)
+        assert weights_of_schur(mu, m) == oracles.tableau_weights(mu, m)
+        assert schur(mu, m) == oracles.tableau_schur(mu, m)
+
+
+def test_schur_in_many_variables_is_bounded():
+    q = schur((1,), 1000)
+    assert q.terms == {tuple(int(i == j) for j in range(1000)): 1 for i in range(1000)}
+    assert schur((), 10**6) == YPoly.one(10**6)
+    # the orbit sizes are counted before any is expanded
+    tracemalloc.start()
+    try:
+        for mu, m, n in (((1,), 10**6, 10**6), ((1, 1), 1000, 499_500)):
+            for f in (schur, ssyt_contents, weights_of_schur, realize_schur):
+                with pytest.raises(ResourceCapError) as info:
+                    f(mu, m)
+                assert info.value.code == "term-cap"
+                assert str(info.value) == f"{n} terms times {m} variables exceed cap {TERM_CAP}"
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_tableau_weights_capped_before_expanding():
+    mu = (60, 30, 10)
+    assert schur_dim(mu, 4) == 62_558_496 > TERM_CAP
+    for f in (ssyt_contents, weights_of_schur, realize_schur):
+        with pytest.raises(ResourceCapError) as info:
+            f(mu, 4)
+        assert info.value.code == "term-cap"
+        assert str(info.value) == f"62558496 tableaux exceed cap {TERM_CAP}"
 
 
 def test_schur_is_symmetric():
@@ -224,3 +293,40 @@ def test_ypoly_parse_respects_relation():
         parse_ypoly("y4", 3)
     with pytest.raises(InputError):
         parse_ypoly("rho", 3)
+
+
+def test_ypoly_rejects_non_integer_terms():
+    for terms in (
+        [((1, 0), 1.5), ((0, True), 2)],
+        [((1, 0), 1), ((0, True), 2)],
+        [((1.0, 0), 1)],
+        {(1, 0): True},
+    ):
+        with pytest.raises(InputError) as info:
+            YPoly(2, terms)
+        assert (info.value.code, str(info.value)) == (
+            "invalid-term", "exponents and coefficients must be integers"
+        )
+    with pytest.raises(InputError) as info:
+        YPoly(2, [((1, 0, 0), 1)])
+    assert info.value.code == "rank-mismatch"
+    assert YPoly(2, [((1, 0), 2), ((2, 1), -2)]) == YPoly.zero(2)
+
+
+def test_ypoly_reads_each_exponent_once():
+    assert YPoly(2, [(iter((1, 0)), 1)]) == YPoly(2, {(1, 0): 1})
+    assert YPoly(2, ((iter(e), 1) for e in [(1, 0), (0, 1)])) == YPoly(2, {(1, 0): 1, (0, 1): 1})
+
+
+def test_ypoly_names_the_first_bad_term_as_charpoly_does():
+    for terms in (
+        [((1, 0, 0), 1.5)],
+        [((1, 0), 1.5), ((1, 0, 0), 1)],
+        [((1, 0, 0), 1), ((1, 0), 1.5)],
+        [((1, 0), 1), ((True, 0, 0), 1)],
+    ):
+        with pytest.raises(InputError) as want:
+            CharPoly(2, terms)
+        with pytest.raises(InputError) as got:
+            YPoly(2, terms)
+        assert got.value.code == want.value.code
