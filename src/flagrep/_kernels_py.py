@@ -14,6 +14,8 @@ Conventions used by every function here:
   recursion only uses ratios).
 """
 
+from itertools import repeat
+
 from .errors import ResourceCapError
 
 
@@ -34,30 +36,55 @@ def dominant_representative(cartan, w):
     return tuple(v)
 
 
-def weyl_orbit(cartan, w, cap):
-    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i."""
-    m = len(w)
-    start = tuple(w)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(m):
-                c = v[i]
-                if c == 0:
-                    continue
-                row = cartan[i]
-                u = tuple(v[j] - c * row[j] for j in range(m))
-                if u not in seen:
-                    if len(seen) >= cap:
+def _reflection_tables(cartan):
+    """Per simple reflection s_i: the pairs (k, -cartan[i][k]) for k < i,
+    and the pairs (j, cartan[i][j]) of the coordinates s_i can change."""
+    m = len(cartan)
+    lower = [[(k, -cartan[i][k]) for k in range(i)] for i in range(m)]
+    moved = [[(j, a) for j, a in enumerate(cartan[i]) if a] for i in range(m)]
+    return lower, moved
+
+
+def _orbit_walk(top, lower, moved, cap):
+    """The orbit of the dominant weight ``top``, each element once.
+
+    From v, for each i with v[i] > 0, keep u = s_i(v) only if u[k] >= 0
+    for every k < i (u[k] = v[k] + v[i] * a over ``lower[i]``, checked
+    before u is built).  Then i is u's first negative index, so every
+    element other than ``top`` has exactly one parent: s_j(u), for j its
+    first negative index.
+    """
+    if cap < 1:
+        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {cap}")
+    orbit = [top]
+    for v in orbit:
+        for i, c in enumerate(v):
+            if c > 0:
+                for k, a in lower[i]:
+                    if v[k] + c * a < 0:
+                        break
+                else:
+                    if len(orbit) == cap:
                         raise ResourceCapError(
                             "orbit-cap", f"orbit size exceeds cap {cap}"
                         )
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
+                    u = list(v)
+                    for j, a in moved[i]:
+                        u[j] -= c * a
+                    orbit.append(tuple(u))
+    return orbit
+
+
+def weyl_orbit(cartan, w, cap):
+    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i.
+
+    A duplicate-free tree walk down from the dominant representative
+    (Snow, Weyl group orbits, ACM TOMS), with no seen-set.  Returns a list;
+    raises the orbit cap as soon as the orbit would hold more than ``cap``
+    weights, so it never holds more than ``cap``.
+    """
+    top = dominant_representative(cartan, w)
+    return _orbit_walk(top, *_reflection_tables(cartan), cap)
 
 
 def _ip(gram, u, v):
@@ -112,20 +139,18 @@ def freudenthal(cartan, gram, pos_roots, lam, support):
 
 
 def orbit_terms(cartan, dominant_mults, max_terms):
-    """Expand dominant multiplicities to the full Weyl-symmetric term dict."""
+    """Expand dominant multiplicities to the full Weyl-symmetric term dict;
+    each key of ``dominant_mults`` must be dominant, as the walk starts there."""
+    lower, moved = _reflection_tables(cartan)
     terms = {}
     for mu, mult in dominant_mults.items():
-        remaining = max_terms - len(terms)
-        if remaining <= 0:
-            raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         try:
-            orbit = weyl_orbit(cartan, mu, remaining)
+            orbit = _orbit_walk(mu, lower, moved, max_terms - len(terms))
         except ResourceCapError:
             raise ResourceCapError(
                 "term-cap", f"support exceeds cap {max_terms}"
             ) from None
-        for w in orbit:
-            terms[w] = mult
+        terms.update(zip(orbit, repeat(mult)))
     return terms
 
 

@@ -6,6 +6,8 @@ arbitrarily large values; the win comes from compiled loop and tuple
 machinery, not from narrowing any integer type.
 """
 
+from itertools import repeat
+
 from flagrep.errors import ResourceCapError
 
 
@@ -27,34 +29,49 @@ def dominant_representative(cartan, w):
     return tuple(v)
 
 
-def weyl_orbit(cartan, w, cap):
-    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i."""
-    cdef Py_ssize_t m = len(w)
-    cdef Py_ssize_t i, j
-    start = tuple(w)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(m):
-                c = v[i]
-                if c == 0:
-                    continue
-                row = cartan[i]
-                scratch = list(v)
-                for j in range(m):
-                    scratch[j] = scratch[j] - c * row[j]
-                u = tuple(scratch)
-                if u not in seen:
-                    if len(seen) >= cap:
+def _reflection_tables(cartan):
+    """Per simple reflection s_i: the pairs (k, -cartan[i][k]) for k < i,
+    and the pairs (j, cartan[i][j]) of the coordinates s_i can change."""
+    m = len(cartan)
+    lower = [[(k, -cartan[i][k]) for k in range(i)] for i in range(m)]
+    moved = [[(j, a) for j, a in enumerate(cartan[i]) if a] for i in range(m)]
+    return lower, moved
+
+
+def _orbit_walk(top, lower, moved, cap):
+    """The orbit of the dominant weight ``top``, each element once."""
+    cdef Py_ssize_t pos = 0
+    cdef Py_ssize_t i, m
+    if cap < 1:
+        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {cap}")
+    m = len(top)
+    orbit = [top]
+    while pos < len(orbit):
+        v = orbit[pos]
+        pos += 1
+        for i in range(m):
+            c = v[i]
+            if c > 0:
+                for k, a in lower[i]:
+                    if v[k] + c * a < 0:
+                        break
+                else:
+                    if len(orbit) == cap:
                         raise ResourceCapError(
                             "orbit-cap", f"orbit size exceeds cap {cap}"
                         )
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
+                    u = list(v)
+                    for j, a in moved[i]:
+                        u[j] = u[j] - c * a
+                    orbit.append(tuple(u))
+    return orbit
+
+
+def weyl_orbit(cartan, w, cap):
+    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i,
+    by a duplicate-free walk down from its dominant representative."""
+    top = dominant_representative(cartan, w)
+    return _orbit_walk(top, *_reflection_tables(cartan), cap)
 
 
 cdef _ip(gram, u, v):
@@ -107,20 +124,18 @@ def freudenthal(cartan, gram, pos_roots, lam, support):
 
 
 def orbit_terms(cartan, dominant_mults, max_terms):
-    """Expand dominant multiplicities to the full Weyl-symmetric term dict."""
+    """Expand dominant multiplicities to the full Weyl-symmetric term dict;
+    each key of ``dominant_mults`` must be dominant, as the walk starts there."""
+    lower, moved = _reflection_tables(cartan)
     terms = {}
     for mu, mult in dominant_mults.items():
-        remaining = max_terms - len(terms)
-        if remaining <= 0:
-            raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         try:
-            orbit = weyl_orbit(cartan, mu, remaining)
+            orbit = _orbit_walk(mu, lower, moved, max_terms - len(terms))
         except ResourceCapError:
             raise ResourceCapError(
                 "term-cap", f"support exceeds cap {max_terms}"
             ) from None
-        for w in orbit:
-            terms[w] = mult
+        terms.update(zip(orbit, repeat(mult)))
     return terms
 
 

@@ -170,10 +170,10 @@ def _positive_roots(cartan, height: tuple[int, ...]) -> tuple[Weight, ...]:
     """Positive roots sorted by (height, weight); a root's root coordinates
     have one sign, so the sign of its height tells which it is."""
     simple = [tuple(row) for row in cartan]
-    roots = _kernels.weyl_orbit(cartan, simple[0], ORBIT_CAP)
+    roots = set(_kernels.weyl_orbit(cartan, simple[0], ORBIT_CAP))
     for s in simple[1:]:
         if s not in roots:  # an orbit already found holds all of its roots
-            roots |= _kernels.weyl_orbit(cartan, s, ORBIT_CAP)
+            roots.update(_kernels.weyl_orbit(cartan, s, ORBIT_CAP))
     positive = sorted((h, r) for r in roots if (h := sum(map(mul, r, height))) > 0)
     return tuple(r for _, r in positive)
 
@@ -320,5 +320,7 @@ def dominant_representative(cd: CartanData, w: Sequence[int]) -> Weight:
 
 
 def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = ORBIT_CAP) -> frozenset[Weight]:
-    """Full Weyl orbit of ``w``; raises ResourceCapError beyond ``cap``."""
+    """Full Weyl orbit of ``w``, found by a duplicate-free walk down from its
+    dominant representative; raises ResourceCapError ``orbit-cap`` exactly
+    when the orbit has more than ``cap`` weights, holding at most ``cap``."""
     return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_length(cd, w), cap))

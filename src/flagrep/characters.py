@@ -3,8 +3,9 @@
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
 positive roots finds, then expanded along Weyl orbits; dimensions
-come from the Weyl product formula.  Both are exact: rationals cancel to
-integers by construction and the code asserts that they do.
+come from the Weyl product formula.  Both are exact: each ends in one
+integer division that must leave no remainder, and the code asserts that
+it does.
 
 Membership of an effective polynomial in the set of characters is decided
 constructively: ``decompose`` either returns the unique certificate (the
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Iterator, Sequence, Union
 
 from . import _kernels
@@ -144,6 +146,10 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
 def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPoly:
     """``weight_multiplicities`` of a checked ``lam``, memoised, with no rank
     cap: Schur polynomials in any number of variables come through it."""
+    # the alpha_i-string through lam holds lam_i + 1 distinct weights and two
+    # strings share only lam, so the character has at least 1 + sum(lam) terms
+    if 1 + sum(lam) > max_terms:
+        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
     key = (cd, lam)
     with _cache_lock:
         cached = _char_cache.get(key)
@@ -165,21 +171,16 @@ def dimension(cd: CartanData, lam: Sequence[int]) -> int:
     """Weyl product formula; exact, asserts integrality."""
     lam = _require_dominant(cd, lam)
     gram = cd.gram_scaled
-    shifted = tuple(x + 1 for x in lam)
-    delta = (1,) * cd.rank
-
-    def ip(u, v):
-        return sum(
-            u[i] * sum(gram[i][j] * v[j] for j in range(cd.rank))
-            for i in range(cd.rank)
-        )
-
-    value = Fraction(1)
+    shifted = [x + 1 for x in lam]
+    num = den = 1
     for alpha in cd.positive_roots:
-        value *= Fraction(ip(shifted, alpha), ip(delta, alpha))
-    if value.denominator != 1:
+        g = [sum(map(mul, row, alpha)) for row in gram]  # gram * alpha
+        num *= sum(map(mul, shifted, g))  # (lam + rho, alpha), scaled
+        den *= sum(g)  # (rho, alpha), scaled
+    value, rem = divmod(num, den)
+    if rem:
         raise ArithmeticError("dimension formula did not cancel to an integer")
-    return int(value)
+    return value
 
 
 def _certificate(cd: CartanData, pairs: Sequence[tuple[Weight, int]]) -> Certificate:
@@ -279,31 +280,74 @@ def dominant_weights_up_to_dim(cd: CartanData, bound: int) -> list[tuple[Weight,
     return sorted(((lam, d) for lam, d in out.items()), key=lambda t: (t[1], t[0]), reverse=True)
 
 
-def omega_n_enumerate(cd: CartanData, n: int, max_n: int = OMEGA_N_CAP) -> Iterator[Certificate]:
+def _count_certificates(dims: Sequence[int], n: int, cap: int) -> int:
+    """Number of multisets of the irreducibles (one coin per dimension in
+    ``dims``) with total dimension ``n``, saturated at ``cap + 1``.
+
+    Coin-change: adding a coin of size d sets ways[j] += ways[j - d] for
+    j = d..n in increasing order, done one block of d entries at a time.
+    Coins only add multisets, so the count stops at the first coin, smallest
+    first, that takes it past ``cap``.
+    """
+    top = cap + 1
+    ways = [1] + [0] * n
+    for d in sorted(dims):
+        for start in range(d, n + 1, d):
+            ways[start:start + d] = map(
+                min, map(add, ways[start:start + d], ways[start - d:start]), repeat(top)
+            )
+        if ways[n] == top:
+            break
+    return ways[n]
+
+
+def _certificates(irreps: Sequence[tuple[Weight, int]], n: int) -> Iterator[Certificate]:
+    """Every certificate of total dimension ``n``, without recursion.
+
+    ``counts[i]`` is the multiplicity of irreducible i and ``remaining[i]``
+    the dimension left before it.  Each round fills the following levels
+    with the largest counts that fit, emits a certificate if nothing is
+    left, and then lowers the deepest nonzero count by one.
+    """
+    counts: list[int] = []
+    remaining = [n]
+    while True:
+        while remaining[-1] and len(counts) < len(irreps):
+            d = irreps[len(counts)][1]
+            counts.append(remaining[-1] // d)
+            remaining.append(remaining[-1] % d)
+        if not remaining[-1]:
+            yield Certificate(tuple((irreps[i][0], c) for i, c in enumerate(counts) if c), n)
+        while counts and not counts[-1]:
+            counts.pop()
+            remaining.pop()
+        if not counts:
+            return
+        counts[-1] -= 1
+        remaining[-1] += irreps[len(counts) - 1][1]
+
+
+def omega_n_enumerate(
+    cd: CartanData, n: int, max_n: int = OMEGA_N_CAP, max_certificates: int | None = None
+) -> Iterator[Certificate]:
     """All certificates of total dimension exactly ``n``, largest parts first.
 
     The stream is deterministic, complete and duplicate-free: summands are
     chosen along the (dimension, weight)-descending list of irreducibles,
-    with higher multiplicities of larger summands emitted first.
+    with higher multiplicities of larger summands emitted first.  It is
+    lazy; with ``max_certificates`` the certificates are counted before the
+    stream starts, and more of them than that raises the term cap, so a
+    caller that prints them all prints a whole answer or none.
     """
     if n < 1:
         raise InputError("invalid-dimension", "n must be a positive integer")
     if n > max_n:
         raise ResourceCapError("n-cap", f"n={n} exceeds cap {max_n}")
     irreps = dominant_weights_up_to_dim(cd, n)
-
-    def rec(idx: int, remaining: int, acc: list[tuple[Weight, int]]) -> Iterator[Certificate]:
-        if remaining == 0:
-            yield Certificate(tuple(acc), n)
-            return
-        if idx == len(irreps):
-            return
-        lam, d = irreps[idx]
-        for count in range(remaining // d, -1, -1):
-            if count:
-                acc.append((lam, count))
-            yield from rec(idx + 1, remaining - count * d, acc)
-            if count:
-                acc.pop()
-
-    return rec(0, n, [])
+    if max_certificates is not None:
+        count = _count_certificates([d for _, d in irreps], n, max_certificates)
+        if count > max_certificates:
+            raise ResourceCapError(
+                "term-cap", f"certificates of dimension {n} exceed cap {max_certificates}"
+            )
+    return _certificates(irreps, n)

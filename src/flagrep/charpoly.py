@@ -214,15 +214,42 @@ def _render_terms(ordered: list[tuple[int, str]]) -> str:
 
 
 def render(p: CharPoly) -> str:
-    """Canonical text form: reduced monomials, highest lattice point first."""
-    if not p.terms:
+    """Canonical text form: reduced monomials, highest lattice point first.
+
+    One pass over the sorted terms: each term's rho shift (rho absorbs the
+    negative exponents, as in ``normalize``), its factor text and its signed
+    piece " + body" or " - body"; the first piece's sign is fixed at the end.
+    """
+    terms = p.terms
+    if not terms:
         return "0"
-    names = [f"w{i + 1}" for i in range(p.rank)]
-    ordered = []
-    for w in sorted(p.terms, reverse=True):
-        exps, c = normalize(w)
-        ordered.append((p.terms[w], _monomial_text(list(exps) + [c], names + ["rho"])))
-    return _render_terms(ordered)
+    # exponent -> factor text, per variable; rho is the last variable
+    powers = [{1: f"w{i + 1}"} for i in range(p.rank)] + [{1: "rho"}]
+    pieces = []
+    for w in sorted(terms, reverse=True):
+        low = min(w)
+        shift = -low if low < 0 else 0
+        factors = []
+        for power, x in zip(powers, w + (0,)):
+            e = x + shift
+            if e:
+                text = power.get(e)
+                if text is None:
+                    text = power[e] = f"{power[1]}^{e}"
+                factors.append(text)
+        mono = "*".join(factors)
+        c = terms[w]
+        mag = c if c > 0 else -c
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        pieces.append((" + " if c > 0 else " - ") + body)
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(pieces)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+\d*)|(\^)|(\*)|(\+)|(-))")

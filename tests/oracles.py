@@ -4,8 +4,10 @@ Everything here is deliberately written from first principles, separate
 from the library code paths it checks: ladder enumeration for rank-1
 characters, explicit small-matrix inverses, determinant-based Schur
 polynomials, semistandard tableau enumeration, a standalone greedy
-reduction for rank-1 decompositions, and box enumeration of the dominant
-weights below a highest weight.
+reduction for rank-1 decompositions, box enumeration of the dominant
+weights below a highest weight, breadth-first Weyl orbits with a seen-set,
+two-pass polynomial rendering, the recursive certificate enumerator and
+the Weyl dimension formula in rationals.
 """
 
 from fractions import Fraction
@@ -13,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator
 
-from flagrep.errors import InputError
+from flagrep.errors import InputError, ResourceCapError
 from flagrep.schur import Partition, YPoly, validate_partition
 
 
@@ -229,3 +231,110 @@ def box_dominant_support(cartan, lam):
             found.append((sum(coords), mu))
     found.sort()
     return [mu for _, mu in found]
+
+
+def bfs_weyl_orbit(cartan, w, cap):
+    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i."""
+    m = len(w)
+    start = tuple(w)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(m):
+                c = v[i]
+                if c == 0:
+                    continue
+                row = cartan[i]
+                u = tuple(v[j] - c * row[j] for j in range(m))
+                if u not in seen:
+                    if len(seen) >= cap:
+                        raise ResourceCapError(
+                            "orbit-cap", f"orbit size exceeds cap {cap}"
+                        )
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return seen
+
+
+def _monomial_text(exps, names):
+    factors = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            factors.append(name)
+        elif e:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
+
+
+def _render_terms(ordered):
+    """Join (coefficient, monomial-text) pairs per the polynomial grammar."""
+    pieces = []
+    for i, (c, mono) in enumerate(ordered):
+        mag = abs(c)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if i == 0:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces)
+
+
+def render_polynomial(p):
+    """Canonical text of a CharPoly: reduced monomials, highest point first,
+    built as a list of (coefficient, monomial text) pairs and then joined."""
+    if not p.terms:
+        return "0"
+    names = [f"w{i + 1}" for i in range(p.rank)]
+    ordered = []
+    for w in sorted(p.terms, reverse=True):
+        c = max(0, -min(w))
+        exps = tuple(x + c for x in w)
+        ordered.append((p.terms[w], _monomial_text(list(exps) + [c], names + ["rho"])))
+    return _render_terms(ordered)
+
+
+def recursive_certificates(irreps, n):
+    """Multisets of (weight, dimension) pairs from ``irreps`` with total
+    dimension n, as tuples of (weight, count), in the enumeration order:
+    along ``irreps``, higher counts first."""
+
+    def rec(idx, remaining, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        if idx == len(irreps):
+            return
+        lam, d = irreps[idx]
+        for count in range(remaining // d, -1, -1):
+            if count:
+                acc.append((lam, count))
+            yield from rec(idx + 1, remaining - count * d, acc)
+            if count:
+                acc.pop()
+
+    return rec(0, n, [])
+
+
+def fraction_dimension(cd, lam):
+    """Weyl product formula, one Fraction per positive root."""
+    gram = cd.gram_scaled
+    rank = len(lam)
+    shifted = tuple(x + 1 for x in lam)
+    delta = (1,) * rank
+
+    def ip(u, v):
+        return sum(u[i] * gram[i][j] * v[j] for i in range(rank) for j in range(rank))
+
+    value = Fraction(1)
+    for alpha in cd.positive_roots:
+        value *= Fraction(ip(shifted, alpha), ip(delta, alpha))
+    assert value.denominator == 1
+    return value.numerator

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from flagrep import (
     weight_multiplicities,
     weyl_orbit,
 )
-from flagrep.characters import _dominant_support
+from flagrep.characters import TERM_CAP, _count_certificates, _dominant_support
 from flagrep.charpoly import CharPoly, render
 
 import oracles
@@ -93,6 +95,24 @@ def test_character_support_is_union_of_orbits():
 def test_term_cap():
     with pytest.raises(ResourceCapError):
         weight_multiplicities(cartan_from_tag("A3"), (2, 2, 2), max_terms=5)
+
+
+def test_term_cap_from_root_strings_before_the_walk():
+    # the alpha_i-strings through lam give at least 1 + sum(lam) weights;
+    # for A1 that is the whole character, so the bound is exact there
+    assert len(weight_multiplicities(A1, (9,), max_terms=10).terms) == 10
+    with pytest.raises(ResourceCapError) as info:
+        weight_multiplicities(A1, (10,), max_terms=10)
+    assert (info.value.code, str(info.value)) == ("term-cap", "support exceeds cap 10")
+    tracemalloc.start()
+    try:
+        for cd, lam in ((A1, (200_000,)), (A2, (50_000, 50_000))):
+            with pytest.raises(ResourceCapError) as info:
+                weight_multiplicities(cd, lam, max_terms=100_000)
+            assert str(info.value) == "support exceeds cap 100000"
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # --- dominant support -------------------------------------------------------
@@ -288,6 +308,27 @@ def test_is_in_omega_n_negative_input_is_reported_not_raised():
     assert result.witness == (0,)
 
 
+DIMENSION_GROUPS = [cartan_from_tag(t) for t in "A1 A3 B3 C4 D5 G2".split()] + [
+    custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2")
+]
+
+
+@pytest.mark.parametrize("cd", DIMENSION_GROUPS, ids=lambda cd: cd.label)
+def test_dimension_matches_fraction_product(cd):
+    side = {1: 40, 3: 5, 4: 3, 5: 2}.get(cd.rank, 12)
+    for lam in itertools.product(range(side), repeat=cd.rank):
+        d = dimension(cd, lam)
+        assert type(d) is int
+        assert d == oracles.fraction_dimension(cd, lam), lam
+
+
+def test_dimension_keeps_its_integrality_check():
+    # a wrong symmetrizer gives a form that is not invariant, which does not cancel
+    bad = dataclasses.replace(A2, symmetrizer=(1, 3))
+    with pytest.raises(ArithmeticError, match="did not cancel"):
+        dimension(bad, (1, 0))
+
+
 # --- enumeration ------------------------------------------------------------
 
 def test_omega_enumerate_a1():
@@ -328,6 +369,43 @@ def test_omega_cap():
     # raising the cap admits the request; the stream stays lazy
     first = next(omega_n_enumerate(A1, 100, max_n=100))
     assert first.summands == (((99,), 1),)
+
+
+@pytest.mark.parametrize("tag,top", [("A1", 22), ("A2", 18), ("B2", 24), ("G2", 30), ("A3", 24)])
+def test_omega_stream_matches_recursive_oracle(tag, top):
+    cd = cartan_from_tag(tag)
+    for n in range(1, top + 1):
+        irreps = dominant_weights_up_to_dim(cd, n)
+        expected = list(oracles.recursive_certificates(irreps, n))
+        assert [c.summands for c in omega_n_enumerate(cd, n)] == expected, n
+        assert all(c.total_dim == n for c in omega_n_enumerate(cd, n))
+        dims = [d for _, d in irreps]
+        assert _count_certificates(dims, n, 10**9) == len(expected)
+        # saturation: the count stops at cap + 1
+        assert _count_certificates(dims, n, len(expected) - 1) == len(expected)
+        assert _count_certificates(dims, n, 0) == 1
+
+
+def test_omega_stream_needs_no_recursion():
+    # the second certificate sits 3000 irreducibles deep
+    certs = omega_n_enumerate(A1, 3000, max_n=3000)
+    assert [c.summands for c in itertools.islice(certs, 4)] == [
+        (((2999,), 1),),
+        (((2998,), 1), ((0,), 1)),
+        (((2997,), 1), ((1,), 1)),
+        (((2997,), 1), ((0,), 2)),
+    ]
+
+
+def test_omega_certificate_cap_counts_before_the_stream():
+    assert len(list(omega_n_enumerate(A1, 8, max_certificates=22))) == 22  # p(8)
+    with pytest.raises(ResourceCapError) as info:
+        omega_n_enumerate(A1, 8, max_certificates=21)
+    assert (info.value.code, str(info.value)) == (
+        "term-cap", "certificates of dimension 8 exceed cap 21"
+    )
+    with pytest.raises(ResourceCapError, match="certificates of dimension 3000"):
+        omega_n_enumerate(A1, 3000, max_n=5000, max_certificates=TERM_CAP)
 
 
 def test_injectivity_on_small_slice():

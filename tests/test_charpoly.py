@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flagrep import InputError, cartan_from_tag, weight_multiplicities
 from flagrep.charpoly import CharPoly, NormalMonomial, denormalize, normalize, parse, render
@@ -163,6 +163,27 @@ def test_render_signed_coefficients():
     assert render(p) == "w1^2 - 3 - rho"
     assert parse(render(p), 1) == p
     assert render(CharPoly(1, {(0,): -2})) == "-2"
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rank: st.dictionaries(
+            st.one_of(weights(rank, -12, 12), st.just((0,) * rank)),
+            st.integers(-10**3, 10**3).filter(bool),
+            max_size=8,
+        ).map(lambda d: CharPoly(rank, d))
+    )
+)
+def test_render_matches_two_pass_oracle(p):
+    assert render(p) == oracles.render_polynomial(p)
+
+
+def test_render_matches_two_pass_oracle_on_characters():
+    for tag, lam in [("B3", (1, 1, 1)), ("G2", (2, 1)), ("A1", (7,))]:
+        p = weight_multiplicities(cartan_from_tag(tag), lam)
+        for q in (p, -p, p * 3 - CharPoly.one(p.rank) * 5):
+            assert render(q) == oracles.render_polynomial(q)
 
 
 def test_parse_examples():

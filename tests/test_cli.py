@@ -1,10 +1,14 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
 from flagrep import characters, weight_of_partition
+from flagrep import cli as cli_module
+from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
+from flagrep.schur import schur as schur_of
 
 
 def run(capsys, *argv):
@@ -241,6 +245,34 @@ def test_cor3_rejects_full_last_part(capsys):
     code, _, err = run(capsys, "cor3", "1,1", "2")
     assert code == 2
     assert "invalid-partition" in err
+
+
+def test_cor3_prints_the_check_realize_schur_made(capsys, monkeypatch):
+    # the CLI forms no Schur polynomial of its own for cor3
+    monkeypatch.setattr(cli_module, "schur", None)
+    assert run(capsys, "cor3", "1", "2") == (0, "n: 2\nrows: [[1]]\nalpha-s: y1 + y2\ncheck: ok\n", "")
+    monkeypatch.setattr(realize_module, "schur", lambda mu, m: schur_of((2,), m))
+    code, out, _ = run(capsys, "cor3", "1", "2")
+    assert (code, out.splitlines()[-1]) == (0, "check: mismatch")
+
+
+def test_char_cap_from_the_weight_before_any_walk(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "char", "A1", "20000000")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (3, "", f"error[term-cap]: support exceeds cap {characters.TERM_CAP}\n")
+
+
+def test_omega_whole_answer_or_none(capsys):
+    code, out, err = run(capsys, "omega", "A1", "3000", "--max-n", "5000")
+    assert (code, out) == (3, "")
+    assert err == f"error[term-cap]: certificates of dimension 3000 exceed cap {characters.TERM_CAP}\n"
+    code, out, _ = run(capsys, "omega", "A1", "25", "--max-n", "25", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)) == 1958  # p(25)
 
 
 def test_omega_determinism(capsys):

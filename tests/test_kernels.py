@@ -1,5 +1,7 @@
-"""Backend equivalence: the compiled kernels must match the pure ones."""
+"""Backend equivalence: the compiled kernels must match the pure ones, and
+both must match the breadth-first orbit oracle."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -7,8 +9,10 @@ import sys
 
 import pytest
 
-from flagrep import _kernels_py, cartan_from_tag
+from flagrep import ResourceCapError, _kernels_py, cartan_from_tag, custom_cartan, weyl_orbit
 from flagrep.characters import _dominant_support
+
+import oracles
 
 try:
     from flagrep import _speedups
@@ -86,3 +90,73 @@ def test_pure_backend_forced_by_environment():
         check=True,
     )
     assert out.stdout.strip() == "pure"
+
+
+ORBIT_GROUPS = [
+    cartan_from_tag(t)
+    for t in "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2".split()
+] + [
+    custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2"),
+    custom_cartan([[2, -1, 0], [-2, 2, -1], [0, -1, 2]]),  # C3 with the long root first
+]
+
+
+def _orbit_weights(cd):
+    """Dominant and non-dominant weights: a grid, the Weyl vector and a few
+    reflected points, with entries small enough to keep orbits short."""
+    rng = random.Random(cd.rank * 31 + len(cd.positive_roots))
+    grid = itertools.product(range(-1, 2), repeat=cd.rank) if cd.rank <= 3 else ()
+    picks = [tuple(rng.randint(-2, 2) for _ in range(cd.rank)) for _ in range(12)]
+    return [*grid, *picks, cd.weyl_vector, (0,) * cd.rank]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cd", ORBIT_GROUPS, ids=lambda cd: cd.label)
+def test_weyl_orbit_matches_breadth_first_oracle(backend, cd):
+    for w in _orbit_weights(cd):
+        orbit = backend.weyl_orbit(cd.cartan_matrix, w, 10**6)
+        assert type(orbit) is list
+        assert len(set(orbit)) == len(orbit), w  # each element once
+        assert set(orbit) == oracles.bfs_weyl_orbit(cd.cartan_matrix, w, 10**6), w
+        assert weyl_orbit(cd, w) == frozenset(orbit)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cd", ORBIT_GROUPS, ids=lambda cd: cd.label)
+def test_weyl_orbit_cap_is_exact(backend, cd):
+    for w in _orbit_weights(cd)[-6:]:
+        size = len(oracles.bfs_weyl_orbit(cd.cartan_matrix, w, 10**6))
+        assert len(backend.weyl_orbit(cd.cartan_matrix, w, size)) == size
+        assert len(weyl_orbit(cd, w, cap=size)) == size
+        for f in (backend.weyl_orbit, oracles.bfs_weyl_orbit):
+            if size == 1 and f is oracles.bfs_weyl_orbit:
+                continue  # the oracle never checks the cap against its start
+            with pytest.raises(ResourceCapError) as info:
+                f(cd.cartan_matrix, w, size - 1)
+            assert (info.value.code, str(info.value)) == (
+                "orbit-cap", f"orbit size exceeds cap {size - 1}"
+            )
+
+
+def test_weyl_orbit_cap_counts_the_dominant_weight():
+    cd = cartan_from_tag("B3")
+    with pytest.raises(ResourceCapError, match="orbit size exceeds cap 0"):
+        weyl_orbit(cd, (0, 0, 0), cap=0)
+    assert weyl_orbit(cd, (0, 0, 0), cap=1) == frozenset({(0, 0, 0)})
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "tag,lam", [("A3", (1, 2, 1)), ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("D4", (1, 0, 1, 1)), ("G2", (2, 3))]
+)
+def test_orbit_terms_matches_breadth_first_oracle(backend, tag, lam):
+    cartan, gram, roots, lam, support = freudenthal_inputs(tag, lam)
+    dom = backend.freudenthal(cartan, gram, roots, lam, support)
+    expected = {}
+    for mu, mult in dom.items():
+        expected.update(dict.fromkeys(oracles.bfs_weyl_orbit(cartan, mu, 10**6), mult))
+    size = len(expected)
+    assert backend.orbit_terms(cartan, dom, size) == expected
+    with pytest.raises(ResourceCapError) as info:
+        backend.orbit_terms(cartan, dom, size - 1)
+    assert (info.value.code, str(info.value)) == ("term-cap", f"support exceeds cap {size - 1}")

@@ -24,6 +24,7 @@ from flagrep import (
     verify_factorization,
     weight_multiplicities,
 )
+from flagrep import realize as realize_module
 from flagrep.charpoly import CharPoly, render
 from flagrep.schur import alpha
 
@@ -299,6 +300,20 @@ def test_realize_schur_identity_on_slice():
             assert n == schur_dim(mu, m)
             assert alpha(s_map(hom)) == schur(mu, m)
             assert image == schur(mu, m)
+
+
+def test_realize_schur_carries_the_check():
+    result = realize_schur((2, 1), 3)
+    assert result.matches is True
+    assert tuple(result) == (result.n, result.hom, result.symmetric_function)
+
+
+def test_realize_schur_check_compares_two_routes(monkeypatch):
+    # a wrong schur() must show as a mismatch, not be assumed away
+    monkeypatch.setattr(realize_module, "schur", lambda mu, m: schur((1,), m))
+    result = realize_schur((2, 1), 3)
+    assert result.matches is False
+    assert result.symmetric_function == schur((2, 1), 3)
 
 
 def test_realize_schur_rejects_full_last_part():
