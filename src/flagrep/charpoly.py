@@ -185,46 +185,23 @@ class CharPoly:
         return f"CharPoly({self.rank}, {render(self)!r})"
 
 
-def _monomial_text(exps: Iterable[int], names: list[str]) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
-
-
-def _render_terms(ordered: list[tuple[int, str]]) -> str:
-    """Join (coefficient, monomial-text) pairs per the polynomial grammar."""
-    pieces = []
-    for i, (c, mono) in enumerate(ordered):
-        mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if i == 0:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
-
-
 def render(p: CharPoly) -> str:
-    """Canonical text form: reduced monomials, highest lattice point first.
+    """Canonical text form: reduced monomials, highest lattice point first."""
+    return _write(p.terms, [f"w{i + 1}" for i in range(p.rank)])
 
-    One pass over the sorted terms: each term's rho shift (rho absorbs the
-    negative exponents, as in ``normalize``), its factor text and its signed
-    piece " + body" or " - body"; the first piece's sign is fixed at the end.
+
+def _write(terms: Mapping[tuple[int, ...], int], names: list[str]) -> str:
+    """Text of a term dict over the variables ``names``, highest key first.
+
+    One pass over the sorted keys: each key's rho shift (rho absorbs the
+    negative exponents, as in ``normalize``, so only a key with a negative
+    entry gets a rho factor), its factor text and its signed piece
+    " + body" or " - body"; the first piece's sign is fixed at the end.
     """
-    terms = p.terms
     if not terms:
         return "0"
     # exponent -> factor text, per variable; rho is the last variable
-    powers = [{1: f"w{i + 1}"} for i in range(p.rank)] + [{1: "rho"}]
+    powers = [{1: name} for name in names] + [{1: "rho"}]
     pieces = []
     for w in sorted(terms, reverse=True):
         low = min(w)

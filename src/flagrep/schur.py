@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from . import characters
 from .cartan import Weight, builtin_cartan
 from .characters import TERM_CAP
-from .charpoly import CharPoly, _Parser, _monomial_text, _render_terms
+from .charpoly import CharPoly, _Parser, _write
 from .errors import InputError, ResourceCapError
 
 Partition = tuple[int, ...]
@@ -153,13 +153,7 @@ class YPoly:
 
 
 def render_ypoly(q: YPoly) -> str:
-    if not q.terms:
-        return "0"
-    names = [f"y{i + 1}" for i in range(q.nvars)]
-    ordered = [
-        (q.terms[e], _monomial_text(e, names)) for e in sorted(q.terms, reverse=True)
-    ]
-    return _render_terms(ordered)
+    return _write(q.terms, [f"y{i + 1}" for i in range(q.nvars)])
 
 
 def parse_ypoly(text: str, nvars: int) -> YPoly:

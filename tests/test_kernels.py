@@ -1,27 +1,20 @@
-"""Backend equivalence: the compiled kernels must match the pure ones, and
-both must match the breadth-first orbit oracle."""
+"""The pure kernels against independent oracles: breadth-first Weyl orbits
+and the Laurent product in ``tests/oracles.py``."""
 
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
-from flagrep import ResourceCapError, _kernels_py, cartan_from_tag, custom_cartan, weyl_orbit
+import flagrep
+from flagrep import ResourceCapError, _kernels, cartan_from_tag, custom_cartan, weyl_orbit
 from flagrep.characters import _dominant_support
 
 import oracles
 
-try:
-    from flagrep import _speedups
-except ImportError:
-    _speedups = None
-
-needs_ext = pytest.mark.skipif(_speedups is None, reason="extension not built")
-
-BACKENDS = [_kernels_py] + ([_speedups] if _speedups is not None else [])
+# The kernels module under test.  The id keeps these tests' names as they
+# were while the suite also ran a second, compiled backend.
+KERNELS = [pytest.param(_kernels, id="flagrep._kernels_py")]
 
 
 def freudenthal_inputs(tag, lam):
@@ -30,34 +23,7 @@ def freudenthal_inputs(tag, lam):
     return cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
 
 
-@needs_ext
-@pytest.mark.parametrize("tag,lam", [("A2", (3, 2)), ("B2", (2, 2)), ("G2", (1, 1)), ("A3", (2, 1, 2))])
-def test_freudenthal_backends_agree(tag, lam):
-    args = freudenthal_inputs(tag, lam)
-    assert _kernels_py.freudenthal(*args) == _speedups.freudenthal(*args)
-
-
-@needs_ext
-@pytest.mark.parametrize("tag,lam", [("A2", (3, 2)), ("B2", (2, 2))])
-def test_orbit_terms_backends_agree(tag, lam):
-    cartan, gram, roots, lam, support = freudenthal_inputs(tag, lam)
-    dom = _kernels_py.freudenthal(cartan, gram, roots, lam, support)
-    assert _kernels_py.orbit_terms(cartan, dom, 10**6) == _speedups.orbit_terms(
-        cartan, dom, 10**6
-    )
-
-
-@needs_ext
-def test_weyl_orbit_backends_agree():
-    cd = cartan_from_tag("B3")
-    w = (1, 2, 1)
-    assert _kernels_py.weyl_orbit(cd.cartan_matrix, w, 10**6) == _speedups.weyl_orbit(
-        cd.cartan_matrix, w, 10**6
-    )
-
-
-@needs_ext
-def test_poly_mul_backends_agree():
+def test_poly_mul_matches_laurent_oracle():
     rng = random.Random(5)
     for _ in range(25):
         a = {
@@ -68,28 +34,20 @@ def test_poly_mul_backends_agree():
             tuple(rng.randint(-6, 6) for _ in range(3)): rng.randint(-9, 9) or 1
             for _ in range(rng.randint(1, 8))
         }
-        assert _kernels_py.poly_mul(a, b) == _speedups.poly_mul(a, b)
+        assert _kernels.poly_mul(a, b) == oracles.laurent_mul(a, b)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNELS)
 def test_dominant_representative_fixes_dominant(backend):
     cd = cartan_from_tag("A3")
     assert backend.dominant_representative(cd.cartan_matrix, (1, 0, 2)) == (1, 0, 2)
-    assert backend.dominant_representative(cd.cartan_matrix, (-1, 1, 0)) in {
-        w for w in _kernels_py.weyl_orbit(cd.cartan_matrix, (-1, 1, 0), 10**6)
-    }
-
-
-def test_pure_backend_forced_by_environment():
-    env = dict(os.environ, FLAGREP_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import flagrep; print(flagrep.kernel_backend())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    assert backend.dominant_representative(cd.cartan_matrix, (-1, 1, 0)) in (
+        oracles.bfs_weyl_orbit(cd.cartan_matrix, (-1, 1, 0), 10**6)
     )
-    assert out.stdout.strip() == "pure"
+
+
+def test_kernel_backend_is_pure():
+    assert flagrep.kernel_backend() == "pure"
 
 
 ORBIT_GROUPS = [
@@ -110,7 +68,7 @@ def _orbit_weights(cd):
     return [*grid, *picks, cd.weyl_vector, (0,) * cd.rank]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNELS)
 @pytest.mark.parametrize("cd", ORBIT_GROUPS, ids=lambda cd: cd.label)
 def test_weyl_orbit_matches_breadth_first_oracle(backend, cd):
     for w in _orbit_weights(cd):
@@ -121,7 +79,7 @@ def test_weyl_orbit_matches_breadth_first_oracle(backend, cd):
         assert weyl_orbit(cd, w) == frozenset(orbit)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNELS)
 @pytest.mark.parametrize("cd", ORBIT_GROUPS, ids=lambda cd: cd.label)
 def test_weyl_orbit_cap_is_exact(backend, cd):
     for w in _orbit_weights(cd)[-6:]:
@@ -145,7 +103,7 @@ def test_weyl_orbit_cap_counts_the_dominant_weight():
     assert weyl_orbit(cd, (0, 0, 0), cap=1) == frozenset({(0, 0, 0)})
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", KERNELS)
 @pytest.mark.parametrize(
     "tag,lam", [("A3", (1, 2, 1)), ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("D4", (1, 0, 1, 1)), ("G2", (2, 3))]
 )

@@ -287,6 +287,50 @@ def test_ypoly_render_parse_round_trip():
     assert render_ypoly(YPoly.zero(2)) == "0"
 
 
+def oracle_render_ypoly(q):
+    """The two-pass writer: monomial texts first, then the signed join."""
+    if not q.terms:
+        return "0"
+    names = [f"y{i + 1}" for i in range(q.nvars)]
+    return oracles._render_terms(
+        [(q.terms[e], oracles._monomial_text(e, names)) for e in sorted(q.terms, reverse=True)]
+    )
+
+
+@st.composite
+def ypolys(draw):
+    """YPolys in 1-5 variables: exponents of either sign (the constructor
+    reduces them), coefficients of either sign, often +-1, and the constant
+    term and the zero polynomial among them."""
+    n = draw(st.integers(1, 5))
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-40, 40).filter(bool))
+    terms = draw(
+        st.lists(st.tuples(st.tuples(*[st.integers(-3, 4)] * n), coeff), max_size=8)
+    )
+    if draw(st.booleans()):
+        terms.append(((0,) * n, draw(coeff)))
+    return YPoly(n, terms)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ypolys())
+def test_render_ypoly_matches_two_pass_oracle(q):
+    assert render_ypoly(q) == oracle_render_ypoly(q)
+
+
+def test_render_ypoly_matches_two_pass_oracle_on_schur_and_edge_cases():
+    cases = [schur(mu, m) for mu, m in [((1,), 1), ((2, 1), 3), ((3, 1, 1), 4), ((4, 2), 5), ((2, 2, 1), 3)]]
+    cases += [
+        YPoly.zero(3),
+        YPoly(2, [((1, -1), 1), ((2, 0), -1)]),  # the terms cancel
+        YPoly.one(4) * -1,
+        YPoly(3, {(2, 0, 0): -1, (0, 1, 1): 7, (1, 1, 1): -3}),
+    ]
+    for q in cases:
+        assert render_ypoly(q) == oracle_render_ypoly(q)
+    assert render_ypoly(cases[-1]) == "-y1^2 + 7*y2*y3 - 3"
+
+
 def test_ypoly_parse_respects_relation():
     assert parse_ypoly("y1*y2*y3", 3) == YPoly.one(3)
     with pytest.raises(InputError):
