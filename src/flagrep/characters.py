@@ -2,7 +2,8 @@
 
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
-positive roots finds, then expanded along Weyl orbits; dimensions
+positive roots finds, then expanded along Weyl orbits, whose sizes
+|W| / |W_mu| give the exact term count before the recursion runs; dimensions
 come from the Weyl product formula.  Both are exact: each ends in one
 integer division that must leave no remainder, and the code asserts that
 it does.
@@ -16,13 +17,15 @@ weight whose coefficient went negative during the reduction.
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterator, Sequence, Union
 
 from . import _kernels
-from .cartan import CartanData, Weight, is_dominant
+from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, is_dominant
 from .charpoly import CharPoly
 from .errors import InputError, ResourceCapError
 
@@ -135,6 +138,53 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
     return sorted(seen, key=lambda mu: (-cd.height_key(mu), mu))
 
 
+@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+def _root_strata(cd: CartanData) -> tuple[tuple[int, int], ...]:
+    """Per positive root: its support on the simple roots, as a bit mask,
+    and its height.  A positive root that is not simple is a simple root
+    plus a positive root of height one less, which comes before it."""
+    simple = {row: i for i, row in enumerate(cd.cartan_matrix)}
+    strata: dict[Weight, tuple[int, int]] = {}
+    for root in cd.positive_roots:
+        if root in simple:
+            strata[root] = (1 << simple[root], 1)
+            continue
+        for row, i in simple.items():
+            below = strata.get(tuple(map(sub, root, row)))
+            if below is not None:
+                strata[root] = (below[0] | 1 << i, below[1] + 1)
+                break
+    return tuple(strata.values())
+
+
+def _parabolic_order(strata: tuple[tuple[int, int], ...], allowed: int) -> int:
+    """Order of the subgroup of W generated by the simple reflections in the
+    bit mask ``allowed``: the product of (m + 1) over its exponents m, which
+    are the dual partition of its positive-root counts by height (Kostant,
+    The principal three-dimensional subgroup, 1959)."""
+    counts = Counter(h for mask, h in strata if mask & allowed == mask)
+    order = 1
+    for h, n in counts.items():
+        order *= (h + 1) ** (n - counts[h + 1])
+    return order
+
+
+@lru_cache(maxsize=4096)
+def _orbit_size(cd: CartanData, nonzero: tuple[bool, ...]) -> int:
+    """|W| / |W_mu| for a dominant mu with this nonzero pattern: W_mu is
+    generated by the simple reflections at the zero coordinates of mu."""
+    strata = _root_strata(cd)
+    fixing = sum(1 << i for i, x in enumerate(nonzero) if not x)
+    return _parabolic_order(strata, (1 << cd.rank) - 1) // _parabolic_order(strata, fixing)
+
+
+def _term_count(cd: CartanData, support: Sequence[Weight]) -> int:
+    """Exact number of terms of the character with these dominant weights:
+    each has multiplicity at least one, so its whole orbit is in the support."""
+    patterns = Counter(tuple(map(bool, mu)) for mu in support)
+    return sum(n * _orbit_size(cd, pattern) for pattern, n in patterns.items())
+
+
 def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = TERM_CAP) -> CharPoly:
     """Character of the irreducible module with highest weight ``lam``."""
     lam = _require_dominant(cd, lam)
@@ -155,6 +205,11 @@ def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPo
         cached = _char_cache.get(key)
     if cached is None:
         support = _dominant_support(cd, lam, max_terms)
+        # each orbit has at most |W| weights; past that bound, the exact
+        # term count decides, before any multiplicity or orbit is computed
+        regular = _orbit_size(cd, (True,) * cd.rank)
+        if len(support) * regular > max_terms and _term_count(cd, support) > max_terms:
+            raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         dominant = _kernels.freudenthal(
             cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
         )

@@ -16,11 +16,16 @@ Input is validated once, where it enters: the public ``CharPoly(...)``
 constructor and ``parse`` check every term.  Results the library computes
 itself (arithmetic, characters, s-invariants) already satisfy the invariant
 and are wrapped by ``CharPoly._trusted`` without being re-validated.
+
+Text in the exact form ``render`` writes takes a one-pass reader that splits
+it on the term separators, ``*`` and ``^``; any other text takes the full
+recursive-descent parser, which alone reports errors.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import _kernels
@@ -29,6 +34,7 @@ from .errors import InputError
 
 #: Parser guard; canonical data never gets near this.
 MAX_EXPONENT = 10**6
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
 
 
 class NormalMonomial(NamedTuple):
@@ -247,6 +253,19 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _digits(tok: str) -> str:
+    """Decimal text of a digit token's value: ASCII, without leading zeros.
+
+    Found without ``int()`` on the whole token, which refuses strings of
+    more digits than ``sys.get_int_max_str_digits()``.  The tokenizer's
+    ``\\d`` admits every Unicode decimal digit, which ``int()`` reads one
+    at a time.
+    """
+    if not tok.isascii():
+        tok = "".join(str(int(ch)) for ch in tok)
+    return tok.lstrip("0") or "0"
+
+
 class _Parser:
     """Recursive-descent parser for the shared polynomial grammar."""
 
@@ -270,10 +289,11 @@ class _Parser:
         tok = self.take()
         if tok is None or not tok.isdigit():
             raise InputError("parse-error", "expected an exponent after '^'")
-        e = int(tok)
-        if e > MAX_EXPONENT:
-            raise InputError("exponent-overflow", f"exponent {e} exceeds {MAX_EXPONENT}")
-        return e
+        digits = _digits(tok)
+        # more digits than MAX_EXPONENT already exceeds it: no int() needed
+        if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
+            raise InputError("exponent-overflow", f"exponent {digits} exceeds {MAX_EXPONENT}")
+        return int(digits)
 
     def var_index(self, tok: str | None) -> int:
         """0..nvars-1 for variables, nvars for the relation variable."""
@@ -282,12 +302,12 @@ class _Parser:
         if self.rho_name is not None and tok == self.rho_name:
             return self.nvars
         if tok.startswith(self.var_prefix) and tok[len(self.var_prefix):].isdigit():
-            i = int(tok[len(self.var_prefix):])
-            if not 1 <= i <= self.nvars:
+            digits = _digits(tok[len(self.var_prefix):])
+            if len(digits) > len(str(self.nvars)) or not 1 <= int(digits) <= self.nvars:
                 raise InputError(
                     "rank-mismatch", f"variable {tok!r} out of range for rank {self.nvars}"
                 )
-            return i - 1
+            return int(digits) - 1
         raise InputError("parse-error", f"unknown symbol {tok!r}")
 
     def parse_factor(self, exps: list[int]) -> None:
@@ -307,7 +327,12 @@ class _Parser:
         if tok is None:
             raise InputError("parse-error", "expected a term")
         if tok.isdigit():
-            coeff = int(self.take())
+            self.take()
+            try:
+                coeff = int(tok)
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise InputError("parse-error", f"coefficient has more than {limit} digits") from None
             if self.peek() == "*":
                 self.take()
                 self.parse_factor(exps)
@@ -339,11 +364,68 @@ class _Parser:
         return out
 
 
+def _read(text: str, prefix: str, nvars: int, rho_name: str | None) -> list[tuple[tuple[int, ...], int]] | None:
+    """The terms of text in the exact form ``render`` writes, read in one
+    pass, as (exponents, coefficient) pairs; None for any other text.
+
+    Terms are split on " + " and " - " (the first may carry a leading
+    "-"), a term on "*" (its first factor may be a coefficient) and a
+    factor on "^"; the variables are ``prefix``1..``prefix``<nvars> and
+    ``rho_name``, whose exponent is taken off the others, so a term's
+    exponents are its lattice point.  Other spacing, an unknown name, a
+    non-ASCII digit, an empty factor, an over-long coefficient or an
+    exponent above MAX_EXPONENT, alone or accumulated, gives None, so that
+    ``_Parser`` reads the text and alone reports its errors.
+    """
+    if not text.isascii():
+        return None
+    names = [f"{prefix}{i + 1}" for i in range(nvars)]
+    if rho_name is not None:
+        names.append(rho_name)
+    n = len(names)
+    factors = {name: (i, 1) for i, name in enumerate(names)}  # factor text -> (i, e)
+    get = factors.get
+    negative = text[:1] == "-"
+    sign = -1 if negative else 1
+    out = []
+    for chunk in (text[1:] if negative else text).split(" + "):
+        for piece in chunk.split(" - "):
+            fs = piece.split("*")
+            coeff = 1
+            if fs[0].isdigit():
+                try:
+                    coeff = int(fs[0])
+                except ValueError:  # more digits than int() converts
+                    return None
+                del fs[0]
+            exps = [0] * n
+            for f in fs:
+                hit = get(f)
+                if hit is None:
+                    name, _, e = f.partition("^")
+                    if name not in factors or not e.isdigit() or len(e) > _EXPONENT_DIGITS:
+                        return None
+                    hit = factors[f] = (factors[name][0], int(e))
+                exps[hit[0]] += hit[1]
+            if fs and max(exps) > MAX_EXPONENT:
+                return None
+            rho = exps.pop() if rho_name is not None else 0
+            out.append((tuple([x - rho for x in exps]) if rho else tuple(exps), sign * coeff))
+            sign = -1  # the chunk's later pieces followed " - "
+        sign = 1
+    return out
+
+
+def _parse_terms(text: str, prefix: str, nvars: int, rho_name: str | None) -> list[tuple[tuple[int, ...], int]]:
+    """``_read``'s terms, or the full parser's when ``_read`` declines."""
+    terms = _read(text, prefix, nvars, rho_name)
+    if terms is None:
+        # the parser keeps rho's exponent in slot nvars (always 0 without rho)
+        raw = _Parser(text, prefix, nvars, rho_name).parse()
+        terms = [(tuple(x - e[nvars] for x in e[:nvars]), c) for e, c in raw]
+    return terms
+
+
 def parse(text: str, rank: int) -> CharPoly:
     """Parse the polynomial grammar over w1..w<rank> and rho."""
-    raw = _Parser(text, "w", rank, "rho").parse()
-    terms = []
-    for exps, c in raw:
-        rho = exps[rank]
-        terms.append((tuple(x - rho for x in exps[:rank]), c))
-    return CharPoly(rank, terms)
+    return CharPoly(rank, _parse_terms(text, "w", rank, "rho"))

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from . import characters
 from .cartan import Weight, builtin_cartan
 from .characters import TERM_CAP
-from .charpoly import CharPoly, _Parser, _write
+from .charpoly import CharPoly, _parse_terms, _write
 from .errors import InputError, ResourceCapError
 
 Partition = tuple[int, ...]
@@ -55,7 +55,11 @@ def _canonical(e: Iterable[int]) -> tuple[int, ...]:
 
 
 class YPoly:
-    """Integer combination of exponent vectors modulo y1*...*ym = 1."""
+    """Integer combination of exponent vectors modulo y1*...*ym = 1.
+
+    The public constructor checks and reduces every term; results the
+    library builds (``alpha``, ``+``, ``*``) are wrapped by ``_trusted``.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -80,6 +84,19 @@ class YPoly:
                 del clean[e]
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "YPoly":
+        """Wrap a term dict the library built itself, with no checks or copy.
+
+        ``terms`` must already be clean: canonical tuple keys of length
+        ``nvars`` and nonzero ``int`` coefficients, and no other reference
+        may mutate it.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "nvars", nvars)
+        object.__setattr__(q, "terms", terms)
+        return q
 
     def __setattr__(self, name, value):
         raise AttributeError("YPoly is immutable")
@@ -123,11 +140,11 @@ class YPoly:
                 out[e] = c
             elif e in out:
                 del out[e]
-        return YPoly(self.nvars, out)
+        return YPoly._trusted(self.nvars, out)
 
     def __mul__(self, other) -> "YPoly":
         if isinstance(other, int):
-            return YPoly(self.nvars, {e: c * other for e, c in self.terms.items()} if other else {})
+            return YPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()} if other else {})
         if not isinstance(other, YPoly):
             return NotImplemented
         self._check(other)
@@ -140,7 +157,7 @@ class YPoly:
                     out[e] = c
                 elif e in out:
                     del out[e]
-        return YPoly(self.nvars, out)
+        return YPoly._trusted(self.nvars, out)
 
     def __rmul__(self, other) -> "YPoly":
         return self.__mul__(other)
@@ -157,8 +174,7 @@ def render_ypoly(q: YPoly) -> str:
 
 
 def parse_ypoly(text: str, nvars: int) -> YPoly:
-    raw = _Parser(text, "y", nvars, None).parse()
-    return YPoly(nvars, ((tuple(e[:nvars]), c) for e, c in raw))
+    return YPoly(nvars, _parse_terms(text, "y", nvars, None))
 
 
 def _shape(mu: Iterable[int], m: int) -> Partition:
@@ -284,12 +300,22 @@ def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
 
 
 def alpha(p: CharPoly) -> YPoly:
-    """Substitute wk -> y1*...*yk (rho -> y2*y3^2*...*ym^(m-1)), reduced."""
-    return YPoly(p.rank + 1, [(_suffix_sums(w), c) for w, c in p.terms.items()])
+    """Substitute wk -> y1*...*yk (rho -> y2*y3^2*...*ym^(m-1)), reduced.
+
+    The suffix sums less their minimum are canonical, and the lattice
+    point is their difference sequence, so no two terms share a key.
+    """
+    terms = {}
+    for w, c in p.terms.items():
+        e = _suffix_sums(w)
+        low = min(e)
+        terms[tuple(x - low for x in e) if low else e] = c
+    return YPoly._trusted(p.rank + 1, terms)
 
 
 def alpha_inverse(q: YPoly) -> CharPoly:
-    """Inverse substitution: exponent differences give the lattice point."""
+    """Inverse substitution: exponent differences give the lattice point,
+    and canonical keys with equal differences are equal."""
     if q.nvars < 2:
         raise InputError("invalid-rank", "need at least two variables to invert")
-    return CharPoly(q.nvars - 1, ((_content_to_weight(e), c) for e, c in q.terms.items()))
+    return CharPoly._trusted(q.nvars - 1, {_content_to_weight(e): c for e, c in q.terms.items()})

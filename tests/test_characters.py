@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagrep import _kernels
 from flagrep import (
     Certificate,
     InputError,
@@ -22,7 +23,7 @@ from flagrep import (
     weight_multiplicities,
     weyl_orbit,
 )
-from flagrep.characters import TERM_CAP, _count_certificates, _dominant_support
+from flagrep.characters import TERM_CAP, _count_certificates, _dominant_support, _orbit_size, _term_count
 from flagrep.charpoly import CharPoly, render
 
 import oracles
@@ -156,6 +157,49 @@ def test_root_walk_term_cap_is_exact():
     assert len(_dominant_support(cd, lam, max_terms=size)) == size
     with pytest.raises(ResourceCapError, match=f"support exceeds cap {size - 1}"):
         _dominant_support(cd, lam, max_terms=size - 1)
+
+
+# --- exact term count before Freudenthal ------------------------------------
+
+A1xB2 = custom_cartan([[2, 0, 0], [0, 2, -2], [0, -1, 2]], label="A1xB2")
+
+
+@pytest.mark.parametrize(
+    "cd, lam",
+    [
+        (cartan_from_tag("C5"), (1, 1, 1, 1, 1)),
+        (cartan_from_tag("B4"), (1, 1, 1, 1)),
+        (cartan_from_tag("D5"), (1, 1, 1, 1, 1)),
+        (cartan_from_tag("A3"), (20, 10, 10)),
+        (cartan_from_tag("G2"), (3, 4)),
+        (cartan_from_tag("A5"), (2, 0, 1, 0, 2)),
+        (A1xB2, (2, 0, 1)),
+        (A1xB2, (0, 3, 0)),
+    ],
+)
+def test_term_count_is_exact(cd, lam):
+    assert _term_count(cd, _dominant_support(cd, lam)) == len(weight_multiplicities(cd, lam).terms)
+
+
+@pytest.mark.parametrize("cd", [cartan_from_tag(t) for t in ("A4", "B3", "C4", "D4", "G2")] + [A1xB2])
+def test_orbit_size_of_a_regular_weight_is_the_weyl_group_order(cd):
+    regular = (1,) * cd.rank
+    assert _orbit_size(cd, (True,) * cd.rank) == len(weyl_orbit(cd, regular))
+    assert _orbit_size(cd, (False,) * cd.rank) == 1
+
+
+def test_term_count_cap_is_exact(monkeypatch):
+    cd = cartan_from_tag("G2")
+    assert len(weight_multiplicities(cd, (3, 4), max_terms=337).terms) == 337
+
+    def fail(*args):
+        raise AssertionError("Freudenthal ran past the term cap")
+
+    monkeypatch.setattr(_kernels, "freudenthal", fail)
+    # B4 (2,1,0,1) has 1056 terms; it is computed by no other test, so no cache answers
+    with pytest.raises(ResourceCapError) as info:
+        weight_multiplicities(cartan_from_tag("B4"), (2, 1, 0, 1), max_terms=1055)
+    assert (info.value.code, str(info.value)) == ("term-cap", "support exceeds cap 1055")
 
 
 # --- dimensions -------------------------------------------------------------

@@ -4,9 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flagrep import InputError, cartan_from_tag, weight_multiplicities
-from flagrep.charpoly import CharPoly, NormalMonomial, denormalize, normalize, parse, render
+from flagrep.charpoly import (
+    CharPoly,
+    NormalMonomial,
+    _Parser,
+    _read,
+    denormalize,
+    normalize,
+    parse,
+    render,
+)
 
 import oracles
+import poly_text
 
 
 def weights(rank, lo=-20, hi=20):
@@ -226,3 +236,74 @@ def test_parse_render_round_trip_rank3(p):
 def test_render_orders_terms_by_descending_lattice_point():
     p = CharPoly(2, {(0, 0): 1, (1, -3): 2, (-1, 5): 1, (1, 2): 1})
     assert render(p) == "w1*w2^2 + 2*w1^4*rho^3 + 1 + w2^6*rho"
+
+
+# --- the one-pass reader against the full parser ---------------------------
+
+def full_terms(text, rank):
+    """Lattice points and coefficients of the terms, by the full parser alone."""
+    raw = _Parser(text, "w", rank, "rho").parse()
+    return [(tuple(x - e[rank] for x in e[:rank]), c) for e, c in raw]
+
+
+def full_parse(text, rank):
+    return CharPoly(rank, full_terms(text, rank))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return exc.code, str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda r: st.tuples(st.just(r), poly_text.texts("w", r, "rho", polys(r).map(render)))
+    )
+)
+def test_parse_agrees_with_the_full_parser(case):
+    rank, text = case
+    assert outcome(parse, text, rank) == outcome(full_parse, text, rank)
+
+
+@given(st.integers(1, 4).flatmap(polys))
+def test_render_output_takes_the_one_pass_reader(p):
+    text = render(p)
+    assert _read(text, "w", p.rank, "rho") == full_terms(text, p.rank)
+
+
+def test_one_pass_reader_reads_rho_repeats_and_zero_exponents():
+    text = "-3*w1^2*w1*rho^0 + rho - 0 + 2"
+    assert _read(text, "w", 2, "rho") == full_terms(text, 2)
+    assert parse(text, 2) == CharPoly(2, {(3, 0): -3, (-1, -1): 1, (0, 0): 2})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        " w1", "w1 ", "w1+rho", "w1  + rho", "w1 + rho\n", "2 * w1", "w1^ 2", "- w1",
+        "w3", "w0", "w01", "W1", "x", "w1**w2", "w1*", "*w1", "", "-", "w1 + ", "w1 + + rho",
+        "w1^²", "w1^٣", "٣*w1", "w1^", "w1^1000001", "w1^00000002",
+        "w1^600000*w1^600000", "w1^1000000*w1", "w1^" + "9" * 5000, "1" * 5000 + "*w1",
+    ],
+)
+def test_one_pass_reader_leaves_other_text_to_the_full_parser(text):
+    assert _read(text, "w", 2, "rho") is None
+    assert outcome(parse, text, 2) == outcome(full_parse, text, 2)
+
+
+def test_long_digit_runs_are_input_errors():
+    # leading zeros do not count toward the bound, nor toward int()'s limit
+    assert parse("w1^" + "0" * 5000 + "7", 1) == CharPoly(1, {(7,): 1})
+    with pytest.raises(InputError) as info:
+        parse("w1^" + "0" * 10 + "1" * 5000, 1)
+    assert info.value.code == "exponent-overflow"
+    assert parse("w" + "0" * 5000 + "1", 1) == CharPoly(1, {(1,): 1})
+    with pytest.raises(InputError) as info:
+        parse("w" + "9" * 5000, 1)
+    assert info.value.code == "rank-mismatch"
+    with pytest.raises(InputError) as info:
+        parse("1" * 5000, 1)
+    assert info.value.code == "parse-error"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import pytest
@@ -114,6 +115,40 @@ def test_alpha_malformed_polynomial(capsys):
     code, _, err = run(capsys, "alpha", "A1", "w1 + + rho")
     assert code == 2
     assert "parse-error" in err
+
+
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        # text that is not in the form render writes: the full parser reads it
+        ("w1+rho", (0, "y1 + y2*y3^2\n", "")),
+        (" w1 + rho ", (0, "y1 + y2*y3^2\n", "")),
+        ("2 * w1", (0, "2*y1\n", "")),
+        ("w1^ 2", (0, "y1^2\n", "")),
+        ("-w1 + 2*rho", (0, "-y1 + 2*y2*y3^2\n", "")),
+        ("w1^²", (2, "", "error[parse-error]: unexpected input at '²'\n")),
+        ("w9", (2, "", "error[rank-mismatch]: variable 'w9' out of range for rank 2\n")),
+        ("w1^1000001", (2, "", "error[exponent-overflow]: exponent 1000001 exceeds 1000000\n")),
+        ("w1^600000*w1^600000", (2, "", "error[exponent-overflow]: accumulated exponent too large\n")),
+        ("", (2, "", "error[parse-error]: empty polynomial text\n")),
+        ("w1 + + rho", (2, "", "error[parse-error]: unknown symbol '+'\n")),
+    ],
+)
+def test_alpha_text_outside_render_form(capsys, poly, expected):
+    assert run(capsys, "alpha", "A2", poly) == expected
+
+
+def test_alpha_over_long_exponent_exit_2(capsys):
+    code, out, err = run(capsys, "alpha", "A1", "w1^" + "9" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[exponent-overflow]: exponent 9999")
+    assert err.endswith(" exceeds 1000000\n")
+
+
+def test_alpha_over_long_coefficient_exit_2(capsys):
+    code, out, err = run(capsys, "alpha", "A1", "1" * 5000 + "*w1")
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (2, "", f"error[parse-error]: coefficient has more than {limit} digits\n")
 
 
 def test_cor3_golden(capsys):
@@ -289,6 +324,20 @@ def test_char_term_cap_fires_before_freudenthal(capsys, monkeypatch):
     code, out, err = run(capsys, "char", "A1", "1000000", "--max-terms", "1000")
     assert (code, out) == (3, "")
     assert err == "error[term-cap]: support exceeds cap 1000\n"
+
+
+@pytest.mark.parametrize("cap", [None, "100000"])
+def test_char_exact_term_count_fires_before_freudenthal(capsys, monkeypatch, cap):
+    # the top orbit alone has |W(C8)| = 10,321,920 weights; the count is 1,827,709,713
+    from flagrep import _kernels
+
+    def fail(*args):
+        raise AssertionError("Freudenthal ran past the term cap")
+
+    monkeypatch.setattr(_kernels, "freudenthal", fail)
+    argv = ["char", "C8", "1,1,1,1,1,1,1,1"] + (["--max-terms", cap] if cap else [])
+    limit = cap or characters.TERM_CAP
+    assert run(capsys, *argv) == (3, "", f"error[term-cap]: support exceeds cap {limit}\n")
 
 
 @pytest.mark.parametrize("cap", ["-5", "0"])

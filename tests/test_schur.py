@@ -21,10 +21,11 @@ from flagrep import (
     weights_of_schur,
 )
 from flagrep.characters import TERM_CAP, Certificate
-from flagrep.charpoly import CharPoly
+from flagrep.charpoly import CharPoly, _Parser, _read
 from flagrep.schur import YPoly, parse_ypoly, render_ypoly, validate_partition
 
 import oracles
+import poly_text
 
 
 def partitions_up_to(total, max_parts):
@@ -374,3 +375,91 @@ def test_ypoly_names_the_first_bad_term_as_charpoly_does():
         with pytest.raises(InputError) as got:
             YPoly(2, terms)
         assert got.value.code == want.value.code
+
+
+# --- library results are built trusted ----------------------------------------
+
+def assert_clean_ypoly(q):
+    """``q`` is exactly its validated rebuild and stores no zero coefficient."""
+    rebuilt = YPoly(q.nvars, q.terms)
+    assert rebuilt == q and rebuilt.terms == q.terms
+    assert all(q.terms.values())
+
+
+def ypoly_pairs():
+    return ypolys().flatmap(lambda q: st.tuples(st.just(q), ypolys_in(q.nvars)))
+
+
+def ypolys_in(n):
+    coeff = st.integers(-40, 40).filter(bool)
+    return st.lists(st.tuples(st.tuples(*[st.integers(-3, 4)] * n), coeff), max_size=6).map(
+        lambda terms: YPoly(n, terms)
+    )
+
+
+@settings(deadline=None)
+@given(ypoly_pairs(), st.integers(-10**6, 10**6))
+def test_ypoly_arithmetic_results_are_clean(pair, k):
+    q, r = pair
+    for result in (q + r, q * r, q + q * -1, q * k, k * q, q * 0):
+        assert_clean_ypoly(result)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rank: st.dictionaries(
+            st.tuples(*[st.integers(-8, 8)] * rank), st.integers(-50, 50).filter(bool), max_size=8
+        ).map(lambda d: CharPoly(rank, d))
+    )
+)
+def test_alpha_and_its_inverse_are_clean(p):
+    q = alpha(p)
+    assert_clean_ypoly(q)
+    back = alpha_inverse(q)
+    assert back == p
+    assert back == CharPoly(back.rank, back.terms) and all(back.terms.values())
+
+
+def test_alpha_of_characters_is_clean():
+    for tag, lam in [("A1", (5,)), ("A2", (3, 2)), ("A3", (2, 0, 1))]:
+        assert_clean_ypoly(alpha(weight_multiplicities(cartan_from_tag(tag), lam)))
+
+
+# --- the one-pass reader against the full parser ------------------------------
+
+def full_parse_ypoly(text, n):
+    """``parse_ypoly`` with the full parser alone."""
+    return YPoly(n, [(tuple(e[:n]), c) for e, c in _Parser(text, "y", n, None).parse()])
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return exc.code, str(exc)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    ypolys().flatmap(
+        lambda q: st.tuples(st.just(q.nvars), poly_text.texts("y", q.nvars, None, st.just(render_ypoly(q))))
+    )
+)
+def test_parse_ypoly_agrees_with_the_full_parser(case):
+    n, text = case
+    assert outcome(parse_ypoly, text, n) == outcome(full_parse_ypoly, text, n)
+
+
+@given(ypolys())
+def test_render_ypoly_output_takes_the_one_pass_reader(q):
+    text = render_ypoly(q)
+    full = [(tuple(e[:q.nvars]), c) for e, c in _Parser(text, "y", q.nvars, None).parse()]
+    assert _read(text, "y", q.nvars, None) == full
+    assert parse_ypoly(text, q.nvars) == q
+
+
+@pytest.mark.parametrize("text", ["rho", "y4", "y0", "y1 +y2", "y1^²", "y1^1000001", "y1^600000*y1^600000"])
+def test_ypoly_one_pass_reader_leaves_other_text_to_the_full_parser(text):
+    assert _read(text, "y", 3, None) is None
+    assert outcome(parse_ypoly, text, 3) == outcome(full_parse_ypoly, text, 3)
