@@ -152,6 +152,38 @@ def orbit_terms(cartan, dominant_mults, max_terms):
     return terms
 
 
+def invariant_dominant_terms(cartan, terms):
+    """The dominant terms of ``terms`` if it is W-invariant, else None.
+
+    Invariance under W is invariance under each simple reflection s_i,
+    which fixes a weight u with u[i] = 0 and maps the terms with u[i] > 0
+    one to one to weights with u[i] < 0.  One lookup per term and positive
+    coordinate checks that s_i(u) is a term with u's coefficient; then
+    these maps are onto the terms with a negative coordinate exactly when
+    positive and negative coordinates are equally many.
+    """
+    _, moved = _reflection_tables(cartan)
+    get = terms.get
+    dominant = {}
+    balance = 0
+    for u, c in terms.items():
+        negative = False
+        for i, ui in enumerate(u):
+            if ui > 0:
+                v = list(u)
+                for j, a in moved[i]:
+                    v[j] -= ui * a
+                if get(tuple(v)) != c:
+                    return None
+                balance += 1
+            elif ui < 0:
+                balance -= 1
+                negative = True
+        if not negative:
+            dominant[u] = c
+    return dominant if balance == 0 else None
+
+
 def poly_mul(a, b):
     """Convolution of two sparse integer-coefficient term dicts."""
     if len(a) < len(b):

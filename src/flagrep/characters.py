@@ -2,16 +2,20 @@
 
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
-positive roots finds, then expanded along Weyl orbits, whose sizes
-|W| / |W_mu| give the exact term count before the recursion runs; dimensions
-come from the Weyl product formula.  Both are exact: each ends in one
-integer division that must leave no remainder, and the code asserts that
-it does.
+positive roots finds; the Weyl orbit sizes |W| / |W_mu| give the exact
+term count before the recursion runs.  Characters are memoised as the
+dominant multiplicities ``decompose`` reads, and expanded along Weyl orbits
+only for callers that need every term.  Dimensions come from the Weyl
+product formula.  Both are exact: each ends in one integer division that
+must leave no remainder, and the code asserts that it does.
 
 Membership of an effective polynomial in the set of characters is decided
 constructively: ``decompose`` either returns the unique certificate (the
 multiset of highest weights with multiplicities) or reports the first
-weight whose coefficient went negative during the reduction.
+weight whose coefficient went negative during the reduction.  A
+W-invariant polynomial, such as an s-invariant, is decided in the dominant
+chamber: its dominant terms are reduced against dominant multiplicities,
+with no orbit expanded.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterator, Sequence, Union
+from typing import Callable, Collection, Iterator, Sequence, Union
 
 from . import _kernels
 from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, is_dominant
@@ -94,6 +98,10 @@ class NotInOmega:
 
 DecomposeResult = Union[Certificate, NotInOmega]
 
+#: Freudenthal's dominant multiplicities per (group, highest weight), as
+#: ``decompose`` reads them, and the characters expanded for the callers
+#: that need every term.
+_dominant_cache: dict[tuple[CartanData, Weight], dict[Weight, int]] = {}
 _char_cache: dict[tuple[CartanData, Weight], CharPoly] = {}
 _cache_lock = threading.Lock()
 
@@ -196,30 +204,62 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
 def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPoly:
     """``weight_multiplicities`` of a checked ``lam``, memoised, with no rank
     cap: Schur polynomials in any number of variables come through it."""
-    # the alpha_i-string through lam holds lam_i + 1 distinct weights and two
-    # strings share only lam, so the character has at least 1 + sum(lam) terms
-    if 1 + sum(lam) > max_terms:
-        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
     key = (cd, lam)
     with _cache_lock:
         cached = _char_cache.get(key)
     if cached is None:
-        support = _dominant_support(cd, lam, max_terms)
-        # each orbit has at most |W| weights; past that bound, the exact
-        # term count decides, before any multiplicity or orbit is computed
-        regular = _orbit_size(cd, (True,) * cd.rank)
-        if len(support) * regular > max_terms and _term_count(cd, support) > max_terms:
-            raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
-        dominant = _kernels.freudenthal(
-            cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
-        )
+        # a dominant dict that decompose memoised is expanded; one computed
+        # here is not kept, because the expanded character holds all of it
+        with _cache_lock:
+            dominant = _dominant_cache.get(key)
+        if dominant is None:
+            dominant = _multiplicities(cd, lam, max_terms)
+        else:
+            _check_term_count(cd, dominant, max_terms)
         terms = _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms)
         cached = CharPoly._trusted(cd.rank, terms)
         with _cache_lock:
-            _char_cache.setdefault(key, cached)
-    if len(cached.terms) > max_terms:
+            cached = _char_cache.setdefault(key, cached)
+    elif len(cached.terms) > max_terms:
         raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
     return cached
+
+
+def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
+    """``_multiplicities``, memoised: ``decompose`` reads characters here."""
+    key = (cd, lam)
+    with _cache_lock:
+        dominant = _dominant_cache.get(key)
+    if dominant is None:
+        dominant = _multiplicities(cd, lam, max_terms)
+        with _cache_lock:
+            dominant = _dominant_cache.setdefault(key, dominant)
+    else:
+        _check_term_count(cd, dominant, max_terms)
+    return dominant
+
+
+def _multiplicities(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
+    """Multiplicities of the dominant weights of the character of a checked
+    ``lam``.  Raises the term cap exactly when the whole character has more
+    than ``max_terms`` terms, before Freudenthal runs."""
+    # the alpha_i-string through lam holds lam_i + 1 distinct weights and two
+    # strings share only lam, so the character has at least 1 + sum(lam) terms
+    if 1 + sum(lam) > max_terms:
+        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
+    support = _dominant_support(cd, lam, max_terms)
+    _check_term_count(cd, support, max_terms)
+    return _kernels.freudenthal(
+        cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
+    )
+
+
+def _check_term_count(cd: CartanData, dominant: Collection[Weight], max_terms: int) -> None:
+    # each orbit has at most |W| weights; past that bound, the exact term
+    # count decides, before any multiplicity or orbit is computed
+    regular = _orbit_size(cd, (True,) * cd.rank)
+    if len(dominant) * regular > max_terms and _term_count(cd, dominant) > max_terms:
+        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
 
 
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:
@@ -262,22 +302,48 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
     lexicographic comparison does not refine dominance).  Highest-weight
     triangularity makes the greedy choice exact and the certificate unique;
     the reduction stops the moment any coefficient goes negative.
+
+    A W-invariant polynomial is reduced on its dominant terms alone, against
+    the dominant multiplicities of each character, with no orbit expanded.
+    The result is the same: the remainder stays W-invariant, so its highest
+    weight is dominant (a dominant weight is strictly higher than the rest
+    of its orbit), and the weights that go negative form a union of orbits,
+    so the highest of them, the witness, is dominant too.  Any other
+    polynomial is reduced on all its terms against whole characters.
     """
     if p.rank != cd.rank:
         raise InputError("rank-mismatch", f"polynomial rank {p.rank} for rank {cd.rank}")
     if not p.is_effective():
         raise InputError("not-effective", "decompose needs positive coefficients")
+    dominant = _kernels.invariant_dominant_terms(cd.cartan_matrix, p.terms)
+    if dominant is None:
+        return _greedy(cd, dict(p.terms), lambda w: weight_multiplicities(cd, w, max_terms).terms)
+    # weight_multiplicities' rank cap, at the first reduction step
+    if dominant and cd.rank > RANK_CAP:
+        raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
+    return _greedy(cd, dominant, lambda w: _dominant_character(cd, w, max_terms))
+
+
+def _greedy(
+    cd: CartanData, work: dict[Weight, int], character: Callable[[Weight], dict[Weight, int]]
+) -> DecomposeResult:
+    """Subtract ``character(w)``, a term dict, at the highest remaining w.
+
+    The keys are sorted once.  A reduction never adds a key, because a
+    weight missing from ``work`` can only go negative, which ends the
+    reduction; so the highest remaining weight is the first sorted key
+    still in ``work``.  ``work`` is consumed.
+    """
     hkey = cd.height_key
-    work = dict(p.terms)
     pairs: list[tuple[Weight, int]] = []
-    while work:
-        w = max(work, key=lambda u: (hkey(u), u))
+    for w in sorted(work, key=lambda u: (hkey(u), u), reverse=True):
+        if w not in work:
+            continue
         if not is_dominant(w):
             return NotInOmega(reason="leading-weight-not-dominant", witness=w)
         mult = work.pop(w)
-        char = weight_multiplicities(cd, w, max_terms)
         negatives = []
-        for u, cu in char.terms.items():
+        for u, cu in character(w).items():
             if u == w:
                 continue
             value = work.get(u, 0) - mult * cu

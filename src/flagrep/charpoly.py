@@ -235,7 +235,7 @@ def _write(terms: Mapping[tuple[int, ...], int], names: list[str]) -> str:
     return "".join(pieces)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+\d*)|(\^)|(\*)|(\+)|(-))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+[0-9]*)|(\^)|(\*)|(\+)|(-))")
 
 
 def _tokenize(text: str) -> list[str]:
@@ -254,15 +254,12 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _digits(tok: str) -> str:
-    """Decimal text of a digit token's value: ASCII, without leading zeros.
+    """Decimal text of a digit token's value, without leading zeros.
 
     Found without ``int()`` on the whole token, which refuses strings of
-    more digits than ``sys.get_int_max_str_digits()``.  The tokenizer's
-    ``\\d`` admits every Unicode decimal digit, which ``int()`` reads one
-    at a time.
+    more digits than ``sys.get_int_max_str_digits()``.  The tokenizer admits
+    ASCII digits only, as ``render`` writes them.
     """
-    if not tok.isascii():
-        tok = "".join(str(int(ch)) for ch in tok)
     return tok.lstrip("0") or "0"
 
 

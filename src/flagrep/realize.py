@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .cartan import CartanData, Weight
@@ -42,23 +43,23 @@ NotCertified = NotInOmega
 
 
 def _int_vectors(vectors, m: int, code: str, message: str):
-    """``vectors`` checked to be integer vectors of length ``m``.
+    """``vectors`` checked to be integer vectors of length ``m``, as a tuple
+    of tuples of exact ints.
 
-    One bulk pass accepts the common case, exact ints, and returns
-    ``vectors`` as given.  Otherwise a per-vector pass accepts int
-    subclasses other than bool, names the first bad vector in ``message``,
-    and returns tuples of exact ints, the form ``s_map`` assumes.
+    One bulk pass accepts the common case, exact ints.  Otherwise a
+    per-vector pass accepts int subclasses other than bool and names the
+    first bad vector, in tuple form, in ``message``.
     """
     try:
-        if all(len(v) == m for v in vectors) and set(
+        if set(map(len, vectors)) <= {m} and set(
             map(type, chain.from_iterable(vectors))
         ) <= {int}:
-            return vectors
+            return tuple(map(tuple, vectors))
     except TypeError:
         pass
     for v in vectors:
         if len(v) != m or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-            raise InputError(code, message.format(v))
+            raise InputError(code, message.format(tuple(v)))
     return tuple(tuple(map(int, v)) for v in vectors)
 
 
@@ -103,7 +104,6 @@ class CohomHom:
 
 
 def cohom_from_rows(rows: Sequence[Sequence[int]]) -> CohomHom:
-    rows = tuple(tuple(r) for r in rows)
     if not rows:
         raise InputError("invalid-hom", "need at least one row")
     return CohomHom(n=len(rows) + 1, m=len(rows[0]), rows=rows)
@@ -156,8 +156,15 @@ class TorusRestriction:
 
 
 def s_map(h: CohomHom) -> CharPoly:
-    """Sum of the n row monomials (the derived row included)."""
-    return _count_weights(h.m, chain(h.rows, (h.derived_row,)))
+    """Sum of the n row monomials (the derived row included).
+
+    The derived row is minus the sum of the rows, taken over the distinct
+    rows with their counts.
+    """
+    counts = Counter(h.rows)
+    derived = tuple(-sum(map(mul, col, counts.values())) for col in zip(*counts))
+    counts[derived] += 1
+    return CharPoly._trusted(h.m, dict(counts))
 
 
 def check_realizable(cd: CartanData, h: CohomHom, max_terms: int | None = None) -> DecomposeResult:

@@ -6,8 +6,12 @@ characters, explicit small-matrix inverses, determinant-based Schur
 polynomials, semistandard tableau enumeration, a standalone greedy
 reduction for rank-1 decompositions, box enumeration of the dominant
 weights below a highest weight, breadth-first Weyl orbits with a seen-set,
-two-pass polynomial rendering, the recursive certificate enumerator and
-the Weyl dimension formula in rationals.
+two-pass polynomial rendering, the recursive certificate enumerator, the
+Weyl dimension formula in rationals, and the greedy decomposition that
+reduces every term against whole characters.  The last is the library's
+earlier ``decompose``, kept verbatim as the reference for the one that
+reduces W-invariant input on its dominant terms; it reads characters from
+``weight_multiplicities``, so it checks the reduction, not the characters.
 """
 
 from fractions import Fraction
@@ -15,6 +19,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator
 
+from flagrep.cartan import CartanData, Weight, is_dominant
+from flagrep.characters import TERM_CAP, DecomposeResult, NotInOmega, _certificate, weight_multiplicities
+from flagrep.charpoly import CharPoly
 from flagrep.errors import InputError, ResourceCapError
 from flagrep.schur import Partition, YPoly, validate_partition
 
@@ -338,3 +345,45 @@ def fraction_dimension(cd, lam):
         value *= Fraction(ip(shifted, alpha), ip(delta, alpha))
     assert value.denominator == 1
     return value.numerator
+
+
+def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> DecomposeResult:
+    """Express an effective polynomial in the basis of irreducible characters.
+
+    Greedy subtraction at the remaining weight that is highest for the
+    dominance order (height first, then lexicographic tie-break: plain
+    lexicographic comparison does not refine dominance).  Highest-weight
+    triangularity makes the greedy choice exact and the certificate unique;
+    the reduction stops the moment any coefficient goes negative.
+    """
+    if p.rank != cd.rank:
+        raise InputError("rank-mismatch", f"polynomial rank {p.rank} for rank {cd.rank}")
+    if not p.is_effective():
+        raise InputError("not-effective", "decompose needs positive coefficients")
+    hkey = cd.height_key
+    work = dict(p.terms)
+    pairs: list[tuple[Weight, int]] = []
+    while work:
+        w = max(work, key=lambda u: (hkey(u), u))
+        if not is_dominant(w):
+            return NotInOmega(reason="leading-weight-not-dominant", witness=w)
+        mult = work.pop(w)
+        char = weight_multiplicities(cd, w, max_terms)
+        negatives = []
+        for u, cu in char.terms.items():
+            if u == w:
+                continue
+            value = work.get(u, 0) - mult * cu
+            if value > 0:
+                work[u] = value
+            else:
+                work.pop(u, None)
+                if value < 0:
+                    negatives.append((hkey(u), u, value))
+        if negatives:
+            _, witness, deficit = max(negatives)
+            return NotInOmega(
+                reason="negative-coefficient", witness=witness, deficit=deficit
+            )
+        pairs.append((w, mult))
+    return _certificate(cd, pairs)

@@ -289,6 +289,126 @@ def test_decompose_no_dominant_leading_weight():
     assert result.witness == (-1,)
 
 
+# --- decomposition against the greedy over all terms ------------------------
+
+DIFFERENTIAL_GROUPS = [cartan_from_tag(t) for t in ("A2", "B2", "G2", "A3", "B3")] + [
+    custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2")
+]
+
+
+def _add(terms, more, mult=1):
+    for w, c in more:
+        terms[w] = terms.get(w, 0) + mult * c
+
+
+@st.composite
+def decompose_inputs(draw, kind):
+    """A group and an effective polynomial of one kind: a sum of characters
+    with multiplicities, a W-invariant sum of characters and orbit sums
+    (orbit sums alone are no characters), or a copy of either perturbed at
+    one weight, which is almost never W-invariant."""
+    cd = draw(st.sampled_from(DIFFERENTIAL_GROUPS))
+    weight = st.tuples(*[st.integers(0, 2 if cd.rank == 2 else 1)] * cd.rank)
+    terms: dict = {}
+    for lam, mult in draw(st.lists(st.tuples(weight, st.integers(1, 3)), min_size=1, max_size=3)):
+        _add(terms, weight_multiplicities(cd, lam).terms.items(), mult)
+    if kind != "characters":
+        orbits = draw(st.lists(st.tuples(weight, st.integers(1, 2)), min_size=kind == "orbit-sums", max_size=2))
+        for mu, mult in orbits:
+            _add(terms, ((w, 1) for w in weyl_orbit(cd, mu)), mult)
+    if kind == "perturbed":
+        w = draw(st.sampled_from(sorted(terms)))
+        change = draw(st.sampled_from(["up", "down", "shift", "new"]))
+        if change == "new":
+            w = draw(st.tuples(*[st.integers(-3, 3)] * cd.rank))
+            terms[w] = terms.get(w, 0) + 1
+        else:
+            terms[w] += 1 if change == "up" else -1
+            if change == "shift":
+                i = draw(st.integers(0, cd.rank - 1))
+                step = draw(st.sampled_from([-1, 1]))
+                _add(terms, [(w[:i] + (w[i] + step,) + w[i + 1:], 1)])
+    return cd, CharPoly(cd.rank, {w: c for w, c in terms.items() if c > 0})
+
+
+def decompose_outcome(f, *args):
+    try:
+        return f(*args)
+    except ResourceCapError as exc:
+        return exc.code, str(exc)
+
+
+@pytest.mark.parametrize("kind", ["characters", "orbit-sums", "perturbed"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_decompose_matches_greedy_over_all_terms(kind, data):
+    cd, p = data.draw(decompose_inputs(kind))
+    expected = oracles.decompose(cd, p)
+    assert decompose(cd, p) == expected
+    if kind == "characters":
+        assert isinstance(expected, Certificate)
+    # the term cap fires at the same step with the same message on both paths
+    cap = data.draw(st.integers(1, 120))
+    assert decompose_outcome(decompose, cd, p, cap) == decompose_outcome(oracles.decompose, cd, p, cap)
+
+
+def test_decompose_paths_pinned():
+    # an orbit sum is W-invariant: the witness is the highest weight that
+    # went negative, which is dominant
+    orbit_sum = CharPoly(2, dict.fromkeys(weyl_orbit(A2, (1, 1)), 1))
+    assert decompose(A2, orbit_sum) == NotInOmega("negative-coefficient", witness=(0, 0), deficit=-2)
+    # one weight moved off a character: its non-dominant image leads
+    moved = dict(weight_multiplicities(A2, (1, 1)).terms)
+    moved[(1, 1)] -= 1
+    moved[(2, -1)] = 1
+    result = decompose(A2, CharPoly(2, moved))
+    assert result == NotInOmega("leading-weight-not-dominant", witness=(2, -1))
+    assert result == oracles.decompose(A2, CharPoly(2, moved))
+
+
+def test_decompose_rank_cap_parity():
+    # the rank cap fires at the first reduction step, so a non-dominant
+    # leading weight is reported before it
+    a9 = cartan_from_tag("A9")
+    for terms in ({(0,) * 9: 2}, {(0,) * 8 + (-1,): 1}, {}):
+        p = CharPoly(9, terms)
+        assert decompose_outcome(decompose, a9, p) == decompose_outcome(oracles.decompose, a9, p)
+    assert decompose_outcome(decompose, a9, CharPoly(9, {(0,) * 9: 2}))[0] == "rank-cap"
+
+
+def test_invariant_input_expands_no_orbit(monkeypatch):
+    # a label no other test uses, so no cache holds this group's characters
+    cd = custom_cartan(cartan_from_tag("B3").cartan_matrix, label="B3, dominant chamber")
+    product = weight_multiplicities(cd, (1, 0, 1)) * weight_multiplicities(cd, (0, 1, 0))
+    orbit_sum = CharPoly(3, dict.fromkeys(weyl_orbit(cd, (1, 1, 0)), 1))
+
+    def fail(*args):
+        raise AssertionError("an orbit was expanded")
+
+    monkeypatch.setattr(_kernels, "orbit_terms", fail)
+    results = [decompose(cd, p) for p in (product, product + orbit_sum)]
+    monkeypatch.undo()
+    assert results == [oracles.decompose(cd, p) for p in (product, product + orbit_sum)]
+    assert isinstance(results[0], Certificate) and isinstance(results[1], NotInOmega)
+
+
+def test_character_expanded_from_the_decompose_memo_keeps_the_exact_cap(monkeypatch):
+    # a label no other test uses, so only this test's decompose fills the memo
+    cd = custom_cartan(cartan_from_tag("G2").cartan_matrix, label="G2, expanded from the memo")
+    size = len(weight_multiplicities(cartan_from_tag("G2"), (1, 1)).terms)
+    orbit_sum = CharPoly(2, dict.fromkeys(weyl_orbit(cd, (1, 1)), 1))
+    assert isinstance(decompose(cd, orbit_sum), NotInOmega)
+
+    def fail(*args):
+        raise AssertionError("Freudenthal ran again")
+
+    monkeypatch.setattr(_kernels, "freudenthal", fail)
+    with pytest.raises(ResourceCapError) as info:
+        weight_multiplicities(cd, (1, 1), max_terms=size - 1)
+    assert str(info.value) == f"support exceeds cap {size - 1}"
+    assert len(weight_multiplicities(cd, (1, 1), max_terms=size).terms) == size
+
+
 def test_round_trip_fixed_certificates():
     for pairs in [[((2,), 2)], [((3,), 1), ((1,), 2)], [((0,), 5)]]:
         total = sum(dimension(A1, lam) * m for lam, m in pairs)

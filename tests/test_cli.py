@@ -132,6 +132,10 @@ def test_alpha_malformed_polynomial(capsys):
         ("w1^600000*w1^600000", (2, "", "error[exponent-overflow]: accumulated exponent too large\n")),
         ("", (2, "", "error[parse-error]: empty polynomial text\n")),
         ("w1 + + rho", (2, "", "error[parse-error]: unknown symbol '+'\n")),
+        # digits other than ASCII ones are no digits of the grammar
+        ("w٣", (2, "", "error[parse-error]: unexpected input at '٣'\n")),
+        ("w1^٣", (2, "", "error[parse-error]: unexpected input at '٣'\n")),
+        ("٣*w1", (2, "", "error[parse-error]: unexpected input at '٣*w1'\n")),
     ],
 )
 def test_alpha_text_outside_render_form(capsys, poly, expected):

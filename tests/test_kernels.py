@@ -118,3 +118,47 @@ def test_orbit_terms_matches_breadth_first_oracle(backend, tag, lam):
     with pytest.raises(ResourceCapError) as info:
         backend.orbit_terms(cartan, dom, size - 1)
     assert (info.value.code, str(info.value)) == ("term-cap", f"support exceeds cap {size - 1}")
+
+
+def invariant_by_orbits(cartan, terms):
+    """True when every term's whole breadth-first orbit carries its coefficient."""
+    return all(
+        terms.get(v) == c for u, c in terms.items() for v in oracles.bfs_weyl_orbit(cartan, u, 10**6)
+    )
+
+
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "G2", "A3", "B3"])
+def test_invariant_dominant_terms_matches_orbit_oracle(tag):
+    cartan = cartan_from_tag(tag).cartan_matrix
+    rank = len(cartan)
+    rng = random.Random(tag)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            mu = tuple(rng.randint(0, 2) for _ in range(rank))
+            c = rng.randint(1, 3)
+            for w in oracles.bfs_weyl_orbit(cartan, mu, 10**6):
+                terms[w] = terms.get(w, 0) + c
+        if terms and rng.random() < 0.5:  # one weight changed, removed or added
+            w = rng.choice(sorted(terms))
+            change = rng.choice(["up", "remove", "add"])
+            if change == "add":
+                w = tuple(rng.randint(-3, 3) for _ in range(rank))
+                terms[w] = terms.get(w, 0) + 1
+            elif change == "up":
+                terms[w] += 1
+            else:
+                del terms[w]
+        expected = (
+            {w: c for w, c in terms.items() if min(w) >= 0} if invariant_by_orbits(cartan, terms) else None
+        )
+        assert _kernels.invariant_dominant_terms(cartan, terms) == expected
+
+
+def test_invariant_dominant_terms_counts_the_negative_side():
+    # no term has a positive coordinate to look up from: only the count of
+    # positive against negative coordinates tells these apart
+    a1 = cartan_from_tag("A1").cartan_matrix
+    assert _kernels.invariant_dominant_terms(a1, {(-1,): 1}) is None
+    assert _kernels.invariant_dominant_terms(a1, {(1,): 1, (-1,): 1, (-3,): 1}) is None
+    assert _kernels.invariant_dominant_terms(a1, {(1,): 2, (-1,): 2, (0,): 1}) == {(1,): 2, (0,): 1}

@@ -107,6 +107,47 @@ def test_cohom_rejects_first_bad_row(rows, bad):
     assert str(info.value) == f"row {bad} is not an integer m-vector"
 
 
+@pytest.mark.parametrize(
+    "rows", [[[1, 0], [0, 1]], ([1, 0], [0, 1]), [(1, 0), (0, 1)], ((1, 0), [0, 1])]
+)
+def test_cohom_stores_rows_as_tuples(rows):
+    h = CohomHom(3, 2, rows)
+    tupled = CohomHom(3, 2, ((1, 0), (0, 1)))
+    assert type(h.rows) is tuple and {type(r) for r in h.rows} == {tuple}
+    assert h == tupled
+    assert hash(h) == hash(tupled)
+    assert len({h, tupled}) == 1
+
+
+def test_torus_restriction_stores_weights_as_tuples():
+    tr = TorusRestriction([[1, 0], [-1, 1], [0, -1]])
+    tupled = TorusRestriction(((1, 0), (-1, 1), (0, -1)))
+    assert type(tr.weights) is tuple and {type(w) for w in tr.weights} == {tuple}
+    assert tr == tupled
+    assert hash(tr) == hash(tupled)
+
+
+def test_exact_tuple_rows_are_kept_equal():
+    rows = ((1, 0), (0, 1))
+    h = CohomHom(3, 2, rows)
+    assert h.rows == rows and type(h.rows) is tuple
+    assert {type(r) for r in h.rows} == {tuple}
+    weights = ((1, 0), (-1, 1), (0, -1))
+    tr = TorusRestriction(weights)
+    assert tr.weights == weights and type(tr.weights) is tuple
+    assert {type(w) for w in tr.weights} == {tuple}
+
+
+@pytest.mark.parametrize(
+    "rows, bad", [([[1, 0], [True, 0]], "(True, 0)"), ([[1, 0], [0, 1, 2]], "(0, 1, 2)")]
+)
+def test_bad_list_row_is_named_in_tuple_form(rows, bad):
+    for build in (cohom_from_rows, lambda r: CohomHom(n=len(r) + 1, m=2, rows=r)):
+        with pytest.raises(InputError) as info:
+            build(rows)
+        assert str(info.value) == f"row {bad} is not an integer m-vector"
+
+
 class Level(enum.IntEnum):
     ONE = 1
 
