@@ -3,11 +3,13 @@
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
 positive roots finds; the Weyl orbit sizes |W| / |W_mu| give the exact
-term count before the recursion runs.  Characters are memoised as the
-dominant multiplicities ``decompose`` reads, and expanded along Weyl orbits
-only for callers that need every term.  Dimensions come from the Weyl
-product formula.  Both are exact: each ends in one integer division that
-must leave no remainder, and the code asserts that it does.
+term count before the recursion runs.  Only the dominant multiplicities
+are memoised, in one cache bounded by ``CHARACTER_CACHE_SIZE`` entries with
+least-recently-used eviction; ``decompose`` reads them as they are, and a
+caller that needs every term gets the Weyl orbits expanded afresh on each
+call, so no expanded character outlives its caller.  Dimensions come from
+the Weyl product formula.  Both are exact: each ends in one integer
+division that must leave no remainder, and the code asserts that it does.
 
 Membership of an effective polynomial in the set of characters is decided
 constructively: ``decompose`` either returns the unique certificate (the
@@ -21,7 +23,7 @@ with no orbit expanded.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -37,6 +39,9 @@ from .errors import InputError, ResourceCapError
 RANK_CAP = 8
 TERM_CAP = 10**7
 OMEGA_N_CAP = 64
+#: (group, highest weight) entries ``_dominant_cache`` holds before it
+#: evicts the least recently used one.
+CHARACTER_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -98,11 +103,10 @@ class NotInOmega:
 
 DecomposeResult = Union[Certificate, NotInOmega]
 
-#: Freudenthal's dominant multiplicities per (group, highest weight), as
-#: ``decompose`` reads them, and the characters expanded for the callers
-#: that need every term.
-_dominant_cache: dict[tuple[CartanData, Weight], dict[Weight, int]] = {}
-_char_cache: dict[tuple[CartanData, Weight], CharPoly] = {}
+#: Freudenthal's dominant multiplicities per (group, highest weight), most
+#: recently used last, at most ``CHARACTER_CACHE_SIZE`` of them.  The only
+#: character cache: expanded characters are not memoised.
+_dominant_cache: OrderedDict[tuple[CartanData, Weight], dict[Weight, int]] = OrderedDict()
 _cache_lock = threading.Lock()
 
 
@@ -202,38 +206,29 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
 
 
 def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPoly:
-    """``weight_multiplicities`` of a checked ``lam``, memoised, with no rank
-    cap: Schur polynomials in any number of variables come through it."""
-    key = (cd, lam)
-    with _cache_lock:
-        cached = _char_cache.get(key)
-    if cached is None:
-        # a dominant dict that decompose memoised is expanded; one computed
-        # here is not kept, because the expanded character holds all of it
-        with _cache_lock:
-            dominant = _dominant_cache.get(key)
-        if dominant is None:
-            dominant = _multiplicities(cd, lam, max_terms)
-        else:
-            _check_term_count(cd, dominant, max_terms)
-        terms = _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms)
-        cached = CharPoly._trusted(cd.rank, terms)
-        with _cache_lock:
-            cached = _char_cache.setdefault(key, cached)
-    elif len(cached.terms) > max_terms:
-        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
-    return cached
+    """``weight_multiplicities`` of a checked ``lam``, with no rank cap:
+    Schur polynomials in any number of variables come through it.  The
+    dominant multiplicities come from the cache; the orbits are expanded on
+    every call, into a new ``CharPoly`` that is not kept."""
+    dominant = _dominant_character(cd, lam, max_terms)
+    return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms))
 
 
 def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
-    """``_multiplicities``, memoised: ``decompose`` reads characters here."""
+    """``_multiplicities``, memoised in ``_dominant_cache``; a cached entry
+    is held to ``max_terms`` by its exact term count.  The dict is shared,
+    so callers only read it."""
     key = (cd, lam)
     with _cache_lock:
         dominant = _dominant_cache.get(key)
+        if dominant is not None:
+            _dominant_cache.move_to_end(key)
     if dominant is None:
         dominant = _multiplicities(cd, lam, max_terms)
         with _cache_lock:
             dominant = _dominant_cache.setdefault(key, dominant)
+            while len(_dominant_cache) > CHARACTER_CACHE_SIZE:
+                _dominant_cache.popitem(last=False)
     else:
         _check_term_count(cd, dominant, max_terms)
     return dominant

@@ -28,14 +28,7 @@ from .characters import (
 )
 from .charpoly import CharPoly
 from .errors import InputError
-from .schur import (
-    YPoly,
-    alpha,
-    schur,
-    schur_dim,
-    validate_partition,
-    weights_of_schur,
-)
+from .schur import YPoly, _schur_weights, alpha, schur_dim, validate_partition
 
 #: Certification can fail while a map still exists; the criterion is
 #: sufficient, not necessary, and the result vocabulary keeps that visible.
@@ -221,8 +214,9 @@ def torus_restriction_from_certificate(cd: CartanData, cert: Certificate) -> Tor
 @dataclass(frozen=True)
 class SchurRealization:
     """Map data for a Schur polynomial; ``matches`` records whether
-    alpha(s_map(hom)) equals ``schur(mu, m)``, the two routes compared once.
-    Unpacks as (n, hom, symmetric_function)."""
+    alpha(s_map(hom)) equals alpha of the type-A character the tableau
+    weights were read off, which is ``schur(mu, m)``: the two routes
+    compared once.  Unpacks as (n, hom, symmetric_function)."""
 
     n: int
     hom: CohomHom
@@ -239,7 +233,9 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     For a partition with fewer than m parts, the tableau weights assemble a
     torus restriction;  its induced matrix h satisfies
     alpha(s_map(h)) == schur(mu, m) with target size n = schur_dim(mu, m),
-    which the result's ``matches`` checks.
+    which the result's ``matches`` checks.  The type-A character is built
+    once: the tableau weights are read off it, and its alpha is the Schur
+    polynomial the s-invariant is compared with.
     An n above ``TERM_CAP`` raises the term cap before any row is built.
     """
     mu = validate_partition(mu)
@@ -255,10 +251,10 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         raise InputError(
             "invalid-partition", "empty partition targets a one-point flag manifold"
         )
-    weights = weights_of_schur(mu, m)
+    weights, character = _schur_weights(mu, m)
     n = schur_dim(mu, m)
     assert n == len(weights)
     hom = induced_hom(TorusRestriction(tuple(weights)))
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes
-    return SchurRealization(n, hom, image, image == schur(mu, m))
+    return SchurRealization(n, hom, image, image == alpha(character))

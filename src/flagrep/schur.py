@@ -17,7 +17,7 @@ caps the orbits.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from math import comb
 from operator import sub
 from typing import Iterable, Mapping
@@ -228,22 +228,34 @@ def _content(w: Weight, size: int) -> tuple[int, ...]:
     return tuple(x + shift for x in e)
 
 
-def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
-    """Content vectors of all semistandard tableaux of shape mu, entries <= m.
-
-    One vector per tableau (so repeats appear), sorted descending; this
-    fixed order is what the weight listings downstream rely on.  A weight
-    of the character, repeated by its multiplicity, has one content.
-    """
-    shape = _shape(mu, m)
+def _check_tableau_count(shape: Partition, m: int) -> None:
+    """The hook-content count of the tableaux, held to ``TERM_CAP``."""
     n = schur_dim(shape, m)
     if n > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
+
+
+def _tableaux(char: CharPoly, size: int) -> list[tuple[tuple[int, ...], Weight, int]]:
+    """(content, weight, multiplicity) per weight of a type-A character of
+    shape size ``size``, sorted by descending content: the fixed order the
+    weight listings downstream rely on.  Contents are distinct, so the sort
+    never compares weights."""
+    return sorted(((_content(w, size), w, c) for w, c in char.terms.items()), reverse=True)
+
+
+def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
+    """Content vectors of all semistandard tableaux of shape mu, entries <= m.
+
+    One vector per tableau (so repeats appear), sorted descending.  A
+    weight of the character, repeated by its multiplicity, has one content.
+    """
+    shape = _shape(mu, m)
+    _check_tableau_count(shape, m)
     size = sum(shape)
     if m < 2 or not shape:
         return ((size,) * m,)  # m = 0 leaves the empty content
-    counted = sorted(((_content(w, size), c) for w, c in _type_a_character(shape, m).terms.items()), reverse=True)
-    return tuple(chain.from_iterable([e] * c for e, c in counted))
+    tableaux = _tableaux(_type_a_character(shape, m), size)
+    return tuple(chain.from_iterable(repeat(e, c) for e, _, c in tableaux))
 
 
 def schur(mu: Iterable[int], m: int) -> YPoly:
@@ -293,10 +305,24 @@ def _content_to_weight(e: tuple[int, ...]) -> Weight:
 def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     """Torus weights of the Schur module: one per tableau, fixed order, and
     summing to zero as a character's weights do; capped by ``TERM_CAP``."""
+    return _schur_weights(mu, m)[0]
+
+
+def _schur_weights(mu: Iterable[int], m: int) -> tuple[list[Weight], CharPoly]:
+    """``weights_of_schur`` with the type-A character it reads them off.
+
+    A tableau's weight is the character's weight of its content, so each
+    distinct weight is one tuple, the character's key, repeated by its
+    multiplicity.
+    """
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
-    return [_content_to_weight(e) for e in ssyt_contents(mu, m)]
+    shape = _shape(mu, m)
+    _check_tableau_count(shape, m)
+    char = _type_a_character(shape, m)
+    tableaux = _tableaux(char, sum(shape))
+    return list(chain.from_iterable(repeat(w, c) for _, w, c in tableaux)), char
 
 
 def alpha(p: CharPoly) -> YPoly:

@@ -1,11 +1,14 @@
 import dataclasses
 import itertools
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagrep import _kernels
+from flagrep import _kernels, characters
 from flagrep import (
     Certificate,
     InputError,
@@ -600,6 +603,79 @@ def test_character_cache_transparency():
     assert first == again
     with pytest.raises(ResourceCapError):
         weight_multiplicities(a3, (1, 1, 1), max_terms=3)
+
+
+def test_weight_multiplicities_returns_a_fresh_character():
+    # only the dominant multiplicities are memoised, so a caller that
+    # mutates its result does not change the next caller's
+    a2 = cartan_from_tag("A2")
+    first = weight_multiplicities(a2, (2, 1))
+    expected = dict(first.terms)
+    first.terms.clear()
+    assert weight_multiplicities(a2, (2, 1)).terms == expected
+
+
+def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
+    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
+    calls = []
+    freudenthal = _kernels.freudenthal
+    monkeypatch.setattr(_kernels, "freudenthal", lambda *a: calls.append(a[3]) or freudenthal(*a))
+    b2 = cartan_from_tag("B2")
+    # V(1,0) (x) V(0,1) = V(1,1) + V(0,1): decompose reads (0, 1), which
+    # weight_multiplicities computed, and then weight_multiplicities reads
+    # (1, 1), which decompose computed
+    product = weight_multiplicities(b2, (1, 0)) * weight_multiplicities(b2, (0, 1))
+    assert sorted(calls) == [(0, 1), (1, 0)]
+    assert isinstance(decompose(b2, product), Certificate)
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
+    assert len(weight_multiplicities(b2, (1, 1)).terms) == 12
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_character_cache_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
+    monkeypatch.setattr(characters, "CHARACTER_CACHE_SIZE", 2)
+    a2 = cartan_from_tag("A2")
+    first = {lam: weight_multiplicities(a2, lam) for lam in [(1, 0), (0, 1), (1, 0), (2, 1)]}
+    # (0, 1) was used least recently, so it went when (2, 1) came in
+    assert list(characters._dominant_cache) == [(a2, (1, 0)), (a2, (2, 1))]
+    assert weight_multiplicities(a2, (0, 1)) == first[(0, 1)]
+    assert list(characters._dominant_cache) == [(a2, (2, 1)), (a2, (0, 1))]
+    for lam, char in first.items():
+        assert weight_multiplicities(a2, lam) == char
+        assert len(characters._dominant_cache) <= 2
+
+
+def test_character_cache_stays_bounded_under_threads(monkeypatch):
+    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
+    monkeypatch.setattr(characters, "CHARACTER_CACHE_SIZE", 3)
+    a2 = cartan_from_tag("A2")
+    weights = [(a, b) for a in range(3) for b in range(3)]
+    expected = {lam: characters._multiplicities(a2, lam, TERM_CAP) for lam in weights}
+    wrong = []
+
+    def work(offset):
+        for i in range(40):
+            lam = weights[(offset + i) % len(weights)]
+            if characters._dominant_character(a2, lam, TERM_CAP) != expected[lam]:
+                wrong.append(lam)
+            with characters._cache_lock:
+                if len(characters._dominant_cache) > 3:
+                    wrong.append("over the bound")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(characters._dominant_cache) == 3
 
 
 def test_product_group_character():

@@ -9,7 +9,6 @@ from flagrep import characters, weight_of_partition
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
-from flagrep.schur import schur as schur_of
 
 
 def run(capsys, *argv):
@@ -290,9 +289,11 @@ def test_cor3_prints_the_check_realize_schur_made(capsys, monkeypatch):
     # the CLI forms no Schur polynomial of its own for cor3
     monkeypatch.setattr(cli_module, "schur", None)
     assert run(capsys, "cor3", "1", "2") == (0, "n: 2\nrows: [[1]]\nalpha-s: y1 + y2\ncheck: ok\n", "")
-    monkeypatch.setattr(realize_module, "schur", lambda mu, m: schur_of((2,), m))
+    # a wrong s-invariant route in realize_schur shows in the printed check
+    s_map = realize_module.s_map
+    monkeypatch.setattr(realize_module, "s_map", lambda h: s_map(h) * 2)
     code, out, _ = run(capsys, "cor3", "1", "2")
-    assert (code, out.splitlines()[-1]) == (0, "check: mismatch")
+    assert (code, out.splitlines()[-2:]) == (0, ["alpha-s: 2*y1 + 2*y2", "check: mismatch"])
 
 
 def test_char_cap_from_the_weight_before_any_walk(capsys):

@@ -1,4 +1,5 @@
 import enum
+import importlib
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from flagrep import (
 from flagrep import realize as realize_module
 from flagrep.charpoly import CharPoly, render
 from flagrep.schur import alpha
+
+schur_module = importlib.import_module("flagrep.schur")  # flagrep.schur is also a function
 
 A1 = cartan_from_tag("A1")
 A2 = cartan_from_tag("A2")
@@ -350,11 +353,23 @@ def test_realize_schur_carries_the_check():
 
 
 def test_realize_schur_check_compares_two_routes(monkeypatch):
-    # a wrong schur() must show as a mismatch, not be assumed away
-    monkeypatch.setattr(realize_module, "schur", lambda mu, m: schur((1,), m))
+    # a wrong s-invariant route must show as a mismatch, not be assumed away
+    s_map_of = realize_module.s_map
+    monkeypatch.setattr(realize_module, "s_map", lambda h: s_map_of(h) * 2)
     result = realize_schur((2, 1), 3)
     assert result.matches is False
-    assert result.symmetric_function == schur((2, 1), 3)
+    assert result.symmetric_function == schur((2, 1), 3) * 2
+
+
+def test_realize_schur_builds_the_type_a_character_once(monkeypatch):
+    # the tableau weights and the Schur polynomial are both read off it
+    calls = []
+    build = schur_module._type_a_character
+    monkeypatch.setattr(schur_module, "_type_a_character", lambda *a: calls.append(a) or build(*a))
+    result = realize_schur((2, 1), 4)
+    assert calls == [((2, 1), 4)]
+    assert result.matches is True
+    assert result.symmetric_function == schur((2, 1), 4)
 
 
 def test_realize_schur_rejects_full_last_part():

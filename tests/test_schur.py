@@ -195,6 +195,15 @@ def test_weights_of_schur_examples():
     assert weights_of_schur((1,), 3) == [(1, 0), (-1, 1), (0, -1)]
 
 
+def test_weights_of_schur_holds_one_object_per_distinct_weight():
+    # 5,880 tableaux with 1,186 distinct weights; each weight tuple is built
+    # once and repeated by its multiplicity
+    ws = weights_of_schur((4, 3, 2), 6)
+    assert len(ws) == schur_dim((4, 3, 2), 6) == 5880
+    assert len(set(map(id, ws))) == len(set(ws)) == 1186
+    assert ws == oracles.tableau_weights((4, 3, 2), 6)
+
+
 def test_weights_of_schur_length_and_balance():
     for mu, m in [((2, 1), 3), ((3,), 2), ((2, 2, 1), 4)]:
         ws = weights_of_schur(mu, m)
