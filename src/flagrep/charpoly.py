@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import _kernels
@@ -58,7 +59,137 @@ def denormalize(nm: NormalMonomial) -> Weight:
     return tuple(x - c for x in exps)
 
 
-class CharPoly:
+def _add_terms(out: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """``out`` with each (key, coefficient) pair added in, zero sums dropped."""
+    for e, c in items:
+        c = out.get(e, 0) + c
+        if c:
+            out[e] = c
+        elif e in out:
+            del out[e]
+    return out
+
+
+class _TermDict:
+    """Immutable term dict: tuple keys of one length, nonzero ``int`` values.
+
+    The one format of ``CharPoly`` and ``schur.YPoly``.  A subclass declares
+    the slots ``terms`` and its length, named by ``_size_name``; how a
+    checked key is reduced (``_reduce``, None keeping the tuple); its own
+    ``__init__``, which checks the length and validates through
+    ``_validated``; and its ``__str__``.  Results the library builds itself
+    are wrapped by ``_trusted`` without checks or copy.
+    """
+
+    __slots__ = ()
+    _size_name: str
+    _reduce = None
+
+    @classmethod
+    def _validated(cls, n: int, terms) -> dict[tuple[int, ...], int]:
+        """The clean term dict of public input, equal keys summed.
+
+        One bulk pass accepts the common case, every key of length ``n``
+        and every exponent and coefficient an exact ``int``; otherwise the
+        first bad term names the error.
+        """
+        pairs = [(tuple(e), c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
+        if not pairs:
+            return {}
+        keys, coeffs = zip(*pairs)
+        if set(map(len, keys)) != {n} or not set(map(type, chain(coeffs, chain.from_iterable(keys)))) <= {int}:
+            for e, c in pairs:
+                if len(e) != n:
+                    raise InputError("rank-mismatch", f"term {e} does not have rank {n}")
+                if not (all(type(x) is int for x in e) and type(c) is int):
+                    raise InputError("invalid-term", "exponents and coefficients must be integers")
+        if cls._reduce is not None:
+            keys = list(map(cls._reduce, keys))
+        clean = dict(zip(keys, coeffs))
+        if len(clean) < len(keys):
+            return _add_terms({}, zip(keys, coeffs))
+        return {e: c for e, c in clean.items() if c} if 0 in coeffs else clean
+
+    def _fill(self, n: int, terms: dict[tuple[int, ...], int]) -> None:
+        object.__setattr__(self, self._size_name, n)
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[tuple[int, ...], int]):
+        """Wrap a term dict the library built itself, with no checks or copy.
+
+        ``terms`` must already be clean: reduced tuple keys of length ``n``
+        and nonzero ``int`` coefficients, and no other reference may mutate
+        it.
+        """
+        p = object.__new__(cls)
+        p._fill(n, terms)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls(n)
+
+    @classmethod
+    def one(cls, n: int):
+        return cls(n, {(0,) * n: 1})
+
+    @property
+    def _size(self) -> int:
+        return getattr(self, self._size_name)
+
+    def evaluate_at_one(self) -> int:
+        """Value at the identity: every monomial is 1 there."""
+        return sum(self.terms.values())
+
+    def is_effective(self) -> bool:
+        return all(c > 0 for c in self.terms.values())
+
+    def _common_size(self, other: "_TermDict") -> int:
+        n, m = self._size, other._size
+        if n != m:
+            raise InputError("rank-mismatch", f"ranks {n} and {m} differ")
+        return n
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._size == other._size and self.terms == other.terms
+
+    __hash__ = None
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = self._common_size(other)
+        return self._trusted(n, _add_terms(dict(self.terms), other.terms.items()))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._trusted(self._size, {e: c * other for e, c in self.terms.items()} if other else {})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        n = self._common_size(other)
+        terms = _kernels.poly_mul(self.terms, other.terms)
+        reduce = self._reduce
+        if reduce is not None:  # sums of reduced keys need not be reduced
+            terms = _add_terms({}, ((reduce(e), c) for e, c in terms.items()))
+        return self._trusted(n, terms)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._size}, {str(self)!r})"
+
+
+class CharPoly(_TermDict):
     """Finitely supported integer-valued function on a rank-m weight lattice.
 
     Values are immutable after construction; arithmetic returns new objects.
@@ -67,50 +198,12 @@ class CharPoly:
     """
 
     __slots__ = ("rank", "terms")
+    _size_name = "rank"
 
     def __init__(self, rank: int, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
         if rank < 1:
             raise InputError("invalid-rank", "rank must be positive")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Weight, int] = {}
-        for w, c in items:
-            w = tuple(w)
-            if len(w) != rank:
-                raise InputError(
-                    "rank-mismatch", f"term {w} does not have rank {rank}"
-                )
-            if not all(type(x) is int for x in w) or type(c) is not int:
-                raise InputError("invalid-term", "exponents and coefficients must be integers")
-            c = clean.get(w, 0) + c
-            if c:
-                clean[w] = c
-            elif w in clean:
-                del clean[w]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, rank: int, terms: dict[Weight, int]) -> "CharPoly":
-        """Wrap a term dict the library built itself, with no checks or copy.
-
-        ``terms`` must already be clean: tuple keys of length ``rank`` and
-        nonzero ``int`` coefficients, and no other reference may mutate it.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "rank", rank)
-        object.__setattr__(p, "terms", terms)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharPoly is immutable")
-
-    @classmethod
-    def zero(cls, rank: int) -> "CharPoly":
-        return cls(rank)
-
-    @classmethod
-    def one(cls, rank: int) -> "CharPoly":
-        return cls(rank, {(0,) * rank: 1})
+        self._fill(rank, self._validated(rank, terms))
 
     @classmethod
     def monomial(cls, w: Weight, coeff: int = 1) -> "CharPoly":
@@ -127,42 +220,6 @@ class CharPoly:
     def support(self) -> Iterator[Weight]:
         return iter(self.terms)
 
-    def evaluate_at_one(self) -> int:
-        """Value at the identity: every monomial is 1 there."""
-        return sum(self.terms.values())
-
-    def is_effective(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
-
-    def _check_rank(self, other: "CharPoly") -> None:
-        if self.rank != other.rank:
-            raise InputError(
-                "rank-mismatch", f"ranks {self.rank} and {other.rank} differ"
-            )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    __hash__ = None
-
-    def __add__(self, other: "CharPoly") -> "CharPoly":
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        self._check_rank(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            c = out.get(w, 0) + c
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-        return CharPoly._trusted(self.rank, out)
-
     def __neg__(self) -> "CharPoly":
         return CharPoly._trusted(self.rank, {w: -c for w, c in self.terms.items()})
 
@@ -171,24 +228,8 @@ class CharPoly:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other) -> "CharPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return CharPoly._trusted(self.rank, {})
-            return CharPoly._trusted(self.rank, {w: c * other for w, c in self.terms.items()})
-        if not isinstance(other, CharPoly):
-            return NotImplemented
-        self._check_rank(other)
-        return CharPoly._trusted(self.rank, _kernels.poly_mul(self.terms, other.terms))
-
-    def __rmul__(self, other) -> "CharPoly":
-        return self.__mul__(other)
-
     def __str__(self) -> str:
         return render(self)
-
-    def __repr__(self) -> str:
-        return f"CharPoly({self.rank}, {render(self)!r})"
 
 
 def render(p: CharPoly) -> str:

@@ -37,7 +37,7 @@ def _load_json_arg(arg: str):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("invalid-json", f"cannot read {arg!r}: {exc}") from None
     try:
         return json.loads(text)
@@ -69,10 +69,10 @@ def _group_from_args(args) -> CartanData:
     return cartan_from_tag(tag)
 
 
-def _max_terms(args) -> int:
-    if args.max_terms <= 0:
-        raise InputError("invalid-cap", f"--max-terms must be positive, got {args.max_terms}")
-    return args.max_terms
+def _positive_cap(value: int, flag: str) -> int:
+    if value <= 0:
+        raise InputError("invalid-cap", f"{flag} must be positive, got {value}")
+    return value
 
 
 def _parse_weight(text: str) -> tuple[int, ...]:
@@ -101,7 +101,8 @@ def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
 
 def _cmd_char(args) -> int:
     cd = _group_from_args(args)
-    char = characters.weight_multiplicities(cd, _parse_weight(args.weight), _max_terms(args))
+    weight = _parse_weight(args.weight)
+    char = characters.weight_multiplicities(cd, weight, _positive_cap(args.max_terms, "--max-terms"))
     print(render(char))
     return EXIT_OK
 
@@ -120,7 +121,7 @@ def _cmd_smap(args) -> int:
 
 def _cmd_realize(args) -> int:
     cd = _group_from_args(args)
-    max_terms = _max_terms(args)
+    max_terms = _positive_cap(args.max_terms, "--max-terms")
     hom, group = realize.cohom_from_json(_load_json_arg(args.hom))
     # compare matrices: a --group-matrix group carries its own label
     if group is not None and cartan_from_tag(group).cartan_matrix != cd.cartan_matrix:
@@ -181,7 +182,8 @@ def _cmd_cor3(args) -> int:
 
 def _cmd_omega(args) -> int:
     cd = _group_from_args(args)
-    certs = characters.omega_n_enumerate(cd, args.n, args.max_n, characters.TERM_CAP)
+    max_n = _positive_cap(args.max_n, "--max-n")
+    certs = characters.omega_n_enumerate(cd, args.n, max_n, characters.TERM_CAP)
     if args.format == "json":
         print(json.dumps([c.to_json_dict() for c in certs]))
     else:

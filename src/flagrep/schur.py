@@ -25,7 +25,7 @@ from typing import Iterable, Mapping
 from . import characters
 from .cartan import Weight, builtin_cartan
 from .characters import TERM_CAP
-from .charpoly import CharPoly, _parse_terms, _write
+from .charpoly import CharPoly, _parse_terms, _TermDict, _write
 from .errors import InputError, ResourceCapError
 
 Partition = tuple[int, ...]
@@ -54,119 +54,25 @@ def _canonical(e: Iterable[int]) -> tuple[int, ...]:
     return e if low == 0 else tuple(x - low for x in e)
 
 
-class YPoly:
+class YPoly(_TermDict):
     """Integer combination of exponent vectors modulo y1*...*ym = 1.
 
-    The public constructor checks and reduces every term; results the
-    library builds (``alpha``, ``+``, ``*``) are wrapped by ``_trusted``.
+    The term-dict format of ``CharPoly`` with canonical keys: the public
+    constructor checks and reduces every term; results the library builds
+    (``alpha``, ``+``, ``*``) are wrapped by ``_trusted``.
     """
 
     __slots__ = ("nvars", "terms")
+    _size_name = "nvars"
+    _reduce = staticmethod(_canonical)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
         if nvars < 1:
             raise InputError("invalid-rank", "need at least one variable")
-        items = [(tuple(e), c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
-        types = set(map(type, chain.from_iterable(e for e, _ in items)))
-        types.update(type(c) for _, c in items)
-        exact = types <= {int}  # else find the first bad term, as CharPoly does
-        clean: dict[tuple[int, ...], int] = {}
-        for e, c in items:
-            if len(e) != nvars:
-                raise InputError("rank-mismatch", f"exponent {e} for {nvars} variables")
-            if not exact and not (all(type(x) is int for x in e) and type(c) is int):
-                raise InputError("invalid-term", "exponents and coefficients must be integers")
-            e = _canonical(e)
-            c = clean.get(e, 0) + c
-            if c:
-                clean[e] = c
-            elif e in clean:
-                del clean[e]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], int]) -> "YPoly":
-        """Wrap a term dict the library built itself, with no checks or copy.
-
-        ``terms`` must already be clean: canonical tuple keys of length
-        ``nvars`` and nonzero ``int`` coefficients, and no other reference
-        may mutate it.
-        """
-        q = object.__new__(cls)
-        object.__setattr__(q, "nvars", nvars)
-        object.__setattr__(q, "terms", terms)
-        return q
-
-    def __setattr__(self, name, value):
-        raise AttributeError("YPoly is immutable")
-
-    @classmethod
-    def zero(cls, nvars: int) -> "YPoly":
-        return cls(nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "YPoly":
-        return cls(nvars, {(0,) * nvars: 1})
-
-    def evaluate_at_one(self) -> int:
-        return sum(self.terms.values())
-
-    def is_effective(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
-
-    def _check(self, other: "YPoly") -> None:
-        if self.nvars != other.nvars:
-            raise InputError("rank-mismatch", "variable counts differ")
-
-    def __add__(self, other: "YPoly") -> "YPoly":
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c = out.get(e, 0) + c
-            if c:
-                out[e] = c
-            elif e in out:
-                del out[e]
-        return YPoly._trusted(self.nvars, out)
-
-    def __mul__(self, other) -> "YPoly":
-        if isinstance(other, int):
-            return YPoly._trusted(self.nvars, {e: c * other for e, c in self.terms.items()} if other else {})
-        if not isinstance(other, YPoly):
-            return NotImplemented
-        self._check(other)
-        out: dict[tuple[int, ...], int] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = _canonical(x + y for x, y in zip(ea, eb))
-                c = out.get(e, 0) + ca * cb
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        return YPoly._trusted(self.nvars, out)
-
-    def __rmul__(self, other) -> "YPoly":
-        return self.__mul__(other)
+        self._fill(nvars, self._validated(nvars, terms))
 
     def __str__(self) -> str:
         return render_ypoly(self)
-
-    def __repr__(self) -> str:
-        return f"YPoly({self.nvars}, {render_ypoly(self)!r})"
 
 
 def render_ypoly(q: YPoly) -> str:
@@ -177,9 +83,12 @@ def parse_ypoly(text: str, nvars: int) -> YPoly:
     return YPoly(nvars, _parse_terms(text, "y", nvars, None))
 
 
-def _shape(mu: Iterable[int], m: int) -> Partition:
-    """Nonzero parts of a valid partition, which must number at most m."""
-    mu = validate_partition(mu)
+def _shape(mu: Partition, m: int) -> Partition:
+    """Nonzero parts of a validated partition, which must number at most m.
+
+    The public functions validate their partition once, here at the
+    boundary; the helpers below take the shape and check nothing again.
+    """
     shape = tuple(p for p in mu if p > 0)
     if len(shape) > m:
         raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
@@ -199,7 +108,7 @@ def _type_a_character(shape: Partition, m: int) -> CharPoly:
     """
     size = sum(shape)
     k = min(m, max(2, size))
-    char = characters._character(builtin_cartan("A", k - 1), weight_of_partition(shape, k))
+    char = characters._character(builtin_cartan("A", k - 1), _highest_weight(shape, k))
     if k == m:
         return char
     compositions = []  # each nonzero part sequence once, from its left-justified content
@@ -228,11 +137,12 @@ def _content(w: Weight, size: int) -> tuple[int, ...]:
     return tuple(x + shift for x in e)
 
 
-def _check_tableau_count(shape: Partition, m: int) -> None:
+def _check_tableau_count(shape: Partition, m: int) -> int:
     """The hook-content count of the tableaux, held to ``TERM_CAP``."""
-    n = schur_dim(shape, m)
+    n = _hook_content(shape, m)
     if n > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
+    return n
 
 
 def _tableaux(char: CharPoly, size: int) -> list[tuple[tuple[int, ...], Weight, int]]:
@@ -249,7 +159,7 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
     One vector per tableau (so repeats appear), sorted descending.  A
     weight of the character, repeated by its multiplicity, has one content.
     """
-    shape = _shape(mu, m)
+    shape = _shape(validate_partition(mu), m)
     _check_tableau_count(shape, m)
     size = sum(shape)
     if m < 2 or not shape:
@@ -260,7 +170,7 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
 
 def schur(mu: Iterable[int], m: int) -> YPoly:
     """Schur polynomial in m variables: alpha of the type-A character."""
-    shape = _shape(mu, m)
+    shape = _shape(validate_partition(mu), m)
     if m < 2 or not shape:
         return YPoly(m, [((sum(shape),) * m, 1)])
     return alpha(_type_a_character(shape, m))
@@ -268,7 +178,11 @@ def schur(mu: Iterable[int], m: int) -> YPoly:
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
     """Value at (1,..,1) by the hook-content product; counts the tableaux."""
-    shape = _shape(mu, m)
+    return _hook_content(_shape(validate_partition(mu), m), m)
+
+
+def _hook_content(shape: Partition, m: int) -> int:
+    """The hook-content product of a shape with at most m parts."""
     conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
     num = 1
     den = 1
@@ -289,6 +203,11 @@ def weight_of_partition(mu: Iterable[int], m: int) -> Weight:
         raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
+    return _highest_weight(mu, m)
+
+
+def _highest_weight(mu: Partition, m: int) -> Weight:
+    """Part differences of a partition with at most m parts, m >= 2."""
     padded = mu + (0,) * (m - len(mu))
     return tuple(padded[k] - padded[k + 1] for k in range(m - 1))
 
@@ -305,21 +224,22 @@ def _content_to_weight(e: tuple[int, ...]) -> Weight:
 def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     """Torus weights of the Schur module: one per tableau, fixed order, and
     summing to zero as a character's weights do; capped by ``TERM_CAP``."""
-    return _schur_weights(mu, m)[0]
-
-
-def _schur_weights(mu: Iterable[int], m: int) -> tuple[list[Weight], CharPoly]:
-    """``weights_of_schur`` with the type-A character it reads them off.
-
-    A tableau's weight is the character's weight of its content, so each
-    distinct weight is one tuple, the character's key, repeated by its
-    multiplicity.
-    """
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
     shape = _shape(mu, m)
     _check_tableau_count(shape, m)
+    return _schur_weights(shape, m)[0]
+
+
+def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], CharPoly]:
+    """The tableau weights of a shape in m >= 2 variables whose count passed
+    ``_check_tableau_count``, with the type-A character they are read off.
+
+    A tableau's weight is the character's weight of its content, so each
+    distinct weight is one tuple, the character's key, repeated by its
+    multiplicity.
+    """
     char = _type_a_character(shape, m)
     tableaux = _tableaux(char, sum(shape))
     return list(chain.from_iterable(repeat(w, c) for _, w, c in tableaux)), char

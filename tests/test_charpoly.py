@@ -15,6 +15,8 @@ from flagrep.charpoly import (
     render,
 )
 
+from flagrep.schur import YPoly
+
 import oracles
 import poly_text
 
@@ -114,6 +116,56 @@ def test_immutability():
     p = CharPoly.one(1)
     with pytest.raises(AttributeError):
         p.rank = 2
+    q = YPoly.one(2)
+    for obj, name in ((p, "terms"), (q, "nvars"), (q, "terms"), (q, "other")):
+        with pytest.raises(AttributeError, match=f"^{type(obj).__name__} is immutable$"):
+            setattr(obj, name, None)
+    assert (p.rank, q.nvars) == (1, 2)
+
+
+# --- the term-dict format CharPoly and YPoly share -------------------------
+
+def test_repr_of_both_classes():
+    assert repr(CharPoly(1, {(1,): 1, (-1,): 1})) == "CharPoly(1, 'w1 + rho')"
+    assert repr(CharPoly.zero(2)) == "CharPoly(2, '0')"
+    assert repr(YPoly(3, {(2, 0, 0): -1, (0, 1, 1): 7, (1, 1, 1): -3})) == "YPoly(3, '-y1^2 + 7*y2*y3 - 3')"
+    assert repr(YPoly.zero(1)) == "YPoly(1, '0')"
+
+
+def test_charpoly_never_equals_a_ypoly():
+    terms = {(1, 0): 2, (0, 1): -1}
+    p, q = CharPoly(2, terms), YPoly(2, terms)
+    assert p.terms == q.terms and p.rank == q.nvars
+    assert p != q and q != p
+    assert not (p == q or q == p)
+    with pytest.raises(TypeError):
+        p + q
+    with pytest.raises(TypeError):
+        q * p
+
+
+def test_instances_have_no_dict():
+    for obj in (CharPoly.one(2), CharPoly(1, {(1,): 1}) * 3, YPoly.one(2), YPoly.one(3) + YPoly.one(3)):
+        assert not hasattr(obj, "__dict__")
+
+
+def test_ypoly_has_no_subtraction():
+    q = YPoly.one(2)
+    with pytest.raises(TypeError):
+        q - q
+    with pytest.raises(TypeError):
+        -q
+
+
+def test_ypoly_size_errors_use_charpoly_wording():
+    with pytest.raises(InputError) as info:
+        YPoly(2, [((1, 0, 0), 1)])
+    assert (info.value.code, str(info.value)) == ("rank-mismatch", "term (1, 0, 0) does not have rank 2")
+    for a, b in ((YPoly.one(2), YPoly.one(3)), (CharPoly.one(2), CharPoly.one(3))):
+        for op in (a.__add__, a.__mul__):
+            with pytest.raises(InputError) as info:
+                op(b)
+            assert (info.value.code, str(info.value)) == ("rank-mismatch", "ranks 2 and 3 differ")
 
 
 # --- trusted results and the validating boundary ---------------------------

@@ -184,6 +184,13 @@ def test_omega_cap_exit_3(capsys):
     assert run(capsys, "omega", "A1", "5", "--max-n", "5")[0] == 0
 
 
+@pytest.mark.parametrize("cap", ["-5", "0"])
+def test_omega_rejects_non_positive_cap(capsys, cap):
+    expected = (2, "", f"error[invalid-cap]: --max-n must be positive, got {cap}\n")
+    assert run(capsys, "omega", "A1", "3", "--max-n", cap) == expected
+    assert run(capsys, "omega", "A1", "1", "--max-n", cap) == expected
+
+
 def test_invalid_group_exit_2(capsys):
     code, _, err = run(capsys, "char", "D2", "1,0")
     assert code == 2
@@ -383,6 +390,18 @@ def test_realize_json_group_checked_against_group_matrix(capsys, tmp_path):
     expected = run(capsys, "realize", "A2", "{%s}" % rows)
     assert expected[0] == 0
     assert run(capsys, "realize", "--group-matrix", str(a2), "{%s,\"group\":\"A2\"}" % rows) == expected
+
+
+def test_json_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "hom.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "realize", "A1", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[invalid-json]: cannot read {str(path)!r}: 'utf-8' codec can't decode")
+
+
+def test_schur_in_no_variables_reports_the_ypoly_rank_error(capsys):
+    assert run(capsys, "schur", "0", "0") == (2, "", "error[invalid-rank]: need at least one variable\n")
 
 
 def test_parser_is_built_once():

@@ -1,7 +1,8 @@
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagrep import (
     InputError,
@@ -157,6 +158,36 @@ def test_schur_in_many_variables_is_bounded():
         tracemalloc.stop()
 
 
+def test_each_public_call_validates_its_partition_once(monkeypatch):
+    from flagrep import realize as realize_module
+
+    schur_module = sys.modules["flagrep.schur"]
+    original = schur_module.validate_partition
+    calls = []
+
+    def counted(parts):
+        calls.append(parts)
+        return original(parts)
+
+    monkeypatch.setattr(schur_module, "validate_partition", counted)
+    monkeypatch.setattr(realize_module, "validate_partition", counted)
+    cases = [
+        (f, mu, m)
+        for f in (schur, ssyt_contents, schur_dim, weights_of_schur, realize_schur, weight_of_partition)
+        for mu, m in (((2, 1), 3), ((2, 1, 0), 4), ((1, 1), 12), ((3,), 2))
+    ]
+    cases += [(schur, (2,), 1), (ssyt_contents, (), 1), (schur_dim, (), 0)]
+    # error paths validate once too
+    cases += [(schur_dim, (1,), 0), (realize_schur, (1, 1), 2), (weights_of_schur, (2, 1), 1)]
+    for f, mu, m in cases:
+        calls.clear()
+        try:
+            f(mu, m)
+        except InputError:
+            pass
+        assert len(calls) == 1, (f.__name__, mu, m)
+
+
 def test_tableau_weights_capped_before_expanding():
     mu = (60, 30, 10)
     assert schur_dim(mu, 4) == 62_558_496 > TERM_CAP
@@ -256,11 +287,25 @@ def test_alpha_inverse_bijection(terms):
     assert alpha(alpha_inverse(q)) == q
 
 
-def test_alpha_is_multiplicative():
-    p = CharPoly(2, {(1, 0): 1, (-1, 1): 2})
-    q = CharPoly(2, {(0, -1): 3, (1, 1): 1})
-    assert alpha(p * q) == alpha(p) * alpha(q)
+def charpoly_pairs():
+    """Two CharPolys of one rank, 1-3, with few small terms."""
+    def polys(rank):
+        return st.dictionaries(
+            st.tuples(*[st.integers(-4, 4)] * rank), st.integers(-30, 30).filter(bool), max_size=5
+        ).map(lambda d: CharPoly(rank, d))
+    return st.integers(1, 3).flatmap(lambda rank: st.tuples(polys(rank), polys(rank)))
+
+
+@settings(deadline=None)
+@given(charpoly_pairs(), st.integers(-10**6, 10**6))
+@example((CharPoly(2, {(1, 0): 1, (-1, 1): 2}), CharPoly(2, {(0, -1): 3, (1, 1): 1})), 3)
+def test_alpha_is_multiplicative(pq, k):
+    # alpha is a ring isomorphism onto the YPolys in one more variable
+    p, q = pq
     assert alpha(p + q) == alpha(p) + alpha(q)
+    assert alpha(p * q) == alpha(p) * alpha(q)
+    assert alpha(p * k) == alpha(p) * k == k * alpha(p)
+    assert alpha_inverse(alpha(p)) == p
 
 
 def test_alpha_sends_characters_to_schur_polynomials():
