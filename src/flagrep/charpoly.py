@@ -15,7 +15,9 @@ rule that arithmetic would have to maintain.
 Input is validated once, where it enters: the public ``CharPoly(...)``
 constructor and ``parse`` check every term.  Results the library computes
 itself (arithmetic, characters, s-invariants) already satisfy the invariant
-and are wrapped by ``CharPoly._trusted`` without being re-validated.
+and are wrapped by ``CharPoly._trusted`` without being re-validated.  The
+term-dict format, its validation and its arithmetic are shared with
+``schur.YPoly`` through one base class.
 
 Text in the exact form ``render`` writes takes a one-pass reader that splits
 it on the term separators, ``*`` and ``^``; any other text takes the full
@@ -71,14 +73,10 @@ def _add_terms(out: dict, items: Iterable[tuple[tuple[int, ...], int]]) -> dict:
 
 
 class _TermDict:
-    """Immutable term dict: tuple keys of one length, nonzero ``int`` values.
-
-    The one format of ``CharPoly`` and ``schur.YPoly``.  A subclass declares
-    the slots ``terms`` and its length, named by ``_size_name``; how a
-    checked key is reduced (``_reduce``, None keeping the tuple); its own
-    ``__init__``, which checks the length and validates through
-    ``_validated``; and its ``__str__``.  Results the library builds itself
-    are wrapped by ``_trusted`` without checks or copy.
+    """Immutable term dict, the one format of ``CharPoly`` and ``schur.YPoly``:
+    tuple keys of one length, in the slot ``_size_name`` names, reduced by
+    ``_reduce`` (None keeps the tuple), and nonzero ``int`` values.  Each
+    subclass has its own ``__init__``, which validates, and ``__str__``.
     """
 
     __slots__ = ()
@@ -104,11 +102,8 @@ class _TermDict:
                 if not (all(type(x) is int for x in e) and type(c) is int):
                     raise InputError("invalid-term", "exponents and coefficients must be integers")
         if cls._reduce is not None:
-            keys = list(map(cls._reduce, keys))
-        clean = dict(zip(keys, coeffs))
-        if len(clean) < len(keys):
-            return _add_terms({}, zip(keys, coeffs))
-        return {e: c for e, c in clean.items() if c} if 0 in coeffs else clean
+            keys = map(cls._reduce, keys)
+        return _add_terms({}, zip(keys, coeffs))
 
     def _fill(self, n: int, terms: dict[tuple[int, ...], int]) -> None:
         object.__setattr__(self, self._size_name, n)
@@ -116,12 +111,8 @@ class _TermDict:
 
     @classmethod
     def _trusted(cls, n: int, terms: dict[tuple[int, ...], int]):
-        """Wrap a term dict the library built itself, with no checks or copy.
-
-        ``terms`` must already be clean: reduced tuple keys of length ``n``
-        and nonzero ``int`` coefficients, and no other reference may mutate
-        it.
-        """
+        """Wrap a term dict the library built itself, with no checks or copy:
+        it must already be clean, and no other reference may mutate it."""
         p = object.__new__(cls)
         p._fill(n, terms)
         return p
@@ -182,8 +173,7 @@ class _TermDict:
             terms = _add_terms({}, ((reduce(e), c) for e, c in terms.items()))
         return self._trusted(n, terms)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self._size}, {str(self)!r})"

@@ -28,7 +28,7 @@ from .characters import (
 )
 from .charpoly import CharPoly
 from .errors import InputError
-from .schur import YPoly, _check_tableau_count, _schur_weights, _shape, alpha, validate_partition
+from .schur import YPoly, _schur_weights, _shape, alpha, validate_partition
 
 #: Certification can fail while a map still exists; the criterion is
 #: sufficient, not necessary, and the result vocabulary keeps that visible.
@@ -251,10 +251,8 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         raise InputError(
             "invalid-partition", "empty partition targets a one-point flag manifold"
         )
-    shape = _shape(mu, m)
-    n = _check_tableau_count(shape, m)
-    weights, character = _schur_weights(shape, m)
-    assert n == len(weights)
+    weights, character = _schur_weights(_shape(mu, m), m)
+    n = len(weights)
     hom = induced_hom(TorusRestriction(tuple(weights)))
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes

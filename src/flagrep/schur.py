@@ -48,8 +48,7 @@ def parse_partition(text: str) -> Partition:
     return validate_partition(parts)
 
 
-def _canonical(e: Iterable[int]) -> tuple[int, ...]:
-    e = tuple(e)
+def _canonical(e: tuple[int, ...]) -> tuple[int, ...]:
     low = min(e)
     return e if low == 0 else tuple(x - low for x in e)
 
@@ -84,11 +83,8 @@ def parse_ypoly(text: str, nvars: int) -> YPoly:
 
 
 def _shape(mu: Partition, m: int) -> Partition:
-    """Nonzero parts of a validated partition, which must number at most m.
-
-    The public functions validate their partition once, here at the
-    boundary; the helpers below take the shape and check nothing again.
-    """
+    """Nonzero parts of a validated partition, which must number at most m;
+    the helpers below take the shape and validate nothing again."""
     shape = tuple(p for p in mu if p > 0)
     if len(shape) > m:
         raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
@@ -108,7 +104,8 @@ def _type_a_character(shape: Partition, m: int) -> CharPoly:
     """
     size = sum(shape)
     k = min(m, max(2, size))
-    char = characters._character(builtin_cartan("A", k - 1), _highest_weight(shape, k))
+    top = _content_to_weight(shape + (0,) * (k - len(shape)))  # the part differences
+    char = characters._character(builtin_cartan("A", k - 1), top)
     if k == m:
         return char
     compositions = []  # each nonzero part sequence once, from its left-justified content
@@ -137,12 +134,11 @@ def _content(w: Weight, size: int) -> tuple[int, ...]:
     return tuple(x + shift for x in e)
 
 
-def _check_tableau_count(shape: Partition, m: int) -> int:
+def _check_tableau_count(shape: Partition, m: int) -> None:
     """The hook-content count of the tableaux, held to ``TERM_CAP``."""
     n = _hook_content(shape, m)
     if n > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
-    return n
 
 
 def _tableaux(char: CharPoly, size: int) -> list[tuple[tuple[int, ...], Weight, int]]:
@@ -203,13 +199,7 @@ def weight_of_partition(mu: Iterable[int], m: int) -> Weight:
         raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
-    return _highest_weight(mu, m)
-
-
-def _highest_weight(mu: Partition, m: int) -> Weight:
-    """Part differences of a partition with at most m parts, m >= 2."""
-    padded = mu + (0,) * (m - len(mu))
-    return tuple(padded[k] - padded[k + 1] for k in range(m - 1))
+    return _content_to_weight(mu + (0,) * (m - len(mu)))
 
 
 def _suffix_sums(w: Weight) -> tuple[int, ...]:
@@ -227,19 +217,18 @@ def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
-    shape = _shape(mu, m)
-    _check_tableau_count(shape, m)
-    return _schur_weights(shape, m)[0]
+    return _schur_weights(_shape(mu, m), m)[0]
 
 
 def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], CharPoly]:
-    """The tableau weights of a shape in m >= 2 variables whose count passed
-    ``_check_tableau_count``, with the type-A character they are read off.
+    """The tableau weights of a shape in m >= 2 variables, their count
+    capped by ``TERM_CAP``, with the type-A character they are read off.
 
     A tableau's weight is the character's weight of its content, so each
     distinct weight is one tuple, the character's key, repeated by its
     multiplicity.
     """
+    _check_tableau_count(shape, m)
     char = _type_a_character(shape, m)
     tableaux = _tableaux(char, sum(shape))
     return list(chain.from_iterable(repeat(w, c) for _, w, c in tableaux)), char
@@ -251,11 +240,7 @@ def alpha(p: CharPoly) -> YPoly:
     The suffix sums less their minimum are canonical, and the lattice
     point is their difference sequence, so no two terms share a key.
     """
-    terms = {}
-    for w, c in p.terms.items():
-        e = _suffix_sums(w)
-        low = min(e)
-        terms[tuple(x - low for x in e) if low else e] = c
+    terms = {_canonical(_suffix_sums(w)): c for w, c in p.terms.items()}
     return YPoly._trusted(p.rank + 1, terms)
 
 
