@@ -91,12 +91,13 @@ class _TermDict:
         and every exponent and coefficient an exact ``int``; otherwise the
         first bad term names the error.
         """
-        pairs = [(tuple(e), c) for e, c in (terms.items() if isinstance(terms, Mapping) else terms)]
+        pairs = list(terms.items() if isinstance(terms, Mapping) else terms)
         if not pairs:
             return {}
-        keys, coeffs = zip(*pairs)
+        keys, coeffs = zip(*pairs, strict=True)
+        keys = tuple(map(tuple, keys))
         if set(map(len, keys)) != {n} or not set(map(type, chain(coeffs, chain.from_iterable(keys)))) <= {int}:
-            for e, c in pairs:
+            for e, c in zip(keys, coeffs):
                 if len(e) != n:
                     raise InputError("rank-mismatch", f"term {e} does not have rank {n}")
                 if not (all(type(x) is int for x in e) and type(c) is int):
