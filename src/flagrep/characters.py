@@ -198,18 +198,13 @@ def _term_count(cd: CartanData, support: Sequence[Weight]) -> int:
 
 
 def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = TERM_CAP) -> CharPoly:
-    """Character of the irreducible module with highest weight ``lam``."""
+    """Character of the irreducible module with highest weight ``lam``.
+
+    The dominant multiplicities come from the cache; the orbits are
+    expanded on every call, into a new ``CharPoly`` that is not kept."""
     lam = _require_dominant(cd, lam)
     if cd.rank > RANK_CAP:
         raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
-    return _character(cd, lam, max_terms)
-
-
-def _character(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> CharPoly:
-    """``weight_multiplicities`` of a checked ``lam``, with no rank cap:
-    Schur polynomials in any number of variables come through it.  The
-    dominant multiplicities come from the cache; the orbits are expanded on
-    every call, into a new ``CharPoly`` that is not kept."""
     dominant = _dominant_character(cd, lam, max_terms)
     return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms))
 

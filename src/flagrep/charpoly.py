@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 import sys
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernels
 from .cartan import Weight
@@ -197,19 +197,12 @@ class CharPoly(_TermDict):
         self._fill(rank, self._validated(rank, terms))
 
     @classmethod
-    def monomial(cls, w: Weight, coeff: int = 1) -> "CharPoly":
-        return cls(len(w), {tuple(w): coeff})
-
-    @classmethod
     def from_weights(cls, rank: int, weights: Iterable[Weight]) -> "CharPoly":
         """Sum of monomials, one per listed weight, repeats accumulating."""
         return cls(rank, ((tuple(w), 1) for w in weights))
 
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(tuple(w), 0)
-
-    def support(self) -> Iterator[Weight]:
-        return iter(self.terms)
 
     def __neg__(self) -> "CharPoly":
         return CharPoly._trusted(self.rank, {w: -c for w, c in self.terms.items()})

@@ -41,7 +41,7 @@ def _load_json_arg(arg: str):
             raise InputError("invalid-json", f"cannot read {arg!r}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise InputError("invalid-json", f"malformed JSON: {exc}") from None
 
 

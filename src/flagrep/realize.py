@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cartan import CartanData, Weight
 from .characters import (
+    TERM_CAP,
     Certificate,
     DecomposeResult,
     NotInOmega,
@@ -160,7 +161,7 @@ def s_map(h: CohomHom) -> CharPoly:
     return CharPoly._trusted(h.m, dict(counts))
 
 
-def check_realizable(cd: CartanData, h: CohomHom, max_terms: int | None = None) -> DecomposeResult:
+def check_realizable(cd: CartanData, h: CohomHom, max_terms: int = TERM_CAP) -> DecomposeResult:
     """Certificate that some map induces ``h``, or NotCertified.
 
     A certificate is constructive: the certified representation's flag
@@ -168,8 +169,6 @@ def check_realizable(cd: CartanData, h: CohomHom, max_terms: int | None = None) 
     """
     if h.m != cd.rank:
         raise InputError("rank-mismatch", f"hom rank {h.m} for group rank {cd.rank}")
-    if max_terms is None:
-        return is_in_omega_n(cd, s_map(h), h.n)
     return is_in_omega_n(cd, s_map(h), h.n, max_terms)
 
 
@@ -214,8 +213,8 @@ def torus_restriction_from_certificate(cd: CartanData, cert: Certificate) -> Tor
 @dataclass(frozen=True)
 class SchurRealization:
     """Map data for a Schur polynomial; ``matches`` records whether
-    alpha(s_map(hom)) equals alpha of the type-A character the tableau
-    weights were read off, which is ``schur(mu, m)``: the two routes
+    alpha(s_map(hom)) equals the Schur polynomial of the tableau contents
+    the weights were read off, which is ``schur(mu, m)``: the two routes
     compared once.  Unpacks as (n, hom, symmetric_function)."""
 
     n: int
@@ -233,8 +232,8 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     For a partition with fewer than m parts, the tableau weights assemble a
     torus restriction;  its induced matrix h satisfies
     alpha(s_map(h)) == schur(mu, m) with target size n = schur_dim(mu, m),
-    which the result's ``matches`` checks.  The type-A character is built
-    once: the tableau weights are read off it, and its alpha is the Schur
+    which the result's ``matches`` checks.  The tableau contents are built
+    once: the tableau weights are read off them, and so is the Schur
     polynomial the s-invariant is compared with.
     An n above ``TERM_CAP`` raises the term cap before any row is built.
     """
@@ -251,9 +250,9 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         raise InputError(
             "invalid-partition", "empty partition targets a one-point flag manifold"
         )
-    weights, character = _schur_weights(_shape(mu, m), m)
+    weights, target = _schur_weights(_shape(mu, m), m)
     n = len(weights)
     hom = induced_hom(TorusRestriction(tuple(weights)))
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes
-    return SchurRealization(n, hom, image, image == alpha(character))
+    return SchurRealization(n, hom, image, image == target)

@@ -6,21 +6,25 @@ one zero exponent.  The substitution wk -> y1*...*yk identifies rank-(m-1)
 lattice polynomials with these, with inverse ek -> ek - e(k+1); both
 directions are exact monomial maps.
 
-No tableau is enumerated: s_mu in m variables is alpha of the character of
-the A_(m-1) irreducible of highest weight the part differences of mu, whose
-weights, repeated by multiplicity, are the tableau contents.  The character
-rank cap does not apply: the character is computed in max(2, |mu|)
-variables, and its terms are spread over m variables when m is larger.
-The hook-content count caps the content list, and the term count times m
-caps the orbits.
+No tableau is enumerated and no Weyl orbit is walked.  The tableau
+contents of mu in m variables are the weights, in content coordinates, of
+the A_(m-1) irreducible of highest weight the part differences of mu, and
+a content's multiplicity is the Kostka number of the partition its sorted
+entries form.  So the character engine gives the dominant multiplicities,
+in min(m, max(2, |mu|)) variables, and each dominant content's distinct
+rearrangements in m variables carry its multiplicity.  The character rank
+cap does not apply.  The hook-content count caps the content list, and
+for m > max(2, |mu|) the content count times m caps the rearrangements
+before any is built.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, combinations, repeat
-from math import comb
+from collections import Counter
+from itertools import accumulate, chain, repeat
+from math import factorial, perm, prod
 from operator import sub
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import characters
 from .cartan import Weight, builtin_cartan
@@ -58,7 +62,7 @@ class YPoly(_TermDict):
 
     The term-dict format of ``CharPoly`` with canonical keys: the public
     constructor checks and reduces every term; results the library builds
-    (``alpha``, ``+``, ``*``) are wrapped by ``_trusted``.
+    (``schur``, ``alpha``, ``+``, ``*``) are wrapped by ``_trusted``.
     """
 
     __slots__ = ("nvars", "terms")
@@ -91,47 +95,61 @@ def _shape(mu: Partition, m: int) -> Partition:
     return shape
 
 
-def _type_a_character(shape: Partition, m: int) -> CharPoly:
-    """Character of V(lambda(shape)) in A_(m-1), for m >= 2; no rank cap.
+def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """(content, multiplicity) per distinct tableau content of a nonempty
+    shape in m >= 2 variables, sorted by descending content: the fixed
+    order the weight listings downstream rely on.
 
-    A weight's multiplicity is a Kostka number, which depends only on the
-    sorted nonzero parts of its content, and a content has at most |shape|
-    nonzero parts.  So the engine runs in A_(k-1) for k = max(2, |shape|)
-    variables, and when m is larger each sequence of nonzero parts it
-    shows is placed on every support of its length in m variables: the
-    root data does not grow with m.  The term count times m is held to
-    ``TERM_CAP`` before any term is built.
+    A content's multiplicity is a Kostka number, which depends only on the
+    partition its sorted entries form (Macdonald, I.6), and that partition
+    has at most |shape| nonzero parts.  So the dominant multiplicities of
+    A_(k-1), for k = min(m, max(2, |shape|)), give every partition, and
+    each partition's distinct rearrangements, padded to m, are its contents:
+    the root data does not grow with m.  When k < m, the content count
+    times m is held to ``TERM_CAP``, counted on the nonzero parts before
+    any content is built; for k = m the character's term cap applies.
     """
     size = sum(shape)
     k = min(m, max(2, size))
     top = _content_to_weight(shape + (0,) * (k - len(shape)))  # the part differences
-    char = characters._character(builtin_cartan("A", k - 1), top)
-    if k == m:
-        return char
-    compositions = []  # each nonzero part sequence once, from its left-justified content
-    for w, c in char.terms.items():
-        e = _content(w, size)
-        nonzero = tuple(x for x in e if x)
-        if e[:len(nonzero)] == nonzero:
-            compositions.append((nonzero, c))
-    n = sum(comb(m, len(e)) for e, _ in compositions)
-    if n * m > TERM_CAP:
-        raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
-    terms = {}
-    for e, c in compositions:
-        for support in combinations(range(m), len(e)):
-            vec = [0] * m
-            for i, x in zip(support, e):
-                vec[i] = x
-            terms[_content_to_weight(vec)] = c
-    return CharPoly._trusted(m - 1, terms)
+    dominant = characters._dominant_character(builtin_cartan("A", k - 1), top, TERM_CAP)
+    partitions = []
+    for w, c in dominant.items():
+        e = _suffix_sums(w)
+        shift = (size - sum(e)) // k  # a content sums to |shape|
+        partitions.append((tuple(filter(None, (x + shift for x in e))), c))
+    if k < m:
+        n = sum(perm(m, len(p)) // prod(map(factorial, Counter(p).values())) for p, _ in partitions)
+        if n * m > TERM_CAP:
+            raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
+    contents = [(e, c) for p, c in partitions for e in _rearrangements(p + (0,) * (m - len(p)))]
+    contents.sort(reverse=True)
+    return contents
 
 
-def _content(w: Weight, size: int) -> tuple[int, ...]:
-    """Tableau content of the weight w: its suffix sums, shifted to total size."""
-    e = _suffix_sums(w)
-    shift = (size - sum(e)) // len(e)
-    return tuple(x + shift for x in e)
+def _rearrangements(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of a weakly decreasing tuple, in
+    descending order: each is the previous permutation of the one before,
+    found without recursion."""
+    a = list(e)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = reversed(a[i + 1:])
+
+
+def _ypoly(contents: list[tuple[tuple[int, ...], int]], m: int) -> YPoly:
+    """The Schur polynomial with these contents: distinct contents stay
+    distinct once canonical, so no two terms share a key."""
+    return YPoly._trusted(m, {_canonical(e): c for e, c in contents})
 
 
 def _check_tableau_count(shape: Partition, m: int) -> None:
@@ -139,14 +157,6 @@ def _check_tableau_count(shape: Partition, m: int) -> None:
     n = _hook_content(shape, m)
     if n > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
-
-
-def _tableaux(char: CharPoly, size: int) -> list[tuple[tuple[int, ...], Weight, int]]:
-    """(content, weight, multiplicity) per weight of a type-A character of
-    shape size ``size``, sorted by descending content: the fixed order the
-    weight listings downstream rely on.  Contents are distinct, so the sort
-    never compares weights."""
-    return sorted(((_content(w, size), w, c) for w, c in char.terms.items()), reverse=True)
 
 
 def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
@@ -157,19 +167,17 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
     """
     shape = _shape(validate_partition(mu), m)
     _check_tableau_count(shape, m)
-    size = sum(shape)
     if m < 2 or not shape:
-        return ((size,) * m,)  # m = 0 leaves the empty content
-    tableaux = _tableaux(_type_a_character(shape, m), size)
-    return tuple(chain.from_iterable(repeat(e, c) for e, _, c in tableaux))
+        return ((sum(shape),) * m,)  # m = 0 leaves the empty content
+    return tuple(chain.from_iterable(repeat(e, c) for e, c in _contents(shape, m)))
 
 
 def schur(mu: Iterable[int], m: int) -> YPoly:
-    """Schur polynomial in m variables: alpha of the type-A character."""
+    """Schur polynomial in m variables: the tableau contents, canonical."""
     shape = _shape(validate_partition(mu), m)
     if m < 2 or not shape:
         return YPoly(m, [((sum(shape),) * m, 1)])
-    return alpha(_type_a_character(shape, m))
+    return _ypoly(_contents(shape, m), m)
 
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
@@ -220,18 +228,18 @@ def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     return _schur_weights(_shape(mu, m), m)[0]
 
 
-def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], CharPoly]:
+def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], YPoly]:
     """The tableau weights of a shape in m >= 2 variables, their count
-    capped by ``TERM_CAP``, with the type-A character they are read off.
+    capped by ``TERM_CAP``, with the Schur polynomial of the contents they
+    are read off.
 
-    A tableau's weight is the character's weight of its content, so each
-    distinct weight is one tuple, the character's key, repeated by its
-    multiplicity.
+    A tableau's weight is the part differences of its content, so each
+    distinct weight is one tuple, repeated by its multiplicity.
     """
     _check_tableau_count(shape, m)
-    char = _type_a_character(shape, m)
-    tableaux = _tableaux(char, sum(shape))
-    return list(chain.from_iterable(repeat(w, c) for _, w, c in tableaux)), char
+    contents = _contents(shape, m)
+    weights = chain.from_iterable(repeat(_content_to_weight(e), c) for e, c in contents)
+    return list(weights), _ypoly(contents, m)
 
 
 def alpha(p: CharPoly) -> YPoly:

@@ -313,6 +313,15 @@ def test_char_cap_from_the_weight_before_any_walk(capsys):
     assert (code, out, err) == (3, "", f"error[term-cap]: support exceeds cap {characters.TERM_CAP}\n")
 
 
+def test_deeply_nested_json_is_invalid_input(capsys):
+    nested = "[" * 100_000 + "]" * 100_000
+    for argv in (("realize", "A1", nested), ("smap", nested)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[invalid-json]: malformed JSON: ")
+        assert err.count("\n") == 1
+
+
 def test_omega_whole_answer_or_none(capsys):
     code, out, err = run(capsys, "omega", "A1", "3000", "--max-n", "5000")
     assert (code, out) == (3, "")

@@ -362,10 +362,10 @@ def test_realize_schur_check_compares_two_routes(monkeypatch):
 
 
 def test_realize_schur_builds_the_type_a_character_once(monkeypatch):
-    # the tableau weights and the Schur polynomial are both read off it
+    # the tableau weights and the Schur polynomial are both read off its contents
     calls = []
-    build = schur_module._type_a_character
-    monkeypatch.setattr(schur_module, "_type_a_character", lambda *a: calls.append(a) or build(*a))
+    build = schur_module._contents
+    monkeypatch.setattr(schur_module, "_contents", lambda *a: calls.append(a) or build(*a))
     result = realize_schur((2, 1), 4)
     assert calls == [((2, 1), 4)]
     assert result.matches is True

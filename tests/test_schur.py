@@ -130,8 +130,8 @@ def test_schur_does_not_enumerate_tableaux():
 
 
 def test_many_variables_match_tableau_oracle():
-    # m > |mu|: the engine runs in fewer variables and only the orbits are
-    # taken in m; in at most |mu| variables it runs in A_(m-1)
+    # m > |mu|: the dominant contents come from fewer variables and are
+    # rearranged in m; in at most |mu| variables they come from A_(m-1)
     cases = [(mu, m) for m in (10, 11, 13) for mu in partitions_up_to(4, 4)]
     cases += [((1,) * 10, 10), ((1,) * 10, 11), ((2,) + (1,) * 8, 11), ((1,) * 11, 12)]
     for mu, m in cases:
@@ -140,11 +140,49 @@ def test_many_variables_match_tableau_oracle():
         assert schur(mu, m) == oracles.tableau_schur(mu, m)
 
 
+def test_schur_route_walks_no_orbit_and_takes_no_alpha(monkeypatch):
+    # contents come from the dominant multiplicities, rearranged; the
+    # s-invariant side of realize_schur keeps its own alpha
+    def fail(*args):
+        raise AssertionError("not on the Schur route")
+
+    monkeypatch.setattr(sys.modules["flagrep._kernels"], "orbit_terms", fail)
+    monkeypatch.setattr(sys.modules["flagrep.schur"], "alpha", fail)
+    for mu, m in (((3, 1), 3), ((2, 1), 3), ((2, 1), 5)):  # m < |mu|, m = |mu|, m > |mu|
+        assert schur(mu, m) == oracles.tableau_schur(mu, m)
+        assert ssyt_contents(mu, m) == oracles.ssyt_contents(mu, m)
+        assert weights_of_schur(mu, m) == oracles.tableau_weights(mu, m)
+        result = realize_schur(mu, m)
+        assert result.matches is True
+        assert result.symmetric_function == oracles.tableau_schur(mu, m)
+
+
+@st.composite
+def shapes_and_variables(draw):
+    """A partition of size <= 6 and m in {|mu| - 1, |mu|, |mu| + 1, |mu| + 3}."""
+    mu = tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=4)), reverse=True))
+    while sum(mu) > 6:
+        mu = mu[1:]
+    return mu, sum(mu) + draw(st.sampled_from((-1, 0, 1, 3)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(shapes_and_variables())
+@example(((1,), 0))
+@example(((2, 2, 1, 1), 5))
+@example(((3, 2, 1), 9))
+def test_contents_route_matches_tableau_oracle(case):
+    mu, m = case
+    assert _outcome(ssyt_contents, mu, m) == _outcome(oracles.ssyt_contents, mu, m)
+    assert _outcome(weights_of_schur, mu, m) == _outcome(oracles.tableau_weights, mu, m)
+    assert _outcome(schur, mu, m) == _outcome(oracles.tableau_schur, mu, m)
+
+
 def test_schur_in_many_variables_is_bounded():
     q = schur((1,), 1000)
     assert q.terms == {tuple(int(i == j) for j in range(1000)): 1 for i in range(1000)}
     assert schur((), 10**6) == YPoly.one(10**6)
-    # the orbit sizes are counted before any is expanded
+    # the contents are counted before any is built
     tracemalloc.start()
     try:
         for mu, m, n in (((1,), 10**6, 10**6), ((1, 1), 1000, 499_500)):
