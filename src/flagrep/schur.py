@@ -130,7 +130,7 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
 def _rearrangements(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The distinct rearrangements of a weakly decreasing tuple, in
     descending order: each is the previous permutation of the one before,
-    found without recursion."""
+    found in place, so a tuple of any length needs no recursion."""
     a = list(e)
     while True:
         yield tuple(a)
