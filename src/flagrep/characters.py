@@ -2,14 +2,16 @@
 
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
-positive roots finds; the Weyl orbit sizes |W| / |W_mu| give the exact
-term count before the recursion runs.  Only the dominant multiplicities
-are memoised, in one cache bounded by ``CHARACTER_CACHE_SIZE`` entries with
-least-recently-used eviction; ``decompose`` reads them as they are, and a
-caller that needs every term gets the Weyl orbits expanded afresh on each
-call, so no expanded character outlives its caller.  Dimensions come from
-the Weyl product formula.  Both are exact: each ends in one integer
-division that must leave no remainder, and the code asserts that it does.
+positive roots finds; the walk adds up the Weyl orbit sizes |W| / |W_mu|
+as it goes, so the term cap fires the moment the exact term count passes
+it, before the walk ends or the recursion runs.  Only the dominant
+multiplicities are memoised, in one ``lru_cache`` of
+``CHARACTER_CACHE_SIZE`` entries keyed by group, highest weight and cap;
+``decompose`` reads them as they are, and a caller that needs every term
+gets the Weyl orbits expanded afresh on each call, so no expanded
+character outlives its caller.  Dimensions come from the Weyl product
+formula.  Both are exact: each ends in one integer division that must
+leave no remainder, and the code asserts that it does.
 
 Membership of an effective polynomial in the set of characters is decided
 constructively: ``decompose`` either returns the unique certificate (the
@@ -22,13 +24,12 @@ with no orbit expanded.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Callable, Collection, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from . import _kernels
 from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, is_dominant
@@ -39,8 +40,8 @@ from .errors import InputError, ResourceCapError
 RANK_CAP = 8
 TERM_CAP = 10**7
 OMEGA_N_CAP = 64
-#: (group, highest weight) entries ``_dominant_cache`` holds before it
-#: evicts the least recently used one.
+#: (group, highest weight, cap) entries ``_dominant_character`` holds before
+#: it evicts the least recently used one.
 CHARACTER_CACHE_SIZE = 1024
 
 
@@ -103,12 +104,6 @@ class NotInOmega:
 
 DecomposeResult = Union[Certificate, NotInOmega]
 
-#: Freudenthal's dominant multiplicities per (group, highest weight), most
-#: recently used last, at most ``CHARACTER_CACHE_SIZE`` of them.  The only
-#: character cache: expanded characters are not memoised.
-_dominant_cache: OrderedDict[tuple[CartanData, Weight], dict[Weight, int]] = OrderedDict()
-_cache_lock = threading.Lock()
-
 
 def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
     lam = tuple(lam)
@@ -127,22 +122,24 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
     Any two dominant weights mu < nu are linked by a chain of dominant
     weights, each a positive root below the previous (Stembridge, The
     partial order of dominant weights, 1998), so a breadth-first walk down
-    the positive roots from ``lam`` reaches every one of them.  Each is a
-    term of the character, so more than ``max_terms`` of them hits the cap.
+    the positive roots from ``lam`` reaches every one of them.  Each is in
+    the character with its whole orbit, so the orbit sizes of the levels
+    found so far count terms of the character, and the walk stops the
+    moment that count passes ``max_terms``.
     """
     roots = cd.positive_roots
     seen = {lam}
     frontier = [lam]
+    terms = 0
     while frontier:
+        terms += _term_count(cd, frontier)
+        if terms > max_terms:
+            raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         below = []
         for mu in frontier:
             for root in roots:
                 nu = tuple(a - b for a, b in zip(mu, root))
                 if nu not in seen and all(x >= 0 for x in nu):
-                    if len(seen) == max_terms:
-                        raise ResourceCapError(
-                            "term-cap", f"support exceeds cap {max_terms}"
-                        )
                     seen.add(nu)
                     below.append(nu)
         frontier = below
@@ -209,47 +206,21 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
     return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms))
 
 
+@lru_cache(maxsize=CHARACTER_CACHE_SIZE)
 def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
-    """``_multiplicities``, memoised in ``_dominant_cache``; a cached entry
-    is held to ``max_terms`` by its exact term count.  The dict is shared,
-    so callers only read it."""
-    key = (cd, lam)
-    with _cache_lock:
-        dominant = _dominant_cache.get(key)
-        if dominant is not None:
-            _dominant_cache.move_to_end(key)
-    if dominant is None:
-        dominant = _multiplicities(cd, lam, max_terms)
-        with _cache_lock:
-            dominant = _dominant_cache.setdefault(key, dominant)
-            while len(_dominant_cache) > CHARACTER_CACHE_SIZE:
-                _dominant_cache.popitem(last=False)
-    else:
-        _check_term_count(cd, dominant, max_terms)
-    return dominant
-
-
-def _multiplicities(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of the character of a checked
     ``lam``.  Raises the term cap exactly when the whole character has more
-    than ``max_terms`` terms, before Freudenthal runs."""
+    than ``max_terms`` terms, before Freudenthal runs; the cap is part of
+    the key, so a cached entry was held to the same cap.  The dict is
+    shared, so callers only read it."""
     # the alpha_i-string through lam holds lam_i + 1 distinct weights and two
     # strings share only lam, so the character has at least 1 + sum(lam) terms
     if 1 + sum(lam) > max_terms:
         raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
     support = _dominant_support(cd, lam, max_terms)
-    _check_term_count(cd, support, max_terms)
     return _kernels.freudenthal(
         cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
     )
-
-
-def _check_term_count(cd: CartanData, dominant: Collection[Weight], max_terms: int) -> None:
-    # each orbit has at most |W| weights; past that bound, the exact term
-    # count decides, before any multiplicity or orbit is computed
-    regular = _orbit_size(cd, (True,) * cd.rank)
-    if len(dominant) * regular > max_terms and _term_count(cd, dominant) > max_terms:
-        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
 
 
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:

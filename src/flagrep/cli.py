@@ -192,9 +192,8 @@ def _cmd_omega(args) -> int:
     return EXIT_OK
 
 
-def _add_group_options(sub, positional: bool = True):
-    if positional:
-        sub.add_argument("group", nargs="?", help="group tag such as A2, B3, G2")
+def _add_group_options(sub):
+    sub.add_argument("group", nargs="?", help="group tag such as A2, B3, G2")
     sub.add_argument(
         "--group-matrix",
         metavar="FILE",

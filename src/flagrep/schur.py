@@ -120,8 +120,7 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
         partitions.append((tuple(filter(None, (x + shift for x in e))), c))
     if k < m:
         n = sum(perm(m, len(p)) // prod(map(factorial, Counter(p).values())) for p, _ in partitions)
-        if n * m > TERM_CAP:
-            raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
+        _check_content_count(n, m)
     contents = [(e, c) for p, c in partitions for e in _rearrangements(p + (0,) * (m - len(p)))]
     contents.sort(reverse=True)
     return contents
@@ -146,6 +145,12 @@ def _rearrangements(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         a[i + 1:] = reversed(a[i + 1:])
 
 
+def _check_content_count(n: int, m: int) -> None:
+    """n contents of m entries each, held to ``TERM_CAP`` before any is built."""
+    if n * m > TERM_CAP:
+        raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
+
+
 def _ypoly(contents: list[tuple[tuple[int, ...], int]], m: int) -> YPoly:
     """The Schur polynomial with these contents: distinct contents stay
     distinct once canonical, so no two terms share a key."""
@@ -168,6 +173,7 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
     shape = _shape(validate_partition(mu), m)
     _check_tableau_count(shape, m)
     if m < 2 or not shape:
+        _check_content_count(1, m)
         return ((sum(shape),) * m,)  # m = 0 leaves the empty content
     return tuple(chain.from_iterable(repeat(e, c) for e, c in _contents(shape, m)))
 
@@ -175,8 +181,11 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
 def schur(mu: Iterable[int], m: int) -> YPoly:
     """Schur polynomial in m variables: the tableau contents, canonical."""
     shape = _shape(validate_partition(mu), m)
+    if m < 1:
+        raise InputError("invalid-rank", "need at least one variable")
     if m < 2 or not shape:
-        return YPoly(m, [((sum(shape),) * m, 1)])
+        _check_content_count(1, m)
+        return YPoly._trusted(m, {(0,) * m: 1})  # one constant content, canonical
     return _ypoly(_contents(shape, m), m)
 
 

@@ -3,7 +3,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
-from collections import OrderedDict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,12 +154,30 @@ def test_root_walk_matches_box_enumeration_random(cd, coords):
 
 
 def test_root_walk_term_cap_is_exact():
+    # the walk counts the orbits of the dominant weights it finds, so it
+    # answers at the exact term count and stops one below it
     cd = cartan_from_tag("B3")
     lam = (2, 1, 2)
-    size = len(oracles.box_dominant_support(cd.cartan_matrix, lam))
-    assert len(_dominant_support(cd, lam, max_terms=size)) == size
+    support = oracles.box_dominant_support(cd.cartan_matrix, lam)
+    size = sum(len(oracles.bfs_weyl_orbit(cd.cartan_matrix, mu, TERM_CAP)) for mu in support)
+    assert _dominant_support(cd, lam, max_terms=size) == support
     with pytest.raises(ResourceCapError, match=f"support exceeds cap {size - 1}"):
         _dominant_support(cd, lam, max_terms=size - 1)
+
+
+def test_capped_query_stops_inside_the_walk():
+    # C4 (12,12,12,12) has far more than 10**6 terms but under 10**6
+    # dominant weights: the running orbit count stops the walk after a few
+    # levels, where a count taken after the walk holds the whole support
+    c4 = cartan_from_tag("C4")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError) as info:
+            weight_multiplicities(c4, (12, 12, 12, 12), max_terms=10**6)
+        assert (info.value.code, str(info.value)) == ("term-cap", "support exceeds cap 1000000")
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
 
 
 # --- exact term count before Freudenthal ------------------------------------
@@ -395,17 +413,12 @@ def test_invariant_input_expands_no_orbit(monkeypatch):
     assert isinstance(results[0], Certificate) and isinstance(results[1], NotInOmega)
 
 
-def test_character_expanded_from_the_decompose_memo_keeps_the_exact_cap(monkeypatch):
+def test_character_expanded_from_the_decompose_memo_keeps_the_exact_cap():
     # a label no other test uses, so only this test's decompose fills the memo
     cd = custom_cartan(cartan_from_tag("G2").cartan_matrix, label="G2, expanded from the memo")
     size = len(weight_multiplicities(cartan_from_tag("G2"), (1, 1)).terms)
     orbit_sum = CharPoly(2, dict.fromkeys(weyl_orbit(cd, (1, 1)), 1))
     assert isinstance(decompose(cd, orbit_sum), NotInOmega)
-
-    def fail(*args):
-        raise AssertionError("Freudenthal ran again")
-
-    monkeypatch.setattr(_kernels, "freudenthal", fail)
     with pytest.raises(ResourceCapError) as info:
         weight_multiplicities(cd, (1, 1), max_terms=size - 1)
     assert str(info.value) == f"support exceeds cap {size - 1}"
@@ -616,7 +629,7 @@ def test_weight_multiplicities_returns_a_fresh_character():
 
 
 def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
-    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
+    characters._dominant_character.cache_clear()
     calls = []
     freudenthal = _kernels.freudenthal
     monkeypatch.setattr(_kernels, "freudenthal", lambda *a: calls.append(a[3]) or freudenthal(*a))
@@ -632,26 +645,35 @@ def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
 
 
+def _small_character_memo(monkeypatch, size):
+    """The character memo, replaced by an empty one of ``size`` entries."""
+    memo = lru_cache(maxsize=size)(characters._dominant_character.__wrapped__)
+    monkeypatch.setattr(characters, "_dominant_character", memo)
+    return memo
+
+
 def test_character_cache_evicts_the_least_recently_used(monkeypatch):
-    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
-    monkeypatch.setattr(characters, "CHARACTER_CACHE_SIZE", 2)
+    memo = _small_character_memo(monkeypatch, 2)
     a2 = cartan_from_tag("A2")
     first = {lam: weight_multiplicities(a2, lam) for lam in [(1, 0), (0, 1), (1, 0), (2, 1)]}
+    assert memo.cache_info()[:4] == (1, 3, 2, 2)  # hits, misses, maxsize, currsize
     # (0, 1) was used least recently, so it went when (2, 1) came in
-    assert list(characters._dominant_cache) == [(a2, (1, 0)), (a2, (2, 1))]
+    assert weight_multiplicities(a2, (1, 0)) == first[(1, 0)]
+    assert memo.cache_info().hits == 2
     assert weight_multiplicities(a2, (0, 1)) == first[(0, 1)]
-    assert list(characters._dominant_cache) == [(a2, (2, 1)), (a2, (0, 1))]
-    for lam, char in first.items():
-        assert weight_multiplicities(a2, lam) == char
-        assert len(characters._dominant_cache) <= 2
+    assert memo.cache_info().misses == 4
+    # and now (2, 1) went, while (1, 0) stays
+    assert weight_multiplicities(a2, (1, 0)) == first[(1, 0)]
+    assert memo.cache_info().hits == 3
+    assert weight_multiplicities(a2, (2, 1)) == first[(2, 1)]
+    assert memo.cache_info()[1:] == (5, 2, 2)
 
 
 def test_character_cache_stays_bounded_under_threads(monkeypatch):
-    monkeypatch.setattr(characters, "_dominant_cache", OrderedDict())
-    monkeypatch.setattr(characters, "CHARACTER_CACHE_SIZE", 3)
+    memo = _small_character_memo(monkeypatch, 3)
     a2 = cartan_from_tag("A2")
     weights = [(a, b) for a in range(3) for b in range(3)]
-    expected = {lam: characters._multiplicities(a2, lam, TERM_CAP) for lam in weights}
+    expected = {lam: memo.__wrapped__(a2, lam, TERM_CAP) for lam in weights}
     wrong = []
 
     def work(offset):
@@ -659,9 +681,8 @@ def test_character_cache_stays_bounded_under_threads(monkeypatch):
             lam = weights[(offset + i) % len(weights)]
             if characters._dominant_character(a2, lam, TERM_CAP) != expected[lam]:
                 wrong.append(lam)
-            with characters._cache_lock:
-                if len(characters._dominant_cache) > 3:
-                    wrong.append("over the bound")
+            if memo.cache_info().currsize > 3:
+                wrong.append("over the bound")
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -675,7 +696,7 @@ def test_character_cache_stays_bounded_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert len(characters._dominant_cache) == 3
+    assert memo.cache_info().currsize == 3
 
 
 def test_product_group_character():

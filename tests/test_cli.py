@@ -522,7 +522,11 @@ def test_schur_cor3_many_variables(capsys):
     code, out, err = run(capsys, "schur", "1", "1000")
     assert (code, err) == (0, "")
     assert out == " + ".join(f"y{i}" for i in range(1, 1001)) + "\n"
-    for argv, n, m in ((("schur", "1", "1000000"), 10**6, 10**6), (("cor3", "1,1", "1000"), 499500, 1000)):
+    for argv, n, m in (
+        (("schur", "1", "1000000"), 10**6, 10**6),
+        (("cor3", "1,1", "1000"), 499500, 1000),
+        (("schur", "0", "10000001"), 1, 10000001),  # the empty partition's one content
+    ):
         assert run(capsys, *argv) == (
             3, "", f"error[term-cap]: {n} terms times {m} variables exceed cap 10000000\n"
         )

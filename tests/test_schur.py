@@ -191,6 +191,12 @@ def test_schur_in_many_variables_is_bounded():
                     f(mu, m)
                 assert info.value.code == "term-cap"
                 assert str(info.value) == f"{n} terms times {m} variables exceed cap {TERM_CAP}"
+        # the empty shape's one content has m entries too (realize_schur rejects it)
+        for mu in ((), (0, 0)):
+            for f in (ssyt_contents, schur, weights_of_schur):
+                with pytest.raises(ResourceCapError) as info:
+                    f(mu, TERM_CAP + 1)
+                assert str(info.value) == f"1 terms times {TERM_CAP + 1} variables exceed cap {TERM_CAP}"
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
