@@ -12,7 +12,9 @@ Conventions used by every function here:
   recursion only uses ratios).
 """
 
+from functools import lru_cache
 from itertools import repeat
+from operator import add, mul
 
 from .errors import ResourceCapError
 
@@ -85,20 +87,18 @@ def weyl_orbit(cartan, w, cap):
     return _orbit_walk(top, *_reflection_tables(cartan), cap)
 
 
-def _ip(gram, u, v):
-    m = len(u)
-    total = 0
-    for i in range(m):
-        ui = u[i]
-        if ui:
-            row = gram[i]
-            s = 0
-            for j in range(m):
-                vj = v[j]
-                if vj:
-                    s += row[j] * vj
-            total += ui * s
-    return total
+@lru_cache(maxsize=64)
+def _root_tables(cartan, gram, pos_roots):
+    """Per simple reflection s_i, the index of s_i(a) for each positive root
+    a (None for root i itself, which s_i makes negative); gram * a for each
+    positive root a; and the ``moved`` pairs of each s_i."""
+    index = {a: k for k, a in enumerate(pos_roots)}
+    reflect = [
+        [index.get(tuple(x - a[i] * c for x, c in zip(a, row))) for a in pos_roots]
+        for i, row in enumerate(cartan)
+    ]
+    gram_roots = [[sum(map(mul, row, a)) for row in gram] for a in pos_roots]
+    return reflect, gram_roots, _reflection_tables(cartan)[1]
 
 
 def freudenthal(cartan, gram, pos_roots, lam, support):
@@ -107,32 +107,55 @@ def freudenthal(cartan, gram, pos_roots, lam, support):
     ``support`` must list the dominant weights of the module sorted by
     increasing depth below ``lam`` (the first entry is ``lam`` itself).
     Returns a dict mapping each of them to its multiplicity.
+
+    Freudenthal's sum for mu is the sum over positive roots a of the string
+    sums S(mu + a, a), where S(v, g) = sum over k >= 0 of
+    m(v + k g) * (v + k g, g).  Multiplicities and the form are W-invariant,
+    so S(v, g) = S(d, w g) for d = w v, the dominant representative.  If d
+    is not a weight, S is 0: d - w g is one, and a root string has no gaps.
+    Otherwise d comes earlier in ``support``, and
+    S(d, g) = m(d) * (d, g) + S(d + g, g), whose last term is one of the
+    sums d's own recursion took.  So the kernel keeps, for each dominant
+    weight d, the row of S(d, g) over the positive roots g, and each string
+    sum is one reflection and one lookup, however deep the string is.
+
+    w g stays positive: s_i turns g negative only when g is root i, and it
+    is applied only where (v, root i) < 0, while (v, g) = (mu, g) + (g, g)
+    > 0 for v = mu + g, and each step leaves (v, g) as it was.
     """
     m = len(lam)
+    reflect, gram_roots, moved = _root_tables(cartan, gram, pos_roots)
+    lam = tuple(lam)
     top = tuple(x + 1 for x in lam)
-    norm_top = _ip(gram, top, top)
-    root_norms = [_ip(gram, a, a) for a in pos_roots]
-    mults = {tuple(lam): 1}
+    norm_top = sum(map(mul, top, [sum(map(mul, row, top)) for row in gram]))
+    mults = {lam: 1}
+    sums = {lam: [sum(map(mul, lam, g)) for g in gram_roots]}  # sums[d][k] = S(d, root k)
+    get = sums.get
     for mu in support[1:]:
-        acc = 0
-        for a, na in zip(pos_roots, root_norms):
-            base = _ip(gram, mu, a)
-            nu = list(mu)
-            k = 1
-            while True:
-                for j in range(m):
-                    nu[j] += a[j]
-                mult = mults.get(dominant_representative(cartan, nu))
-                if mult is None:
-                    break
-                acc += mult * (base + k * na)
-                k += 1
+        above = []  # S(mu + a, a) for each positive root a
+        for k, a in enumerate(pos_roots):
+            v = list(map(add, mu, a))
+            # v to the dominant chamber, and root k with it
+            i = 0
+            while i < m:
+                c = v[i]
+                if c < 0:
+                    for j, x in moved[i]:
+                        v[j] -= c * x
+                    k = reflect[i][k]
+                    i = 0
+                else:
+                    i += 1
+            found = get(tuple(v))
+            above.append(0 if found is None else found[k])
         shifted = tuple(x + 1 for x in mu)
-        denom = norm_top - _ip(gram, shifted, shifted)
-        mult, rem = divmod(2 * acc, denom)
+        denom = norm_top - sum(map(mul, shifted, [sum(map(mul, row, shifted)) for row in gram]))
+        mult, rem = divmod(2 * sum(above), denom)
         if rem:
             raise ArithmeticError("non-integral multiplicity; invalid Cartan data")
-        mults[tuple(mu)] = mult
+        mu = tuple(mu)
+        mults[mu] = mult
+        sums[mu] = [s + mult * sum(map(mul, mu, g)) for s, g in zip(above, gram_roots)]
     return mults
 
 

@@ -272,12 +272,25 @@ def _builtin_cartan(series: str, rank: int) -> CartanData:
     return custom_cartan(_series_matrix(series, rank), label=f"{series}{rank}")
 
 
-def cartan_from_tag(tag: str) -> CartanData:
-    """Parse a tag such as ``A2``, ``B3`` or ``G2`` into CartanData."""
+def _parse_tag(tag: str) -> tuple[str, int]:
     m = _TAG_RE.match(tag.strip())
     if not m:
         raise InputError("invalid-group", f"cannot parse group tag {tag!r}")
-    return builtin_cartan(m.group(1), int(m.group(2)))
+    return m.group(1), int(m.group(2))
+
+
+def cartan_from_tag(tag: str) -> CartanData:
+    """Parse a tag such as ``A2``, ``B3`` or ``G2`` into CartanData."""
+    return builtin_cartan(*_parse_tag(tag))
+
+
+def tag_rank(tag: str) -> int:
+    """Rank of the group a tag names.  The tag and its Cartan matrix are
+    checked as ``cartan_from_tag`` checks them, but no root data is built,
+    which takes seconds at a rank in the hundreds."""
+    series, rank = _parse_tag(tag)
+    _series_matrix(series.upper(), rank)
+    return rank
 
 
 def is_dominant(w: Weight) -> bool:

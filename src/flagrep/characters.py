@@ -4,7 +4,10 @@ Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
 positive roots finds; the walk adds up the Weyl orbit sizes |W| / |W_mu|
 as it goes, so the term cap fires the moment the exact term count passes
-it, before the walk ends or the recursion runs.  Only the dominant
+it, before the walk ends or the recursion runs.  The recursion keeps each
+dominant weight's sums along the positive root strings above it, so a
+term of its sum is one reflection and one lookup, not a walk to the end of
+a root string (``_kernels.freudenthal``).  Only the dominant
 multiplicities are memoised, in one ``lru_cache`` of
 ``CHARACTER_CACHE_SIZE`` entries keyed by group, highest weight and cap;
 ``decompose`` reads them as they are, and a caller that needs every term
@@ -105,12 +108,15 @@ class NotInOmega:
 DecomposeResult = Union[Certificate, NotInOmega]
 
 
+def check_weight_length(lam: Sequence[int], rank: int) -> None:
+    """Raise ``rank-mismatch`` unless ``lam`` has ``rank`` coordinates."""
+    if len(lam) != rank:
+        raise InputError("rank-mismatch", f"weight length {len(lam)} for rank {rank}")
+
+
 def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
     lam = tuple(lam)
-    if len(lam) != cd.rank:
-        raise InputError(
-            "rank-mismatch", f"weight length {len(lam)} for rank {cd.rank}"
-        )
+    check_weight_length(lam, cd.rank)
     if not is_dominant(lam):
         raise InputError("not-dominant", f"weight {lam} is not dominant")
     return lam

@@ -7,11 +7,15 @@ polynomials, semistandard tableau enumeration, a standalone greedy
 reduction for rank-1 decompositions, box enumeration of the dominant
 weights below a highest weight, breadth-first Weyl orbits with a seen-set,
 two-pass polynomial rendering, the recursive certificate enumerator, the
-Weyl dimension formula in rationals, and the greedy decomposition that
-reduces every term against whole characters.  The last is the library's
+Weyl dimension formula in rationals, the greedy decomposition that
+reduces every term against whole characters, and the Freudenthal recursion
+that walks every root string to its end.  The greedy is the library's
 earlier ``decompose``, kept verbatim as the reference for the one that
 reduces W-invariant input on its dominant terms; it reads characters from
 ``weight_multiplicities``, so it checks the reduction, not the characters.
+The recursion is the library's earlier ``_kernels.freudenthal``, kept
+verbatim, with its two helpers, as the reference for the kernel that
+memoises string sums.
 """
 
 from fractions import Fraction
@@ -387,3 +391,71 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
             )
         pairs.append((w, mult))
     return _certificate(cd, pairs)
+
+
+def dominant_representative(cartan, w):
+    """Reflect ``w`` into the dominant chamber using simple reflections."""
+    v = list(w)
+    m = len(v)
+    i = 0
+    while i < m:
+        c = v[i]
+        if c < 0:
+            row = cartan[i]
+            for j in range(m):
+                v[j] -= c * row[j]
+            i = 0
+        else:
+            i += 1
+    return tuple(v)
+
+
+def _ip(gram, u, v):
+    m = len(u)
+    total = 0
+    for i in range(m):
+        ui = u[i]
+        if ui:
+            row = gram[i]
+            s = 0
+            for j in range(m):
+                vj = v[j]
+                if vj:
+                    s += row[j] * vj
+            total += ui * s
+    return total
+
+
+def freudenthal(cartan, gram, pos_roots, lam, support):
+    """Multiplicities of the dominant weights of the highest-weight module.
+
+    ``support`` must list the dominant weights of the module sorted by
+    increasing depth below ``lam`` (the first entry is ``lam`` itself).
+    Returns a dict mapping each of them to its multiplicity.
+    """
+    m = len(lam)
+    top = tuple(x + 1 for x in lam)
+    norm_top = _ip(gram, top, top)
+    root_norms = [_ip(gram, a, a) for a in pos_roots]
+    mults = {tuple(lam): 1}
+    for mu in support[1:]:
+        acc = 0
+        for a, na in zip(pos_roots, root_norms):
+            base = _ip(gram, mu, a)
+            nu = list(mu)
+            k = 1
+            while True:
+                for j in range(m):
+                    nu[j] += a[j]
+                mult = mults.get(dominant_representative(cartan, nu))
+                if mult is None:
+                    break
+                acc += mult * (base + k * na)
+                k += 1
+        shifted = tuple(x + 1 for x in mu)
+        denom = norm_top - _ip(gram, shifted, shifted)
+        mult, rem = divmod(2 * acc, denom)
+        if rem:
+            raise ArithmeticError("non-integral multiplicity; invalid Cartan data")
+        mults[tuple(mu)] = mult
+    return mults

@@ -711,6 +711,14 @@ def test_constructor_drops_cancelling_terms():
     assert CharPoly(1, [((1,), 2), ((1,), -2)]) == CharPoly.zero(1)
 
 
+@pytest.mark.parametrize("tag,lam", [("A2", (150, 150)), ("G2", (40, 40)), ("B3", (10, 10, 10))])
+def test_deep_weight_character_sums_to_its_dimension(tag, lam):
+    # root strings hundreds of weights deep: each string sum is memoised
+    # once, so these run in well under a second each
+    cd = cartan_from_tag(tag)
+    assert weight_multiplicities(cd, lam).evaluate_at_one() == dimension(cd, lam)
+
+
 def test_large_character_consistency():
     a2 = cartan_from_tag("A2")
     char = weight_multiplicities(a2, (16, 16))

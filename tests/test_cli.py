@@ -361,6 +361,42 @@ def test_char_exact_term_count_fires_before_freudenthal(capsys, monkeypatch, cap
     assert run(capsys, *argv) == (3, "", f"error[term-cap]: support exceeds cap {limit}\n")
 
 
+def _no_root_data(monkeypatch):
+    from flagrep import cartan
+
+    def fail(*args):
+        raise AssertionError("root data built before the weight was checked")
+
+    monkeypatch.setattr(cartan, "_positive_roots", fail)
+
+
+@pytest.mark.parametrize("command", ["char", "dim"])
+def test_weight_length_is_checked_before_a_large_tag_is_built(capsys, monkeypatch, command):
+    # A400 has 80,200 positive roots, which take tens of seconds to build
+    _no_root_data(monkeypatch)
+    expected = (2, "", "error[rank-mismatch]: weight length 1 for rank 400\n")
+    assert run(capsys, command, "A400", "1") == expected
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # group errors first, then the weight's text, then the cap, then its length
+        (["char", "A0", "x"], "invalid-group]: series A needs rank >= 1"),
+        (["dim", "G3", "x"], "invalid-group]: series G needs rank 2"),
+        (["dim", "Q400", "1"], "invalid-group]: unknown series 'Q'"),
+        (["char", "A400,1", "1"], "invalid-group]: cannot parse group tag 'A400,1'"),
+        (["char", "A400", "x", "--max-terms", "0"], "invalid-weight]: cannot parse weight 'x'"),
+        (["dim", "A400", "1,"], "invalid-weight]: cannot parse weight '1,'"),
+        (["char", "A400", "1", "--max-terms", "0"], "invalid-cap]: --max-terms must be positive, got 0"),
+        (["char", "B400", "1,1"], "rank-mismatch]: weight length 2 for rank 400"),
+    ],
+)
+def test_large_tag_errors_keep_their_precedence(capsys, monkeypatch, argv, expected):
+    _no_root_data(monkeypatch)
+    assert run(capsys, *argv) == (2, "", f"error[{expected}\n")
+
+
 @pytest.mark.parametrize("cap", ["-5", "0"])
 def test_char_rejects_non_positive_cap(capsys, cap):
     code, out, err = run(capsys, "char", "A1", "1", "--max-terms", cap)

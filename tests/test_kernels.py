@@ -1,10 +1,12 @@
-"""The pure kernels against independent oracles: breadth-first Weyl orbits
-and the Laurent product in ``tests/oracles.py``."""
+"""The pure kernels against independent oracles: breadth-first Weyl orbits,
+the Laurent product and the string-walking Freudenthal recursion in
+``tests/oracles.py``."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flagrep
 from flagrep import ResourceCapError, _kernels, cartan_from_tag, custom_cartan, weyl_orbit
@@ -162,3 +164,33 @@ def test_invariant_dominant_terms_counts_the_negative_side():
     assert _kernels.invariant_dominant_terms(a1, {(-1,): 1}) is None
     assert _kernels.invariant_dominant_terms(a1, {(1,): 1, (-1,): 1, (-3,): 1}) is None
     assert _kernels.invariant_dominant_terms(a1, {(1,): 2, (-1,): 2, (0,): 1}) == {(1,): 2, (0,): 1}
+
+
+FREUDENTHAL_GROUPS = [
+    cartan_from_tag(t) for t in "A1 A2 A3 A4 B2 B3 B4 C3 C4 D4 D5 G2".split()
+] + [
+    custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2"),
+    custom_cartan([[2, -1, 0, 0], [-3, 2, 0, 0], [0, 0, 2, -2], [0, 0, -1, 2]], label="G2xB2"),
+]
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_freudenthal_matches_string_walking_oracle(data):
+    cd = data.draw(st.sampled_from(FREUDENTHAL_GROUPS), label="group")
+    top = {1: 8, 2: 5, 3: 2}.get(cd.rank, 1)  # keeps the oracle's strings short
+    lam = tuple(data.draw(st.lists(st.integers(0, top), min_size=cd.rank, max_size=cd.rank)))
+    support = _dominant_support(cd, lam)
+    args = (cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support)
+    assert _kernels.freudenthal(*args) == oracles.freudenthal(*args)
+
+
+@pytest.mark.parametrize("tag,lam", [("A2", (2, 1)), ("B2", (1, 1))])
+def test_freudenthal_rejects_a_form_that_is_not_invariant(tag, lam):
+    # the identity is not the invariant form of A2 or B2: the recursion's
+    # division leaves a remainder in the kernel and in the oracle alike
+    cd = cartan_from_tag(tag)
+    args = (cd.cartan_matrix, ((1, 0), (0, 1)), cd.positive_roots, lam, _dominant_support(cd, lam))
+    for f in (_kernels.freudenthal, oracles.freudenthal):
+        with pytest.raises(ArithmeticError, match="non-integral multiplicity; invalid Cartan data"):
+            f(*args)
