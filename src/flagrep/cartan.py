@@ -10,7 +10,7 @@ value in this module is ever rounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -38,20 +38,37 @@ class CartanData:
     ``cartan_matrix`` rows are the simple roots in weight coordinates;
     ``symmetrizer`` holds the minimal positive integers d with
     C[i][j] * d[j] symmetric in (i, j), so that root i has squared length
-    2 * d[i] under the invariant form.  ``height_vector`` is an integer
-    vector h with h . w proportional to the root-coordinate sum of w; it
-    strictly refines the dominance order.  The last two fields derive
-    from ``cartan_matrix`` and take no part in comparison.
+    2 * d[i] under the invariant form.  These fields are what
+    ``custom_cartan`` checks, and all that comparison and hashing see.
+    The root data derives from ``cartan_matrix``: each part is built on
+    first read and kept, so a group whose roots no answer needs (a rank in
+    the hundreds has tens of thousands) costs only the check.
+    ``height_vector`` is an integer vector h with h . w proportional to
+    the root-coordinate sum of w; it strictly refines the dominance order.
     """
 
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
-    positive_roots: tuple[Weight, ...]
-    weyl_vector: Weight
     label: str
-    inverse_cartan: tuple[tuple[Fraction, ...], ...] = field(compare=False, repr=False)
-    height_vector: tuple[int, ...] = field(compare=False, repr=False)
+
+    @cached_property
+    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
+        return _invert(self.cartan_matrix)
+
+    @cached_property
+    def height_vector(self) -> tuple[int, ...]:
+        sums = [sum(row) for row in self.inverse_cartan]  # root-coordinate sums
+        scale = lcm(*[f.denominator for f in sums])
+        return tuple(int(f * scale) for f in sums)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Weight, ...]:
+        return _positive_roots(self.cartan_matrix, self.height_vector)
+
+    @property
+    def weyl_vector(self) -> Weight:
+        return (1,) * self.rank
 
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -183,6 +200,7 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
 
     The matrix must be a valid Cartan matrix of finite type (block-diagonal
     matrices of valid blocks are accepted, giving semisimple products).
+    Only the checks run here; the root data is built when first read.
     """
     try:
         rows = [list(row) for row in matrix]
@@ -196,20 +214,7 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
         raise InputError(
             "invalid-cartan", "Cartan matrix is not of finite type"
         )
-    inv = _invert(cartan)
-    sums = [sum(row) for row in inv]  # root-coordinate sums of the weights
-    scale = lcm(*[f.denominator for f in sums])
-    height = tuple(int(f * scale) for f in sums)
-    return CartanData(
-        rank=n,
-        cartan_matrix=cartan,
-        symmetrizer=d,
-        positive_roots=_positive_roots(cartan, height),
-        weyl_vector=(1,) * n,
-        label=label,
-        inverse_cartan=inv,
-        height_vector=height,
-    )
+    return CartanData(rank=n, cartan_matrix=cartan, symmetrizer=d, label=label)
 
 
 def _series_matrix(series: str, rank: int) -> list[list[int]]:
@@ -284,24 +289,15 @@ def cartan_from_tag(tag: str) -> CartanData:
     return builtin_cartan(*_parse_tag(tag))
 
 
-def tag_rank(tag: str) -> int:
-    """Rank of the group a tag names.  The tag and its Cartan matrix are
-    checked as ``cartan_from_tag`` checks them, but no root data is built,
-    which takes seconds at a rank in the hundreds."""
-    series, rank = _parse_tag(tag)
-    _series_matrix(series.upper(), rank)
-    return rank
-
-
 def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 
 
 def _check_length(cd: CartanData, w: Sequence[int]) -> Weight:
+    """``w`` as a tuple; raises ``rank-mismatch`` unless it has ``cd.rank``
+    coordinates."""
     if len(w) != cd.rank:
-        raise InputError(
-            "rank-mismatch", f"weight of length {len(w)} for rank {cd.rank}"
-        )
+        raise InputError("rank-mismatch", f"weight length {len(w)} for rank {cd.rank}")
     return tuple(w)
 
 

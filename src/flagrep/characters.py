@@ -35,7 +35,7 @@ from operator import add, mul, sub
 from typing import Callable, Iterator, Sequence, Union
 
 from . import _kernels
-from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, is_dominant
+from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, _check_length, is_dominant
 from .charpoly import CharPoly
 from .errors import InputError, ResourceCapError
 
@@ -108,15 +108,8 @@ class NotInOmega:
 DecomposeResult = Union[Certificate, NotInOmega]
 
 
-def check_weight_length(lam: Sequence[int], rank: int) -> None:
-    """Raise ``rank-mismatch`` unless ``lam`` has ``rank`` coordinates."""
-    if len(lam) != rank:
-        raise InputError("rank-mismatch", f"weight length {len(lam)} for rank {rank}")
-
-
 def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
-    lam = tuple(lam)
-    check_weight_length(lam, cd.rank)
+    lam = _check_length(cd, lam)
     if not is_dominant(lam):
         raise InputError("not-dominant", f"weight {lam} is not dominant")
     return lam

@@ -15,10 +15,9 @@ import argparse
 import functools
 import json
 import sys
-from typing import Callable
 
 from . import characters, realize
-from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan, tag_rank
+from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
 from .charpoly import parse as parse_poly
 from .charpoly import render
 from .errors import InputError, ResourceCapError
@@ -46,12 +45,11 @@ def _load_json_arg(arg: str):
         raise InputError("invalid-json", f"malformed JSON: {exc}") from None
 
 
-def _group_loader(args) -> tuple[int, Callable[[], CartanData]]:
-    """Check the group arguments; return the group's rank and a function
-    that returns the group.  A --group-matrix group is built here.  A tag
-    is checked here too, but its root data, which takes seconds at a rank
-    in the hundreds, is built only when the function is called, so that a
-    weight can be held to the rank first."""
+def _group_from_args(args) -> CartanData:
+    """The group a tag or --group-matrix names.  Its Cartan matrix is
+    checked here; its root data is built only when an answer reads it, so
+    a subcommand can hold its input to the rank first, even at a rank in
+    the hundreds, whose roots take seconds to build."""
     matrix_file = getattr(args, "group_matrix", None)
     tag = getattr(args, "group", None)
     if matrix_file is not None:
@@ -69,15 +67,10 @@ def _group_loader(args) -> tuple[int, Callable[[], CartanData]]:
             label = "custom"
         if not isinstance(data, list):
             raise InputError("invalid-cartan", "expected a JSON integer matrix")
-        cd = custom_cartan(data, label=label)
-        return cd.rank, lambda: cd
+        return custom_cartan(data, label=label)
     if tag is None:
         raise InputError("invalid-group", "a group tag or --group-matrix is required")
-    return tag_rank(tag), lambda: cartan_from_tag(tag)
-
-
-def _group_from_args(args) -> CartanData:
-    return _group_loader(args)[1]()
+    return cartan_from_tag(tag)
 
 
 def _positive_cap(value: int, flag: str) -> int:
@@ -111,19 +104,16 @@ def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
 
 
 def _cmd_char(args) -> int:
-    rank, group = _group_loader(args)
+    cd = _group_from_args(args)
     weight = _parse_weight(args.weight)
     max_terms = _positive_cap(args.max_terms, "--max-terms")
-    characters.check_weight_length(weight, rank)
-    print(render(characters.weight_multiplicities(group(), weight, max_terms)))
+    print(render(characters.weight_multiplicities(cd, weight, max_terms)))
     return EXIT_OK
 
 
 def _cmd_dim(args) -> int:
-    rank, group = _group_loader(args)
-    weight = _parse_weight(args.weight)
-    characters.check_weight_length(weight, rank)
-    print(characters.dimension(group(), weight))
+    cd = _group_from_args(args)
+    print(characters.dimension(cd, _parse_weight(args.weight)))
     return EXIT_OK
 
 

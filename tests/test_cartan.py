@@ -236,10 +236,21 @@ def test_inverse_cartan_is_exact():
 def test_cartan_matrix_is_inverted_once_per_build(monkeypatch):
     calls = []
     real = cartan._invert
+    real_roots = cartan._positive_roots
     monkeypatch.setattr(cartan, "_invert", lambda c: calls.append(c) or real(c))
+    monkeypatch.setattr(cartan, "_positive_roots", lambda *a: calls.append(a) or real_roots(*a))
     cd = custom_cartan([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], label="B3")
+    large = cartan_from_tag("A400")
+    # the root data is built on first read, not by construction
+    assert calls == []
+    same = custom_cartan(cd.cartan_matrix, label="B3")
+    assert cd == same and hash(cd) == hash(same)
+    assert large == custom_cartan(large.cartan_matrix, label="A400")
+    assert calls == []
     cd.inverse_cartan, cd.gram_scaled, cd.height_key((1, 0, 0))
     assert len(calls) == 1
+    cd.positive_roots, cd.positive_roots
+    assert len(calls) == 2
     # derived fields take no part in comparison or hashing
     assert cd == cartan_from_tag("B3") and hash(cd) == hash(cartan_from_tag("B3"))
 

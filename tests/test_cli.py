@@ -370,6 +370,59 @@ def _no_root_data(monkeypatch):
     monkeypatch.setattr(cartan, "_positive_roots", fail)
 
 
+_ONES_400 = ",".join(["1"] * 400)
+_RANK_CAP = (3, "", "error[rank-cap]: character rank cap is 8\n")
+
+# every subcommand that takes a group, on inputs that need none of A400's roots
+_GROUP_CASES = [
+    (["char", "A400", _ONES_400], _RANK_CAP),
+    (["char", "A9", "1,1,1,1,1,1,1,1,1"], _RANK_CAP),
+    (["dim", "A400", "1"], (2, "", "error[rank-mismatch]: weight length 1 for rank 400\n")),
+    (
+        ["realize", "A400", '{"n":2,"rows":[[1]]}'],
+        (2, "", "error[rank-mismatch]: hom rank 1 for group rank 400\n"),
+    ),
+    (
+        ["verify-theorem", "A400", "[[1],[-1]]"],
+        (2, "", "error[rank-mismatch]: weights rank 1 for group rank 400\n"),
+    ),
+    (["alpha", "A400", "w1"], (0, "y1\n", "")),
+    (["omega", "A400", "0"], (2, "", "error[invalid-dimension]: n must be a positive integer\n")),
+    (["omega", "A400", "65"], (3, "", "error[n-cap]: n=65 exceeds cap 64\n")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    _GROUP_CASES,
+    ids=[" ".join(a[:12] for a in argv) for argv, _ in _GROUP_CASES],
+)
+def test_group_subcommands_check_their_input_before_any_root_data(
+    capsys, monkeypatch, argv, expected
+):
+    # A400 has 80,200 positive roots, which take tens of seconds to build,
+    # and inverting its matrix alone takes seconds
+    from flagrep import cartan
+
+    def fail(*args):
+        raise AssertionError("Cartan matrix inverted before the input was checked")
+
+    _no_root_data(monkeypatch)
+    monkeypatch.setattr(cartan, "_invert", fail)
+    assert run(capsys, *argv) == expected
+
+
+def test_every_group_subcommand_has_a_root_data_case():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    takes_group = {
+        name
+        for name, sub in subparsers.choices.items()
+        if "--group-matrix" in sub._option_string_actions
+    }
+    assert takes_group == {argv[0] for argv, _ in _GROUP_CASES}
+
+
 @pytest.mark.parametrize("command", ["char", "dim"])
 def test_weight_length_is_checked_before_a_large_tag_is_built(capsys, monkeypatch, command):
     # A400 has 80,200 positive roots, which take tens of seconds to build
