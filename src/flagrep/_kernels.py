@@ -88,17 +88,23 @@ def weyl_orbit(cartan, w, cap):
 
 
 @lru_cache(maxsize=64)
+def gram_roots(gram, pos_roots):
+    """gram * a for each positive root a, built once per group: the table
+    of Freudenthal's string sums and of the Weyl dimension product."""
+    return [[sum(map(mul, row, a)) for row in gram] for a in pos_roots]
+
+
+@lru_cache(maxsize=64)
 def _root_tables(cartan, gram, pos_roots):
     """Per simple reflection s_i, the index of s_i(a) for each positive root
-    a (None for root i itself, which s_i makes negative); gram * a for each
-    positive root a; and the ``moved`` pairs of each s_i."""
+    a (None for root i itself, which s_i makes negative); ``gram_roots``;
+    and the ``moved`` pairs of each s_i."""
     index = {a: k for k, a in enumerate(pos_roots)}
     reflect = [
         [index.get(tuple(x - a[i] * c for x, c in zip(a, row))) for a in pos_roots]
         for i, row in enumerate(cartan)
     ]
-    gram_roots = [[sum(map(mul, row, a)) for row in gram] for a in pos_roots]
-    return reflect, gram_roots, _reflection_tables(cartan)[1]
+    return reflect, gram_roots(gram, pos_roots), _reflection_tables(cartan)[1]
 
 
 def freudenthal(cartan, gram, pos_roots, lam, support):

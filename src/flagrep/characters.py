@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from math import prod
 from operator import add, mul, sub
 from typing import Callable, Iterator, Sequence, Union
 
@@ -222,17 +223,22 @@ def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Wei
     )
 
 
+@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+def _weyl_denominator(cd: CartanData) -> int:
+    """The product of the scaled (rho, alpha) over the positive roots, each
+    the sum of alpha's row of ``gram_roots``, since rho is (1, ..., 1)."""
+    return prod(map(sum, _kernels.gram_roots(cd.gram_scaled, cd.positive_roots)))
+
+
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:
-    """Weyl product formula; exact, asserts integrality."""
+    """Weyl product formula; exact, asserts integrality.  The gram * alpha
+    table is Freudenthal's, built once per group."""
     lam = _require_dominant(cd, lam)
-    gram = cd.gram_scaled
     shifted = [x + 1 for x in lam]
-    num = den = 1
-    for alpha in cd.positive_roots:
-        g = [sum(map(mul, row, alpha)) for row in gram]  # gram * alpha
+    num = 1
+    for g in _kernels.gram_roots(cd.gram_scaled, cd.positive_roots):
         num *= sum(map(mul, shifted, g))  # (lam + rho, alpha), scaled
-        den *= sum(g)  # (rho, alpha), scaled
-    value, rem = divmod(num, den)
+    value, rem = divmod(num, _weyl_denominator(cd))
     if rem:
         raise ArithmeticError("dimension formula did not cancel to an integer")
     return value

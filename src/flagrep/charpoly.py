@@ -19,6 +19,14 @@ and are wrapped by ``CharPoly._trusted`` without being re-validated.  The
 term-dict format, its validation and its arithmetic are shared with
 ``schur.YPoly`` through one base class.
 
+``render`` (and ``schur.render_ypoly``) write through one writer,
+``_write``, column by column in blocks of ``_BLOCK`` terms: per block, the
+exponent columns of the variables that occur are mapped through per-variable
+factor texts and the rows joined, so no per-term Python loop runs and a
+variable absent from a block costs one slice and compare.  A unit coefficient is
+dropped by one text replacement, which is exact because no factor text holds
+a space.
+
 Text in the exact form ``render`` writes takes a one-pass reader that splits
 it on the term separators, ``*`` and ``^``; any other text takes the full
 recursive-descent parser, which alone reports errors.
@@ -29,6 +37,7 @@ from __future__ import annotations
 import re
 import sys
 from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
 from . import _kernels
@@ -218,46 +227,69 @@ class CharPoly(_TermDict):
 
 def render(p: CharPoly) -> str:
     """Canonical text form: reduced monomials, highest lattice point first."""
-    return _write(p.terms, [f"w{i + 1}" for i in range(p.rank)])
+    return _write(p.terms, "w", "rho")
 
 
-def _write(terms: Mapping[tuple[int, ...], int], names: list[str]) -> str:
-    """Text of a term dict over the variables ``names``, highest key first.
+#: Terms per block in ``_write``: the lists it makes for one block are this
+#: long (times the key length), whatever the answer's size.
+_BLOCK = 4096
 
-    One pass over the sorted keys: each key's rho shift (rho absorbs the
-    negative exponents, as in ``normalize``, so only a key with a negative
-    entry gets a rho factor), its factor text and its signed piece
-    " + body" or " - body"; the first piece's sign is fixed at the end.
+
+def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | None) -> str:
+    """Text of a term dict over ``prefix``1..``prefix``<n> and the relation
+    variable ``rho_name``, highest key first.
+
+    The sorted keys are written column by column, one block of ``_BLOCK``
+    terms at a time.  Per block: each key's rho shift (rho absorbs the
+    negative exponents, as in ``normalize``; without ``rho_name`` the keys
+    have none), the block's columns sliced from one flat list of its
+    entries, and per variable its column of exponents mapped through that
+    variable's factor texts ("" at 0, then "*w1", "*w1^2", ...; a dict
+    filled with the exponents met, so a large exponent costs one entry),
+    with a rho column of the shifts and a column of signed coefficients
+    (" + c" or " - |c|") in front; each row is joined, then the block.
+    Slicing makes no object per row (``zip(*block)`` makes an iterator per
+    key, enough to set off full garbage-collector passes over a large
+    answer's keys).  Only a live column, one with a nonzero exponent, gets
+    a name and a factor table, so wide keys cost one slice compare per
+    variable.
+
+    A unit coefficient is dropped by replacing " + 1*" with " + " and
+    " - 1*" with " - ": no factor text holds a space, and a coefficient is
+    followed by "*" only when a factor follows, so " + 11*", " + 1 + " and
+    a constant 1 stay.  The first block's leading " + " is dropped, and its
+    " - " becomes "-".
     """
     if not terms:
         return "0"
-    # exponent -> factor text, per variable; rho is the last variable
-    powers = [{1: name} for name in names] + [{1: "rho"}]
-    pieces = []
-    for w in sorted(terms, reverse=True):
-        low = min(w)
-        shift = -low if low < 0 else 0
-        factors = []
-        for power, x in zip(powers, w + (0,)):
-            e = x + shift
-            if e:
-                text = power.get(e)
-                if text is None:
-                    text = power[e] = f"{power[1]}^{e}"
-                factors.append(text)
-        mono = "*".join(factors)
-        c = terms[w]
-        mag = c if c > 0 else -c
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        pieces.append((" + " if c > 0 else " - ") + body)
-    first = pieces[0]
-    pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(pieces)
+    keys = sorted(terms, reverse=True)
+    n = len(keys[0])
+    tables = {}  # variable index (n for rho) -> {exponent: factor text}
+    blocks = []
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        coeffs = list(map(terms.__getitem__, block))
+        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(coeffs)}
+        shifts = [0] * len(block) if rho_name is None else [-x if x < 0 else 0 for x in map(min, block)]
+        dead = [-s for s in shifts]  # a column whose shifted exponents are all 0
+        shifted = any(shifts)
+        flat = list(chain.from_iterable(block))  # column i of the block is flat[i::n]
+        live = [i for i in range(n) if flat[i::n] != dead]
+        columns = [(i, list(map(add, flat[i::n], shifts)) if shifted else flat[i::n]) for i in live]
+        if shifted:
+            columns.append((n, shifts))
+        texts = [map(signed.__getitem__, coeffs)]
+        for i, exps in columns:
+            table = tables.get(i)
+            if table is None:
+                table = tables[i] = {0: "", 1: "*" + (rho_name if i == n else f"{prefix}{i + 1}")}
+            for e in set(exps).difference(table):
+                table[e] = f"{table[1]}^{e}"
+            texts.append(map(table.__getitem__, exps))
+        blocks.append("".join(map("".join, zip(*texts))).replace(" + 1*", " + ").replace(" - 1*", " - "))
+    first = blocks[0]
+    blocks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(blocks)
 
 
 _TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+[0-9]*)|(\^)|(\*)|(\+)|(-))")

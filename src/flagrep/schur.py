@@ -79,7 +79,7 @@ class YPoly(_TermDict):
 
 
 def render_ypoly(q: YPoly) -> str:
-    return _write(q.terms, [f"y{i + 1}" for i in range(q.nvars)])
+    return _write(q.terms, "y", None)
 
 
 def parse_ypoly(text: str, nvars: int) -> YPoly:

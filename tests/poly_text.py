@@ -57,3 +57,17 @@ def texts(prefix, nvars, rho, rendered):
     """Text over ``prefix``1..``prefix``<nvars> (and ``rho``, if given):
     ``rendered`` (a strategy for render output) or token soup."""
     return st.one_of(rendered, _soup(prefix, nvars, rho))
+
+
+#: Block lengths for the writer: a block boundary after every term, every
+#: second and every third.
+SMALL_BLOCKS = (1, 2, 3)
+
+#: Coefficients whose text the unit rule must leave alone, with +-1 itself:
+#: each begins with "1" or ends in it.
+UNIT_EDGES = [s * c for c in (1, *range(10, 20), 21, 100, 101) for s in (1, -1)]
+
+
+def coefficients():
+    """Nonzero coefficients for the writer tests, most from ``UNIT_EDGES``."""
+    return st.one_of(st.sampled_from(UNIT_EDGES), st.integers(-10**3, 10**3).filter(bool))

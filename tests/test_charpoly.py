@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagrep import InputError, cartan_from_tag, weight_multiplicities
+from flagrep import InputError, cartan_from_tag, charpoly, weight_multiplicities
 from flagrep.charpoly import (
     CharPoly,
     NormalMonomial,
@@ -246,6 +246,42 @@ def test_render_matches_two_pass_oracle_on_characters():
         p = weight_multiplicities(cartan_from_tag(tag), lam)
         for q in (p, -p, p * 3 - CharPoly.one(p.rank) * 5):
             assert render(q) == oracles.render_polynomial(q)
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+@settings(max_examples=150)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rank: st.tuples(
+            st.dictionaries(weights(rank, -12, 12), poly_text.coefficients(), max_size=8),
+            poly_text.coefficients(),
+        ).map(lambda t: CharPoly(rank, {**t[0], (0,) * rank: t[1]}))
+    )
+)
+def test_render_matches_two_pass_oracle_across_blocks(block, p):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charpoly, "_BLOCK", block)
+        assert render(p) == oracles.render_polynomial(p)
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+def test_render_matches_two_pass_oracle_on_characters_across_blocks(block):
+    for tag, lam in [("B3", (1, 1, 1)), ("G2", (2, 1)), ("A1", (7,))]:
+        p = weight_multiplicities(cartan_from_tag(tag), lam)
+        cases = [p, -p, p * 3 - CharPoly.one(p.rank) * 5]
+        cases += [CharPoly(p.rank, {w: c for w, c in zip(p.terms, itertools.cycle(poly_text.UNIT_EDGES))})]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(charpoly, "_BLOCK", block)
+            for q in cases:
+                assert render(q) == oracles.render_polynomial(q)
+
+
+def test_render_keeps_coefficients_that_begin_or_end_in_one():
+    p = CharPoly(1, {(3,): 1, (2,): 11, (1,): -1, (0,): 1, (-1,): -101, (-2,): 21, (-3,): 10})
+    assert render(p) == "w1^3 + 11*w1^2 - w1 + 1 - 101*rho + 21*rho^2 + 10*rho^3"
+    assert render(CharPoly(2, {(0, 0): -1})) == "-1"
+    assert render(CharPoly(2, {(0, 0): 11, (1, 0): -1})) == "-w1 + 11"
+    assert render(CharPoly(2, {(0, -1): -1, (-1, -1): -11})) == "-w1*rho - 11*rho"
 
 
 def test_parse_examples():

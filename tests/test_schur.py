@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -10,6 +11,7 @@ from flagrep import (
     alpha,
     alpha_inverse,
     cartan_from_tag,
+    charpoly,
     decompose,
     dimension,
     parse_partition,
@@ -415,6 +417,39 @@ def ypolys(draw):
 @given(ypolys())
 def test_render_ypoly_matches_two_pass_oracle(q):
     assert render_ypoly(q) == oracle_render_ypoly(q)
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(st.tuples(*[st.integers(-3, 4)] * n), poly_text.coefficients()), max_size=8),
+            poly_text.coefficients(),
+        ).map(lambda t: YPoly(n, [*t[0], ((0,) * n, t[1])]))
+    )
+)
+def test_render_ypoly_matches_two_pass_oracle_across_blocks(block, q):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charpoly, "_BLOCK", block)
+        assert render_ypoly(q) == oracle_render_ypoly(q)
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+def test_render_ypoly_matches_two_pass_oracle_on_schur_across_blocks(block):
+    cases = [schur(mu, m) for mu, m in [((2, 1), 3), ((3, 1, 1), 4), ((4, 2), 5)]]
+    cases.append(YPoly(5, zip(cases[-1].terms, itertools.cycle(poly_text.UNIT_EDGES))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(charpoly, "_BLOCK", block)
+        for q in cases:
+            assert render_ypoly(q) == oracle_render_ypoly(q)
+
+
+def test_render_ypoly_matches_two_pass_oracle_on_wide_keys():
+    m = 1000
+    q = YPoly(m, {(0,) * 3 + (2,) + (0,) * 500 + (1,) + (0,) * (m - 505): -3, (0,) * (m - 1) + (5,): 1, (0,) * m: 11})
+    assert render_ypoly(q) == oracle_render_ypoly(q) == "-3*y4^2*y505 + y1000^5 + 11"
+    assert render_ypoly(schur((0,), 10**5)) == "1"
 
 
 def test_render_ypoly_matches_two_pass_oracle_on_schur_and_edge_cases():
