@@ -10,9 +10,12 @@ Conventions used by every function here:
 * ``gram`` is an integer matrix proportional to the invariant inner product
   on weight coordinates (a common positive scale is irrelevant because the
   recursion only uses ratios).
+* Per-group tables come from the caller: ``freudenthal`` reads the positive
+  roots and the tables it walks them by from
+  ``CartanData.freudenthal_tables``, built once per group.  No kernel keeps
+  a cache.
 """
 
-from functools import lru_cache
 from itertools import repeat
 from operator import add, mul
 
@@ -87,32 +90,15 @@ def weyl_orbit(cartan, w, cap):
     return _orbit_walk(top, *_reflection_tables(cartan), cap)
 
 
-@lru_cache(maxsize=64)
-def gram_roots(gram, pos_roots):
-    """gram * a for each positive root a, built once per group: the table
-    of Freudenthal's string sums and of the Weyl dimension product."""
-    return [[sum(map(mul, row, a)) for row in gram] for a in pos_roots]
-
-
-@lru_cache(maxsize=64)
-def _root_tables(cartan, gram, pos_roots):
-    """Per simple reflection s_i, the index of s_i(a) for each positive root
-    a (None for root i itself, which s_i makes negative); ``gram_roots``;
-    and the ``moved`` pairs of each s_i."""
-    index = {a: k for k, a in enumerate(pos_roots)}
-    reflect = [
-        [index.get(tuple(x - a[i] * c for x, c in zip(a, row))) for a in pos_roots]
-        for i, row in enumerate(cartan)
-    ]
-    return reflect, gram_roots(gram, pos_roots), _reflection_tables(cartan)[1]
-
-
-def freudenthal(cartan, gram, pos_roots, lam, support):
+def freudenthal(gram, tables, lam, support):
     """Multiplicities of the dominant weights of the highest-weight module.
 
     ``support`` must list the dominant weights of the module sorted by
     increasing depth below ``lam`` (the first entry is ``lam`` itself).
-    Returns a dict mapping each of them to its multiplicity.
+    Returns a dict mapping each of them to its multiplicity.  ``tables``
+    holds the positive roots; per simple reflection s_i, the index of the
+    image of each root (None for root i); per root g, the row ``gram`` * g;
+    and the ``moved`` pairs of each s_i (``CartanData.freudenthal_tables``).
 
     Freudenthal's sum for mu is the sum over positive roots a of the string
     sums S(mu + a, a), where S(v, g) = sum over k >= 0 of
@@ -130,12 +116,12 @@ def freudenthal(cartan, gram, pos_roots, lam, support):
     > 0 for v = mu + g, and each step leaves (v, g) as it was.
     """
     m = len(lam)
-    reflect, gram_roots, moved = _root_tables(cartan, gram, pos_roots)
+    pos_roots, reflect, rows, moved = tables
     lam = tuple(lam)
     top = tuple(x + 1 for x in lam)
     norm_top = sum(map(mul, top, [sum(map(mul, row, top)) for row in gram]))
     mults = {lam: 1}
-    sums = {lam: [sum(map(mul, lam, g)) for g in gram_roots]}  # sums[d][k] = S(d, root k)
+    sums = {lam: [sum(map(mul, lam, g)) for g in rows]}  # sums[d][k] = S(d, root k)
     get = sums.get
     for mu in support[1:]:
         above = []  # S(mu + a, a) for each positive root a
@@ -161,7 +147,7 @@ def freudenthal(cartan, gram, pos_roots, lam, support):
             raise ArithmeticError("non-integral multiplicity; invalid Cartan data")
         mu = tuple(mu)
         mults[mu] = mult
-        sums[mu] = [s + mult * sum(map(mul, mu, g)) for s, g in zip(above, gram_roots)]
+        sums[mu] = [s + mult * sum(map(mul, mu, g)) for s, g in zip(above, rows)]
     return mults
 
 

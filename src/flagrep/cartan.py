@@ -2,9 +2,15 @@
 
 A weight is a tuple of integers: its coefficients on the fundamental
 dominant weights w1..wm.  Simple root i is row i of the Cartan matrix, so
-every reflection, orbit and inner-product computation happens in this one
-coordinate system.  All arithmetic is exact (integers and rationals); no
-value in this module is ever rounded.
+every reflection and orbit is computed in this one coordinate system.  A
+positive root also carries its simple-root coordinates c, found in the
+walk that finds the roots.  Its height is the sum of c, its support is
+where c is nonzero, and its inner product with a weight w is
+sum_i w_i * d_i * c_i, since (w_i, root j) = d_j if i == j and 0 otherwise
+(Humphreys, Introduction to Lie Algebras and Representation Theory, 24.3).
+So the root strata, the Weyl product and Freudenthal's tables are read off
+c, with no inverse matrix.  All arithmetic is exact (integers and
+rationals); no value in this module is ever rounded.
 """
 
 from __future__ import annotations
@@ -13,8 +19,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
-from operator import mul
+from itertools import compress, count, islice
+from math import gcd, lcm, prod
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import _kernels
@@ -43,8 +50,11 @@ class CartanData:
     The root data derives from ``cartan_matrix``: each part is built on
     first read and kept, so a group whose roots no answer needs (a rank in
     the hundreds has tens of thousands) costs only the check.
-    ``height_vector`` is an integer vector h with h . w proportional to
-    the root-coordinate sum of w; it strictly refines the dominance order.
+    ``positive_roots`` and ``root_coordinates`` list each positive root in
+    weight and in simple-root coordinates; neither needs the inverse
+    matrix.  ``height_vector`` is an integer vector h with h . w
+    proportional to the root-coordinate sum of any weight w; it strictly
+    refines the dominance order.
     """
 
     rank: int
@@ -63,8 +73,51 @@ class CartanData:
         return tuple(int(f * scale) for f in sums)
 
     @cached_property
+    def _roots(self) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
+        return _positive_roots(self.cartan_matrix)
+
+    @property
     def positive_roots(self) -> tuple[Weight, ...]:
-        return _positive_roots(self.cartan_matrix, self.height_vector)
+        return self._roots[0]
+
+    @property
+    def root_coordinates(self) -> tuple[bytes, ...]:
+        """Simple-root coordinates c of each positive root, in the order of
+        ``positive_roots``, each as bytes: in finite type no coordinate of a
+        root exceeds 6, the largest of E8's highest root."""
+        return self._roots[1]
+
+    @cached_property
+    def root_strata(self) -> tuple[tuple[int, int], ...]:
+        """Per positive root: its support on the simple roots, as a bit
+        mask, and its height."""
+        bits = [1 << i for i in range(self.rank)]
+        return tuple((sum(compress(bits, c)), sum(c)) for c in self.root_coordinates)
+
+    def weyl_product(self, w: Sequence[int]) -> int:
+        """The product of (w, a) over the positive roots a, each the sum of
+        w_i * d_i * c_i over a's simple-root coordinates c."""
+        wd = list(map(mul, w, self.symmetrizer))
+        return prod(sum(map(mul, wd, c)) for c in self.root_coordinates)
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        return self.weyl_product(self.weyl_vector)
+
+    @cached_property
+    def freudenthal_tables(self):
+        """What ``_kernels.freudenthal`` reads of the positive roots: the
+        roots; per simple reflection s_i, the index of s_i(a) for each root a
+        (a itself when a_i = 0, and None for root i, which s_i makes
+        negative); per root, the row ``gram_scaled`` * a, which is
+        scale * c_i * d_i; and the ``moved`` pairs of each s_i."""
+        index = {a: k for k, a in enumerate(self.positive_roots)}
+        reflect = [
+            [index.get(tuple(map(sub, a, map(a[i].__mul__, row)))) if a[i] else k for a, k in index.items()]
+            for i, row in enumerate(self.cartan_matrix)
+        ]
+        rows = [[self._gram_scale * d * x for d, x in zip(self.symmetrizer, c)] for c in self.root_coordinates]
+        return self.positive_roots, reflect, rows, _kernels._reflection_tables(self.cartan_matrix)[1]
 
     @property
     def weyl_vector(self) -> Weight:
@@ -81,11 +134,14 @@ class CartanData:
         )
 
     @cached_property
+    def _gram_scale(self) -> int:
+        return lcm(*[f.denominator for row in self.gram for f in row])
+
+    @cached_property
     def gram_scaled(self) -> tuple[tuple[int, ...], ...]:
         """gram cleared of denominators; kernels only ever use ratios."""
-        scale = lcm(*[f.denominator for row in self.gram for f in row])
         return tuple(
-            tuple(int(f * scale) for f in row) for row in self.gram
+            tuple(int(f * self._gram_scale) for f in row) for row in self.gram
         )
 
     def height_key(self, w: Weight) -> int:
@@ -183,16 +239,33 @@ def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
     return True
 
 
-def _positive_roots(cartan, height: tuple[int, ...]) -> tuple[Weight, ...]:
-    """Positive roots sorted by (height, weight); a root's root coordinates
-    have one sign, so the sign of its height tells which it is."""
-    simple = [tuple(row) for row in cartan]
-    roots = set(_kernels.weyl_orbit(cartan, simple[0], ORBIT_CAP))
-    for s in simple[1:]:
-        if s not in roots:  # an orbit already found holds all of its roots
-            roots.update(_kernels.weyl_orbit(cartan, s, ORBIT_CAP))
-    positive = sorted((h, r) for r in roots if (h := sum(map(mul, r, height))) > 0)
-    return tuple(r for _, r in positive)
+def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
+    """Positive roots sorted by (height, weight), and their simple-root
+    coordinates c.
+
+    s_j changes c_j alone, by -u_j.  Simple root i is reflected up to the
+    dominant root of its orbit, c with it, and the orbit is walked down from
+    there.  The walk lists the parent s_j(u) of u before u, for j u's first
+    negative index, and the parent of a positive root is positive: its c_j
+    is larger and the rest is the same.  So c is kept for the positive roots
+    alone, and u is positive exactly when its parent is and c_j stays
+    non-negative, since the coordinates of a root have one sign.
+    """
+    coords: dict[Weight, bytes] = {}
+    for i, simple in enumerate(cartan):
+        if simple not in coords:  # an orbit already walked holds all of its roots
+            v, c = list(simple), [int(j == i) for j in range(len(cartan))]
+            while (j := next(compress(count(), map((0).__gt__, v)), None)) is not None:
+                c[j] -= v[j]
+                v = list(map(sub, v, map(v[j].__mul__, cartan[j])))
+            orbit = _kernels.weyl_orbit(cartan, tuple(v), ORBIT_CAP)
+            coords[orbit[0]] = bytes(c)
+            for u in islice(orbit, 1, None):
+                j = next(compress(count(), map((0).__gt__, u)))  # u's first negative index
+                up = coords.get(tuple(map(sub, u, map(u[j].__mul__, cartan[j]))))
+                if up is not None and up[j] + u[j] >= 0:
+                    coords[u] = up[:j] + bytes((up[j] + u[j],)) + up[j + 1:]
+    return tuple(zip(*sorted(coords.items(), key=lambda rc: (sum(rc[1]), rc[0]))))
 
 
 def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> CartanData:

@@ -31,12 +31,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import prod
-from operator import add, mul, sub
+from operator import add
 from typing import Callable, Iterator, Sequence, Union
 
 from . import _kernels
-from .cartan import BUILTIN_CACHE_SIZE, CartanData, Weight, _check_length, is_dominant
+from .cartan import CartanData, Weight, _check_length, is_dominant
 from .charpoly import CharPoly
 from .errors import InputError, ResourceCapError
 
@@ -147,25 +146,6 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
     return sorted(seen, key=lambda mu: (-cd.height_key(mu), mu))
 
 
-@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
-def _root_strata(cd: CartanData) -> tuple[tuple[int, int], ...]:
-    """Per positive root: its support on the simple roots, as a bit mask,
-    and its height.  A positive root that is not simple is a simple root
-    plus a positive root of height one less, which comes before it."""
-    simple = {row: i for i, row in enumerate(cd.cartan_matrix)}
-    strata: dict[Weight, tuple[int, int]] = {}
-    for root in cd.positive_roots:
-        if root in simple:
-            strata[root] = (1 << simple[root], 1)
-            continue
-        for row, i in simple.items():
-            below = strata.get(tuple(map(sub, root, row)))
-            if below is not None:
-                strata[root] = (below[0] | 1 << i, below[1] + 1)
-                break
-    return tuple(strata.values())
-
-
 def _parabolic_order(strata: tuple[tuple[int, int], ...], allowed: int) -> int:
     """Order of the subgroup of W generated by the simple reflections in the
     bit mask ``allowed``: the product of (m + 1) over its exponents m, which
@@ -182,7 +162,7 @@ def _parabolic_order(strata: tuple[tuple[int, int], ...], allowed: int) -> int:
 def _orbit_size(cd: CartanData, nonzero: tuple[bool, ...]) -> int:
     """|W| / |W_mu| for a dominant mu with this nonzero pattern: W_mu is
     generated by the simple reflections at the zero coordinates of mu."""
-    strata = _root_strata(cd)
+    strata = cd.root_strata
     fixing = sum(1 << i for i, x in enumerate(nonzero) if not x)
     return _parabolic_order(strata, (1 << cd.rank) - 1) // _parabolic_order(strata, fixing)
 
@@ -218,27 +198,16 @@ def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Wei
     if 1 + sum(lam) > max_terms:
         raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
     support = _dominant_support(cd, lam, max_terms)
-    return _kernels.freudenthal(
-        cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
-    )
-
-
-@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
-def _weyl_denominator(cd: CartanData) -> int:
-    """The product of the scaled (rho, alpha) over the positive roots, each
-    the sum of alpha's row of ``gram_roots``, since rho is (1, ..., 1)."""
-    return prod(map(sum, _kernels.gram_roots(cd.gram_scaled, cd.positive_roots)))
+    return _kernels.freudenthal(cd.gram_scaled, cd.freudenthal_tables, lam, support)
 
 
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:
-    """Weyl product formula; exact, asserts integrality.  The gram * alpha
-    table is Freudenthal's, built once per group."""
+    """Weyl product formula: the product over the positive roots a of
+    (lam + rho, a) / (rho, a), each inner product read off a's simple-root
+    coordinates (``CartanData.weyl_product``), with no inverse matrix.
+    Exact; asserts integrality."""
     lam = _require_dominant(cd, lam)
-    shifted = [x + 1 for x in lam]
-    num = 1
-    for g in _kernels.gram_roots(cd.gram_scaled, cd.positive_roots):
-        num *= sum(map(mul, shifted, g))  # (lam + rho, alpha), scaled
-    value, rem = divmod(num, _weyl_denominator(cd))
+    value, rem = divmod(cd.weyl_product([x + 1 for x in lam]), cd.weyl_denominator)
     if rem:
         raise ArithmeticError("dimension formula did not cancel to an integer")
     return value
@@ -343,19 +312,43 @@ def is_in_omega_n(cd: CartanData, p: CharPoly, n: int, max_terms: int = TERM_CAP
     return decompose(cd, p, max_terms)
 
 
+def _component_ranks(cartan) -> list[int]:
+    """Per node, the rank of its simple component: the connected part of
+    the Dynkin diagram, where i and j are joined when cartan[i][j] != 0."""
+    ranks = [0] * len(cartan)
+    for start in range(len(cartan)):
+        if ranks[start]:  # already in a component found
+            continue
+        part, stack = {start}, [start]
+        while stack:
+            for j, a in enumerate(cartan[stack.pop()]):
+                if a and j not in part:
+                    part.add(j)
+                    stack.append(j)
+        for i in part:
+            ranks[i] = len(part)
+    return ranks
+
+
 def dominant_weights_up_to_dim(cd: CartanData, bound: int) -> list[tuple[Weight, int]]:
     """All (dominant weight, dimension) pairs with dimension <= bound.
 
-    Complete because the dimension strictly increases in every coordinate.
-    Sorted by descending (dimension, weight).
+    Complete because the dimension strictly increases in every coordinate,
+    and because a weight that is nonzero on a simple component of rank r
+    has dimension at least r + 1: the factor acts faithfully, so the
+    module's weights span rank r, and they sum to zero.  So the walk steps
+    only along the coordinates of components with r + 1 <= bound, and
+    builds no root data when there are none.  Sorted by descending
+    (dimension, weight).
     """
+    steps = [i for i, r in enumerate(_component_ranks(cd.cartan_matrix)) if r < bound]
     zero = (0,) * cd.rank
     out = {zero: 1}
     frontier = [zero]
     while frontier:
         nxt = []
         for lam in frontier:
-            for i in range(cd.rank):
+            for i in steps:
                 child = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
                 if child in out:
                     continue

@@ -632,7 +632,7 @@ def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
     characters._dominant_character.cache_clear()
     calls = []
     freudenthal = _kernels.freudenthal
-    monkeypatch.setattr(_kernels, "freudenthal", lambda *a: calls.append(a[3]) or freudenthal(*a))
+    monkeypatch.setattr(_kernels, "freudenthal", lambda *a: calls.append(a[2]) or freudenthal(*a))
     b2 = cartan_from_tag("B2")
     # V(1,0) (x) V(0,1) = V(1,1) + V(0,1): decompose reads (0, 1), which
     # weight_multiplicities computed, and then weight_multiplicities reads

@@ -389,6 +389,8 @@ _GROUP_CASES = [
     (["alpha", "A400", "w1"], (0, "y1\n", "")),
     (["omega", "A400", "0"], (2, "", "error[invalid-dimension]: n must be a positive integer\n")),
     (["omega", "A400", "65"], (3, "", "error[n-cap]: n=65 exceeds cap 64\n")),
+    # every nonzero weight of A400 has dimension at least 401
+    (["omega", "A400", "2"], (0, f"2*V({','.join(['0'] * 400)})\n", "")),
 ]
 
 

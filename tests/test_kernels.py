@@ -21,8 +21,7 @@ KERNELS = [pytest.param(_kernels, id="flagrep._kernels_py")]
 
 def freudenthal_inputs(tag, lam):
     cd = cartan_from_tag(tag)
-    support = _dominant_support(cd, lam)
-    return cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support
+    return cd.gram_scaled, cd.freudenthal_tables, lam, _dominant_support(cd, lam)
 
 
 def test_poly_mul_matches_laurent_oracle():
@@ -110,8 +109,8 @@ def test_weyl_orbit_cap_counts_the_dominant_weight():
     "tag,lam", [("A3", (1, 2, 1)), ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("D4", (1, 0, 1, 1)), ("G2", (2, 3))]
 )
 def test_orbit_terms_matches_breadth_first_oracle(backend, tag, lam):
-    cartan, gram, roots, lam, support = freudenthal_inputs(tag, lam)
-    dom = backend.freudenthal(cartan, gram, roots, lam, support)
+    cartan = cartan_from_tag(tag).cartan_matrix
+    dom = backend.freudenthal(*freudenthal_inputs(tag, lam))
     expected = {}
     for mu, mult in dom.items():
         expected.update(dict.fromkeys(oracles.bfs_weyl_orbit(cartan, mu, 10**6), mult))
@@ -181,16 +180,24 @@ def test_freudenthal_matches_string_walking_oracle(data):
     top = {1: 8, 2: 5, 3: 2}.get(cd.rank, 1)  # keeps the oracle's strings short
     lam = tuple(data.draw(st.lists(st.integers(0, top), min_size=cd.rank, max_size=cd.rank)))
     support = _dominant_support(cd, lam)
-    args = (cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support)
-    assert _kernels.freudenthal(*args) == oracles.freudenthal(*args)
+    assert _kernels.freudenthal(cd.gram_scaled, cd.freudenthal_tables, lam, support) == (
+        oracles.freudenthal(cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support)
+    )
 
 
 @pytest.mark.parametrize("tag,lam", [("A2", (2, 1)), ("B2", (1, 1))])
 def test_freudenthal_rejects_a_form_that_is_not_invariant(tag, lam):
     # the identity is not the invariant form of A2 or B2: the recursion's
-    # division leaves a remainder in the kernel and in the oracle alike
+    # division leaves a remainder in the kernel and in the oracle alike;
+    # the kernel's string-sum rows are identity * a, the roots themselves
     cd = cartan_from_tag(tag)
-    args = (cd.cartan_matrix, ((1, 0), (0, 1)), cd.positive_roots, lam, _dominant_support(cd, lam))
-    for f in (_kernels.freudenthal, oracles.freudenthal):
+    identity = ((1, 0), (0, 1))
+    support = _dominant_support(cd, lam)
+    roots, reflect, _, moved = cd.freudenthal_tables
+    calls = [
+        lambda: _kernels.freudenthal(identity, (roots, reflect, roots, moved), lam, support),
+        lambda: oracles.freudenthal(cd.cartan_matrix, identity, roots, lam, support),
+    ]
+    for call in calls:
         with pytest.raises(ArithmeticError, match="non-integral multiplicity; invalid Cartan data"):
-            f(*args)
+            call()

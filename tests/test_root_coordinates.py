@@ -1,0 +1,137 @@
+"""Root data read off simple-root coordinates, against independent oracles:
+exact elimination for the coordinates, breadth-first orbits for the roots
+and the orbit sizes, and the Weyl product in rationals for dimensions."""
+
+import itertools
+from operator import mul
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagrep import cartan, cartan_from_tag, custom_cartan
+from flagrep.characters import _orbit_size, dimension, dominant_weights_up_to_dim
+
+import oracles
+
+TAGS = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(3, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["G2"]
+)
+
+
+def block_diagonal(tags, order=None):
+    """The Cartan matrix of the product of these groups, its nodes
+    listed in ``order``."""
+    blocks = [cartan_from_tag(t).cartan_matrix for t in tags]
+    n = sum(map(len, blocks))
+    full = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            full[start + i][start:start + len(block)] = row
+        start += len(block)
+    order = range(n) if order is None else order
+    return custom_cartan([[full[i][j] for j in order] for i in order], label="x".join(tags))
+
+
+def oracle_positive_roots(cd):
+    """Positive roots from breadth-first orbits of the simple roots, sorted
+    by (height, root), with heights from exact elimination."""
+    roots = set()
+    for row in cd.cartan_matrix:
+        roots |= oracles.bfs_weyl_orbit(cd.cartan_matrix, row, 10**6)
+    keyed = [(h, r) for r in roots if (h := sum(oracles._root_coordinates(cd.cartan_matrix, r))) > 0]
+    return tuple(r for _, r in sorted(keyed))
+
+
+def check_root_data(cd):
+    roots = cd.positive_roots
+    assert roots == oracle_positive_roots(cd)
+    for a, c in zip(roots, cd.root_coordinates):
+        assert list(c) == oracles._root_coordinates(cd.cartan_matrix, a), a
+    # Freudenthal's rows are gram * a, and s_i(a) is indexed among the roots
+    table_roots, reflect, rows, _ = cd.freudenthal_tables
+    assert table_roots == roots
+    assert rows == [[sum(map(mul, g, a)) for g in cd.gram_scaled] for a in roots]
+    for i, row in enumerate(cd.cartan_matrix):
+        for a, k in zip(roots, reflect[i]):
+            image = tuple(x - a[i] * y for x, y in zip(a, row))
+            assert k == (roots.index(image) if image in roots else None)
+    n = cd.rank
+    for lam in [(0,) * n, (1,) * n, tuple(range(n)), tuple(i * 5 % 3 for i in range(n))]:
+        assert dimension(cd, lam) == oracles.fraction_dimension(cd, lam), lam
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_root_data_matches_oracles(tag):
+    check_root_data(cartan_from_tag(tag))
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    tags=st.lists(st.sampled_from(TAGS), min_size=2, max_size=3).filter(
+        lambda tags: sum(int(t[1:]) for t in tags) <= 8
+    ),
+    data=st.data(),
+)
+def test_root_data_of_products_matches_oracles(tags, data):
+    order = data.draw(st.permutations(range(sum(int(t[1:]) for t in tags))), label="order")
+    check_root_data(block_diagonal(tags, order))
+
+
+SMALL = [cartan_from_tag(t) for t in TAGS if int(t[1:]) <= 4] + [
+    block_diagonal(["A1", "A2"]),
+    block_diagonal(["G2", "A1"], order=[2, 0, 1]),
+    block_diagonal(["A1", "A1", "B2"]),
+]
+
+
+@pytest.mark.parametrize("cd", SMALL, ids=lambda cd: cd.label)
+def test_orbit_size_matches_breadth_first_orbits(cd):
+    for pattern in itertools.product((False, True), repeat=cd.rank):
+        mu = tuple(map(int, pattern))
+        assert _orbit_size(cd, pattern) == len(oracles.bfs_weyl_orbit(cd.cartan_matrix, mu, 10**6)), mu
+
+
+def test_roots_and_dimension_need_no_inverse(monkeypatch):
+    calls = []
+    real = cartan._invert
+    monkeypatch.setattr(cartan, "_invert", lambda m: calls.append(m) or real(m))
+    cd = custom_cartan(cartan_from_tag("B5").cartan_matrix, label="B5")  # not memoised
+    assert len(cd.positive_roots) == 25
+    assert dimension(cd, (1, 0, 0, 0, 0)) == 11
+    assert dimension(cd, (1, 1, 1, 1, 1)) == 2**25
+    assert calls == []
+
+
+def every_coordinate_walk(cd, bound):
+    """Dominant weights of dimension <= bound, found by stepping along
+    every coordinate, however large its component."""
+    out = {(0,) * cd.rank: 1}
+    frontier = list(out)
+    while frontier:
+        below = []
+        for lam in frontier:
+            for i in range(cd.rank):
+                child = lam[:i] + (lam[i] + 1,) + lam[i + 1:]
+                if child not in out and (d := dimension(cd, child)) <= bound:
+                    out[child] = d
+                    below.append(child)
+        frontier = below
+    return sorted(out.items(), key=lambda t: (t[1], t[0]), reverse=True)
+
+
+OMEGA_GROUPS = [
+    cartan_from_tag(t) for t in "A1 A2 A3 A4 A5 A6 A7 B2 B3 B4 C3 C4 D4 D5 G2".split()
+] + [block_diagonal(["A1", "A3"]), block_diagonal(["G2", "B3"])]
+
+
+@pytest.mark.parametrize("cd", OMEGA_GROUPS, ids=lambda cd: cd.label)
+def test_dominant_weights_up_to_dim_skips_only_components_too_large(cd):
+    every = every_coordinate_walk(cd, 64)
+    for bound in range(1, 65):
+        assert dominant_weights_up_to_dim(cd, bound) == [(lam, d) for lam, d in every if d <= bound]
+
