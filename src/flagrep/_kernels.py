@@ -7,16 +7,14 @@ Conventions used by every function here:
 
 * ``cartan`` is a tuple of m rows; row i is simple root i written in
   fundamental-weight coordinates.
-* ``gram`` is an integer matrix proportional to the invariant inner product
-  on weight coordinates (a common positive scale is irrelevant because the
-  recursion only uses ratios).
 * Per-group tables come from the caller: ``freudenthal`` reads the positive
-  roots and the tables it walks them by from
-  ``CartanData.freudenthal_tables``, built once per group.  No kernel keeps
-  a cache.
+  roots, the tables it walks them by and the invariant form on them from
+  ``CartanData.freudenthal_tables``, built once per group, and its
+  denominators from the support.  No kernel keeps a cache, and none reads
+  an inverse Cartan matrix.
 """
 
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 
 from .errors import ResourceCapError
@@ -90,15 +88,17 @@ def weyl_orbit(cartan, w, cap):
     return _orbit_walk(top, *_reflection_tables(cartan), cap)
 
 
-def freudenthal(gram, tables, lam, support):
+def freudenthal(tables, lam, support):
     """Multiplicities of the dominant weights of the highest-weight module.
 
-    ``support`` must list the dominant weights of the module sorted by
-    increasing depth below ``lam`` (the first entry is ``lam`` itself).
-    Returns a dict mapping each of them to its multiplicity.  ``tables``
-    holds the positive roots; per simple reflection s_i, the index of the
-    image of each root (None for root i); per root g, the row ``gram`` * g;
-    and the ``moved`` pairs of each s_i (``CartanData.freudenthal_tables``).
+    ``support`` must map the dominant weights mu of the module, sorted by
+    increasing depth below ``lam`` (the first is ``lam`` itself), to their
+    denominators |lam + rho|^2 - |mu + rho|^2, as
+    ``characters._dominant_support`` returns them.  Returns a dict mapping
+    each of them to its multiplicity.  ``tables`` holds the positive roots;
+    per simple reflection s_i, the index of the image of each root (None
+    for root i); per root g, the row r with (v, g) = sum_i v_i * r_i; and
+    the ``moved`` pairs of each s_i (``CartanData.freudenthal_tables``).
 
     Freudenthal's sum for mu is the sum over positive roots a of the string
     sums S(mu + a, a), where S(v, g) = sum over k >= 0 of
@@ -118,12 +118,10 @@ def freudenthal(gram, tables, lam, support):
     m = len(lam)
     pos_roots, reflect, rows, moved = tables
     lam = tuple(lam)
-    top = tuple(x + 1 for x in lam)
-    norm_top = sum(map(mul, top, [sum(map(mul, row, top)) for row in gram]))
     mults = {lam: 1}
     sums = {lam: [sum(map(mul, lam, g)) for g in rows]}  # sums[d][k] = S(d, root k)
     get = sums.get
-    for mu in support[1:]:
+    for mu, denom in islice(support.items(), 1, None):
         above = []  # S(mu + a, a) for each positive root a
         for k, a in enumerate(pos_roots):
             v = list(map(add, mu, a))
@@ -140,12 +138,9 @@ def freudenthal(gram, tables, lam, support):
                     i += 1
             found = get(tuple(v))
             above.append(0 if found is None else found[k])
-        shifted = tuple(x + 1 for x in mu)
-        denom = norm_top - sum(map(mul, shifted, [sum(map(mul, row, shifted)) for row in gram]))
         mult, rem = divmod(2 * sum(above), denom)
         if rem:
             raise ArithmeticError("non-integral multiplicity; invalid Cartan data")
-        mu = tuple(mu)
         mults[mu] = mult
         sums[mu] = [s + mult * sum(map(mul, mu, g)) for s, g in zip(above, rows)]
     return mults

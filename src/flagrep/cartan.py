@@ -8,9 +8,10 @@ walk that finds the roots.  Its height is the sum of c, its support is
 where c is nonzero, and its inner product with a weight w is
 sum_i w_i * d_i * c_i, since (w_i, root j) = d_j if i == j and 0 otherwise
 (Humphreys, Introduction to Lie Algebras and Representation Theory, 24.3).
-So the root strata, the Weyl product and Freudenthal's tables are read off
-c, with no inverse matrix.  All arithmetic is exact (integers and
-rationals); no value in this module is ever rounded.
+So the root strata, the heights of weights, the Weyl product and
+Freudenthal's tables are read off c; only ``inner`` reads the inverse
+matrix.  All arithmetic is exact (integers and rationals); no value in
+this module is ever rounded.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ class CartanData:
     first read and kept, so a group whose roots no answer needs (a rank in
     the hundreds has tens of thousands) costs only the check.
     ``positive_roots`` and ``root_coordinates`` list each positive root in
-    weight and in simple-root coordinates; neither needs the inverse
-    matrix.  ``height_vector`` is an integer vector h with h . w
-    proportional to the root-coordinate sum of any weight w; it strictly
-    refines the dominance order.
+    weight and in simple-root coordinates, and ``height_vector`` is read
+    off them; none needs the inverse matrix, which ``inverse_cartan`` and
+    ``gram`` build for ``inner`` alone.
     """
 
     rank: int
@@ -68,9 +68,17 @@ class CartanData:
 
     @cached_property
     def height_vector(self) -> tuple[int, ...]:
-        sums = [sum(row) for row in self.inverse_cartan]  # root-coordinate sums
-        scale = lcm(*[f.denominator for f in sums])
-        return tuple(int(f * scale) for f in sums)
+        """2 rho-check in simple-coroot coordinates, so h . w = (w, 2 rho-check)
+        is twice the root-coordinate sum of any weight w, and h strictly
+        refines the dominance order.  It sums the coroots of the positive
+        roots: a root with coordinates c has coroot c_i * d_i / d_a, an
+        integer, where 2 * d_a = (a, a) = sum_i a_i * d_i * c_i."""
+        total = [0] * self.rank
+        for a, c in zip(self.positive_roots, self.root_coordinates):
+            dc = list(map(mul, self.symmetrizer, c))
+            da = sum(map(mul, a, dc)) // 2
+            total = [t + x // da for t, x in zip(total, dc)]
+        return tuple(total)
 
     @cached_property
     def _roots(self) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
@@ -109,14 +117,14 @@ class CartanData:
         """What ``_kernels.freudenthal`` reads of the positive roots: the
         roots; per simple reflection s_i, the index of s_i(a) for each root a
         (a itself when a_i = 0, and None for root i, which s_i makes
-        negative); per root, the row ``gram_scaled`` * a, which is
-        scale * c_i * d_i; and the ``moved`` pairs of each s_i."""
+        negative); per root a, the row d_i * c_i, so that (w, a) is its dot
+        product with w; and the ``moved`` pairs of each s_i."""
         index = {a: k for k, a in enumerate(self.positive_roots)}
         reflect = [
             [index.get(tuple(map(sub, a, map(a[i].__mul__, row)))) if a[i] else k for a, k in index.items()]
             for i, row in enumerate(self.cartan_matrix)
         ]
-        rows = [[self._gram_scale * d * x for d, x in zip(self.symmetrizer, c)] for c in self.root_coordinates]
+        rows = [list(map(mul, self.symmetrizer, c)) for c in self.root_coordinates]
         return self.positive_roots, reflect, rows, _kernels._reflection_tables(self.cartan_matrix)[1]
 
     @property
@@ -125,23 +133,13 @@ class CartanData:
 
     @cached_property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Invariant inner product on weight coordinates: C^-1 * diag(d)."""
+        """Invariant inner product on weight coordinates: C^-1 * diag(d).
+        Only ``inner`` reads it."""
         inv = self.inverse_cartan
         d = self.symmetrizer
         return tuple(
             tuple(inv[i][j] * d[j] for j in range(self.rank))
             for i in range(self.rank)
-        )
-
-    @cached_property
-    def _gram_scale(self) -> int:
-        return lcm(*[f.denominator for row in self.gram for f in row])
-
-    @cached_property
-    def gram_scaled(self) -> tuple[tuple[int, ...], ...]:
-        """gram cleared of denominators; kernels only ever use ratios."""
-        return tuple(
-            tuple(int(f * self._gram_scale) for f in row) for row in self.gram
         )
 
     def height_key(self, w: Weight) -> int:

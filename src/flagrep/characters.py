@@ -4,10 +4,14 @@ Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
 positive roots finds; the walk adds up the Weyl orbit sizes |W| / |W_mu|
 as it goes, so the term cap fires the moment the exact term count passes
-it, before the walk ends or the recursion runs.  The recursion keeps each
-dominant weight's sums along the positive root strings above it, so a
-term of its sum is one reflection and one lookup, not a walk to the end of
-a root string (``_kernels.freudenthal``).  Only the dominant
+it, before the walk ends or the recursion runs.  The walk also sums the
+recursion's denominators step by step, and the dominance order is read
+off the group's height vector, both from the roots' simple-root
+coordinates, so no character, dimension or decomposition reads the
+inverse Cartan matrix.  The recursion keeps each dominant weight's sums
+along the positive root strings above it, so a term of its sum is one
+reflection and one lookup, not a walk to the end of a root string
+(``_kernels.freudenthal``).  Only the dominant
 multiplicities are memoised, in one ``lru_cache`` of
 ``CHARACTER_CACHE_SIZE`` entries keyed by group, highest weight and cap;
 ``decompose`` reads them as they are, and a caller that needs every term
@@ -115,8 +119,10 @@ def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
     return lam
 
 
-def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> list[Weight]:
-    """Dominant weights below ``lam``, sorted by depth in the root lattice.
+def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> dict[Weight, int]:
+    """Dominant weights mu below ``lam``, sorted by depth in the root lattice,
+    each mapped to Freudenthal's denominator
+    (lam - mu, lam + mu + 2 rho) = |lam + rho|^2 - |mu + rho|^2.
 
     Any two dominant weights mu < nu are linked by a chain of dominant
     weights, each a positive root below the previous (Stembridge, The
@@ -124,10 +130,13 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
     the positive roots from ``lam`` reaches every one of them.  Each is in
     the character with its whole orbit, so the orbit sizes of the levels
     found so far count terms of the character, and the walk stops the
-    moment that count passes ``max_terms``.
+    moment that count passes ``max_terms``.  A step from mu to nu = mu - a
+    adds (a, mu + nu + 2 rho) to the denominator, read off a's simple-root
+    coordinates c as the sum of (mu_i + nu_i + 2) * d_i * c_i.
     """
-    roots = cd.positive_roots
-    seen = {lam}
+    steps = list(zip(cd.positive_roots, cd.root_coordinates))
+    d = cd.symmetrizer
+    support = {lam: 0}
     frontier = [lam]
     terms = 0
     while frontier:
@@ -136,14 +145,16 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
             raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         below = []
         for mu in frontier:
-            for root in roots:
+            for root, c in steps:
                 nu = tuple(a - b for a, b in zip(mu, root))
-                if nu not in seen and all(x >= 0 for x in nu):
-                    seen.add(nu)
+                if nu not in support and all(x >= 0 for x in nu):
+                    support[nu] = support[mu] + sum(
+                        (x + y + 2) * di * ci for x, y, di, ci in zip(mu, nu, d, c)
+                    )
                     below.append(nu)
         frontier = below
     # the height key is a positive multiple of the root-coordinate sum
-    return sorted(seen, key=lambda mu: (-cd.height_key(mu), mu))
+    return dict(sorted(support.items(), key=lambda item: (-cd.height_key(item[0]), item[0])))
 
 
 def _parabolic_order(strata: tuple[tuple[int, int], ...], allowed: int) -> int:
@@ -197,8 +208,7 @@ def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Wei
     # strings share only lam, so the character has at least 1 + sum(lam) terms
     if 1 + sum(lam) > max_terms:
         raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
-    support = _dominant_support(cd, lam, max_terms)
-    return _kernels.freudenthal(cd.gram_scaled, cd.freudenthal_tables, lam, support)
+    return _kernels.freudenthal(cd.freudenthal_tables, lam, _dominant_support(cd, lam, max_terms))
 
 
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:

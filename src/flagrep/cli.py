@@ -12,6 +12,7 @@ exception is reported as ``error[internal]`` on stderr, without a traceback).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -43,6 +44,24 @@ def _load_json_arg(arg: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep
         raise InputError("invalid-json", f"malformed JSON: {exc}") from None
+    except ValueError:  # more digits than int() converts
+        limit = sys.get_int_max_str_digits()
+        raise InputError("invalid-json", f"integer has more than {limit} digits") from None
+
+
+@contextlib.contextmanager
+def _answer():
+    """Lift Python's limit on the digits of int-to-text conversion while an
+    answer is written.  Inputs are parsed under that limit, before; an
+    answer computed from them can have more digits (a dimension is a
+    product, an s-invariant's derived row a sum).  The answers of ``char``,
+    ``schur``, ``cor3`` and ``omega`` are held far below it by their caps."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _group_from_args(args) -> CartanData:
@@ -87,19 +106,17 @@ def _parse_weight(text: str) -> tuple[int, ...]:
 
 
 def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
+    """The report's fields, as ``NotInOmega.to_json_dict`` lists them: one
+    JSON line, or one text line per field after ``certified``."""
+    fields = result.to_json_dict()
     if fmt == "json":
-        print(json.dumps(result.to_json_dict()))
+        print(json.dumps(fields))
         return
     print("not-certified")
-    print(f"reason: {result.reason}")
-    if result.witness is not None:
-        print(f"witness: {json.dumps(list(result.witness))}")
-    if result.deficit is not None:
-        print(f"deficit: {result.deficit}")
-    if result.expected is not None:
-        print(f"expected: {result.expected}")
-    if result.actual is not None:
-        print(f"actual: {result.actual}")
+    del fields["certified"]
+    print(f"reason: {fields.pop('reason')}")
+    for key, value in fields.items():
+        print(f"{key}: {json.dumps(value)}")
     print("note: not certified by this criterion; existence of a map is not ruled out")
 
 
@@ -113,13 +130,16 @@ def _cmd_char(args) -> int:
 
 def _cmd_dim(args) -> int:
     cd = _group_from_args(args)
-    print(characters.dimension(cd, _parse_weight(args.weight)))
+    value = characters.dimension(cd, _parse_weight(args.weight))
+    with _answer():
+        print(value)
     return EXIT_OK
 
 
 def _cmd_smap(args) -> int:
     hom, _ = realize.cohom_from_json(_load_json_arg(args.hom))
-    print(render(realize.s_map(hom)))
+    with _answer():
+        print(render(realize.s_map(hom)))
     return EXIT_OK
 
 
@@ -132,16 +152,17 @@ def _cmd_realize(args) -> int:
         given = args.group if args.group is not None else "--group-matrix"
         raise InputError("group-mismatch", f"JSON group {group!r} differs from {given!r}")
     result = realize.check_realizable(cd, hom, max_terms)
-    if isinstance(result, characters.Certificate):
+    with _answer():
+        if isinstance(result, characters.NotInOmega):
+            _print_not_certified(result, args.format)
+            return EXIT_NOT_CERTIFIED
         if args.format == "json":
             print(json.dumps(result.to_json_dict()))
         else:
             print("certified")
             print(f"summands: {result.render()}")
             print(f"dim: {result.total_dim}")
-        return EXIT_OK
-    _print_not_certified(result, args.format)
-    return EXIT_NOT_CERTIFIED
+    return EXIT_OK
 
 
 def _cmd_verify_theorem(args) -> int:
@@ -153,9 +174,10 @@ def _cmd_verify_theorem(args) -> int:
         raise InputError("invalid-weights", "expected a JSON list of weight vectors")
     tr = realize.TorusRestriction(tuple(tuple(w) for w in data))
     check = realize.verify_factorization(cd, tr)
-    print(f"equal: {'true' if check.equal else 'false'}")
-    print(f"character: {render(check.character)}")
-    print(f"via-induced-map: {render(check.via_cohomology)}")
+    with _answer():
+        print(f"equal: {'true' if check.equal else 'false'}")
+        print(f"character: {render(check.character)}")
+        print(f"via-induced-map: {render(check.via_cohomology)}")
     return EXIT_OK
 
 
@@ -170,7 +192,8 @@ def _cmd_alpha(args) -> int:
     if cd.cartan_matrix != builtin_cartan("A", cd.rank).cartan_matrix:
         raise InputError("typea-required", "alpha is defined for type A groups only")
     poly = parse_poly(args.poly, cd.rank)
-    print(render_ypoly(alpha(poly)))
+    with _answer():
+        print(render_ypoly(alpha(poly)))
     return EXIT_OK
 
 

@@ -9,8 +9,10 @@ weights below a highest weight, breadth-first Weyl orbits with a seen-set,
 two-pass polynomial rendering, the recursive certificate enumerator, the
 Weyl dimension formula in rationals, the greedy decomposition that
 reduces every term against whole characters, and the Freudenthal recursion
-that walks every root string to its end.  The greedy is the library's
-earlier ``decompose``, kept verbatim as the reference for the one that
+that walks every root string to its end.  The invariant form and the
+heights of weights come from exact elimination of the Cartan matrix, not
+from the group's tables.  The greedy is the library's earlier
+``decompose``, with those heights, kept as the reference for the one that
 reduces W-invariant input on its dominant terms; it reads characters from
 ``weight_multiplicities``, so it checks the reduction, not the characters.
 The recursion is the library's earlier ``_kernels.freudenthal``, kept
@@ -334,9 +336,36 @@ def recursive_certificates(irreps, n):
     return rec(0, n, [])
 
 
+def _fundamental_coordinates(cd):
+    """Root coordinates of each fundamental weight, by exact elimination."""
+    n = cd.rank
+    return [_root_coordinates(cd.cartan_matrix, [int(i == j) for j in range(n)]) for i in range(n)]
+
+
+def invariant_form(cd):
+    """(w_i, w_j) in rationals: w_i = sum_k x_k * root_k with x from exact
+    elimination, and (root_k, w_j) = d_j if k == j and 0 otherwise."""
+    d = cd.symmetrizer
+    return tuple(tuple(x * dj for x, dj in zip(coords, d)) for coords in _fundamental_coordinates(cd))
+
+
+def heights(cd):
+    """Root-coordinate sum of each fundamental weight, so the height of a
+    weight w is the dot product of w with this vector."""
+    return [sum(coords) for coords in _fundamental_coordinates(cd)]
+
+
+def freudenthal_denominators(gram, lam, weights):
+    """|lam + rho|^2 - |mu + rho|^2 for each mu of ``weights``, under the
+    form ``gram`` on weight coordinates."""
+    top = [x + 1 for x in lam]
+    norm_top = form_value(gram, top, top)
+    return [norm_top - form_value(gram, shifted, shifted) for shifted in ([x + 1 for x in mu] for mu in weights)]
+
+
 def fraction_dimension(cd, lam):
     """Weyl product formula, one Fraction per positive root."""
-    gram = cd.gram_scaled
+    gram = invariant_form(cd)
     rank = len(lam)
     shifted = tuple(x + 1 for x in lam)
     delta = (1,) * rank
@@ -364,7 +393,11 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
         raise InputError("rank-mismatch", f"polynomial rank {p.rank} for rank {cd.rank}")
     if not p.is_effective():
         raise InputError("not-effective", "decompose needs positive coefficients")
-    hkey = cd.height_key
+    hv = heights(cd)
+
+    def hkey(u):
+        return sum(h * x for h, x in zip(hv, u))
+
     work = dict(p.terms)
     pairs: list[tuple[Weight, int]] = []
     while work:

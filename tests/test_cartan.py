@@ -247,9 +247,12 @@ def test_cartan_matrix_is_inverted_once_per_build(monkeypatch):
     assert cd == same and hash(cd) == hash(same)
     assert large == custom_cartan(large.cartan_matrix, label="A400")
     assert calls == []
-    cd.inverse_cartan, cd.gram_scaled, cd.height_key((1, 0, 0))
+    cd.inverse_cartan, cd.gram, inner(cd, (1, 0, 0), (0, 1, 0))
     assert len(calls) == 1
     cd.positive_roots, cd.positive_roots
+    assert len(calls) == 2
+    # heights and Freudenthal's tables read the roots, not the inverse
+    cd.height_key((1, 0, 0)), cd.freudenthal_tables
     assert len(calls) == 2
     # derived fields take no part in comparison or hashing
     assert cd == cartan_from_tag("B3") and hash(cd) == hash(cartan_from_tag("B3"))

@@ -621,3 +621,59 @@ def test_schur_cor3_many_variables(capsys):
         assert run(capsys, *argv) == (
             3, "", f"error[term-cap]: {n} terms times {m} variables exceed cap 10000000\n"
         )
+
+
+
+# --- integers past Python's int-to-text limit ---------------------------------
+
+def _text(n: int) -> str:
+    """Decimal text of ``n``, however many digits it has."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_over_long_json_integer_is_invalid_input(capsys):
+    limit = sys.get_int_max_str_digits()
+    hom = '{"n":2,"rows":[[1' + "0" * limit + "]]}"
+    for argv in (("realize", "A1", hom), ("smap", hom)):
+        assert run(capsys, *argv) == (2, "", f"error[invalid-json]: integer has more than {limit} digits\n")
+
+
+def test_answers_past_the_digit_limit_are_written(capsys):
+    limit = sys.get_int_max_str_digits()
+    big = 10**2200
+    # dim V(b, b) of A2 is (b + 1)^3, about 6,600 digits
+    assert run(capsys, "dim", "A2", f"{big},{big}") == (0, _text((big + 1) ** 3) + "\n", "")
+    # two rows of 4,300 nines: the derived row, -2 * row, has 4,301 digits
+    nines = 10**limit - 1
+    assert run(capsys, "smap", f'{{"n":3,"rows":[[{nines}],[{nines}]]}}') == (
+        0, f"2*w1^{nines} + rho^{_text(2 * nines)}\n", ""
+    )
+    # a sum of coefficients, and a torus weight shifted by rho's exponent
+    assert run(capsys, "alpha", "A1", f"{nines}*w1 + {nines}*w1") == (0, f"{_text(2 * nines)}*y1\n", "")
+    code, out, err = run(capsys, "verify-theorem", "A2", f"[[{nines},-{nines}],[-{nines},{nines}]]")
+    assert (code, err) == (0, "") and out.startswith("equal: true\n")
+    assert out.count(f"w1^{_text(2 * nines)}*rho^{nines}") == 2  # weight (N, -N), on both sides
+    # the limit holds again for the next input
+    assert sys.get_int_max_str_digits() == limit
+    assert run(capsys, "dim", "A1", "1" + "0" * limit) == (2, "", f"error[invalid-weight]: cannot parse weight {'1' + '0' * limit!r}\n")
+
+
+@pytest.mark.parametrize(
+    "report, text",
+    [
+        (characters.NotInOmega("negative-coefficient", witness=(0, -1), deficit=-2), "reason: negative-coefficient\nwitness: [0, -1]\ndeficit: -2\n"),
+        (characters.NotInOmega("leading-weight-not-dominant", witness=(2, -1)), "reason: leading-weight-not-dominant\nwitness: [2, -1]\n"),
+        (characters.NotInOmega("dimension-mismatch", expected=3, actual=2), "reason: dimension-mismatch\nexpected: 3\nactual: 2\n"),
+    ],
+)
+def test_not_certified_text_lists_the_report_fields(capsys, report, text):
+    note = "note: not certified by this criterion; existence of a map is not ruled out\n"
+    cli_module._print_not_certified(report, "text")
+    assert capsys.readouterr().out == "not-certified\n" + text + note
+    cli_module._print_not_certified(report, "json")
+    assert json.loads(capsys.readouterr().out) == report.to_json_dict()

@@ -21,7 +21,7 @@ KERNELS = [pytest.param(_kernels, id="flagrep._kernels_py")]
 
 def freudenthal_inputs(tag, lam):
     cd = cartan_from_tag(tag)
-    return cd.gram_scaled, cd.freudenthal_tables, lam, _dominant_support(cd, lam)
+    return cd.freudenthal_tables, lam, _dominant_support(cd, lam)
 
 
 def test_poly_mul_matches_laurent_oracle():
@@ -180,8 +180,8 @@ def test_freudenthal_matches_string_walking_oracle(data):
     top = {1: 8, 2: 5, 3: 2}.get(cd.rank, 1)  # keeps the oracle's strings short
     lam = tuple(data.draw(st.lists(st.integers(0, top), min_size=cd.rank, max_size=cd.rank)))
     support = _dominant_support(cd, lam)
-    assert _kernels.freudenthal(cd.gram_scaled, cd.freudenthal_tables, lam, support) == (
-        oracles.freudenthal(cd.cartan_matrix, cd.gram_scaled, cd.positive_roots, lam, support)
+    assert _kernels.freudenthal(cd.freudenthal_tables, lam, support) == (
+        oracles.freudenthal(cd.cartan_matrix, oracles.invariant_form(cd), cd.positive_roots, lam, list(support))
     )
 
 
@@ -189,14 +189,16 @@ def test_freudenthal_matches_string_walking_oracle(data):
 def test_freudenthal_rejects_a_form_that_is_not_invariant(tag, lam):
     # the identity is not the invariant form of A2 or B2: the recursion's
     # division leaves a remainder in the kernel and in the oracle alike;
-    # the kernel's string-sum rows are identity * a, the roots themselves
+    # the kernel's string-sum rows are identity * a, the roots themselves,
+    # and its denominators are the identity's norms
     cd = cartan_from_tag(tag)
     identity = ((1, 0), (0, 1))
-    support = _dominant_support(cd, lam)
+    weights = list(_dominant_support(cd, lam))
+    support = dict(zip(weights, oracles.freudenthal_denominators(identity, lam, weights)))
     roots, reflect, _, moved = cd.freudenthal_tables
     calls = [
-        lambda: _kernels.freudenthal(identity, (roots, reflect, roots, moved), lam, support),
-        lambda: oracles.freudenthal(cd.cartan_matrix, identity, roots, lam, support),
+        lambda: _kernels.freudenthal((roots, reflect, roots, moved), lam, support),
+        lambda: oracles.freudenthal(cd.cartan_matrix, identity, roots, lam, weights),
     ]
     for call in calls:
         with pytest.raises(ArithmeticError, match="non-integral multiplicity; invalid Cartan data"):

@@ -3,13 +3,17 @@ exact elimination for the coordinates, breadth-first orbits for the roots
 and the orbit sizes, and the Weyl product in rationals for dimensions."""
 
 import itertools
+from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagrep import cartan, cartan_from_tag, custom_cartan
-from flagrep.characters import _orbit_size, dimension, dominant_weights_up_to_dim
+from flagrep import cartan, characters, cli, cartan_from_tag, custom_cartan, inner, weyl_orbit
+from flagrep.characters import Certificate, NotInOmega, _orbit_size, decompose, dimension, dominant_weights_up_to_dim
+from flagrep.characters import weight_multiplicities
+from flagrep.charpoly import CharPoly
 
 import oracles
 
@@ -52,10 +56,14 @@ def check_root_data(cd):
     assert roots == oracle_positive_roots(cd)
     for a, c in zip(roots, cd.root_coordinates):
         assert list(c) == oracles._root_coordinates(cd.cartan_matrix, a), a
-    # Freudenthal's rows are gram * a, and s_i(a) is indexed among the roots
+    # Freudenthal's rows are the invariant form times a, and s_i(a) is
+    # indexed among the roots
     table_roots, reflect, rows, _ = cd.freudenthal_tables
     assert table_roots == roots
-    assert rows == [[sum(map(mul, g, a)) for g in cd.gram_scaled] for a in roots]
+    form = oracles.invariant_form(cd)
+    assert rows == [[sum(map(mul, g, a)) for g in form] for a in roots]
+    # the height vector is 2 rho-check: twice each fundamental weight's height
+    assert list(cd.height_vector) == [2 * h for h in oracles.heights(cd)]
     for i, row in enumerate(cd.cartan_matrix):
         for a, k in zip(roots, reflect[i]):
             image = tuple(x - a[i] * y for x, y in zip(a, row))
@@ -96,15 +104,65 @@ def test_orbit_size_matches_breadth_first_orbits(cd):
         assert _orbit_size(cd, pattern) == len(oracles.bfs_weyl_orbit(cd.cartan_matrix, mu, 10**6)), mu
 
 
-def test_roots_and_dimension_need_no_inverse(monkeypatch):
+@pytest.fixture
+def inversions(monkeypatch):
+    """The calls to ``cartan._invert`` from here on, with empty memos of
+    built-in groups and of characters, so every group read is fresh."""
     calls = []
     real = cartan._invert
     monkeypatch.setattr(cartan, "_invert", lambda m: calls.append(m) or real(m))
+    for module, name in ((cartan, "_builtin_cartan"), (characters, "_dominant_character")):
+        memo = getattr(module, name)
+        monkeypatch.setattr(module, name, lru_cache(maxsize=memo.cache_info().maxsize)(memo.__wrapped__))
+    return calls
+
+
+def test_roots_and_dimension_need_no_inverse(inversions):
     cd = custom_cartan(cartan_from_tag("B5").cartan_matrix, label="B5")  # not memoised
     assert len(cd.positive_roots) == 25
     assert dimension(cd, (1, 0, 0, 0, 0)) == 11
     assert dimension(cd, (1, 1, 1, 1, 1)) == 2**25
-    assert calls == []
+    assert inversions == []
+
+
+def test_characters_and_decompositions_need_no_inverse(inversions):
+    cd = custom_cartan(cartan_from_tag("C3").cartan_matrix, label="C3")
+    product = weight_multiplicities(cd, (1, 0, 0)) * weight_multiplicities(cd, (0, 1, 1))
+    assert isinstance(decompose(cd, product), Certificate)  # W-invariant: dominant terms
+    orbit_sum = CharPoly(3, dict.fromkeys(weyl_orbit(cd, (0, 1, 0)), 1))
+    assert decompose(cd, orbit_sum) == NotInOmega("negative-coefficient", witness=(0, 0, 0), deficit=-2)
+    moved = product + CharPoly(3, {(2, -1, 0): 1})  # not invariant: every term
+    assert decompose(cd, moved).reason == "leading-weight-not-dominant"
+    assert inversions == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("char", "B4", "1,0,1,1"),
+        ("dim", "D5", "1,2,0,1,1"),
+        ("realize", "A2", '{"n":3,"rows":[[1,0],[-1,1]]}'),
+        ("realize", "A2", '{"n":3,"rows":[[1,0],[1,0]]}'),
+        ("realize", "G2", '{"n":3,"rows":[[1,0],[0,1]]}'),
+        ("schur", "3,2,1", "5"),
+        ("cor3", "2,1", "4"),
+        ("alpha", "A3", "w1*w3 + rho"),
+        ("omega", "B3", "12"),
+    ],
+    ids=" ".join,
+)
+def test_cli_answers_need_no_inverse(inversions, capsys, argv):
+    assert cli.main(list(argv)) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert inversions == []
+
+
+def test_only_inner_inverts(inversions):
+    cd = custom_cartan(cartan_from_tag("B3").cartan_matrix, label="B3")
+    cd.positive_roots, cd.height_vector, cd.freudenthal_tables, cd.root_strata
+    assert inversions == []
+    assert inner(cd, (0, 0, 1), (0, 0, 1)) == Fraction(3, 2)  # the short roots have (a, a) = 2
+    assert len(inversions) == 1
 
 
 def every_coordinate_walk(cd, bound):
