@@ -3,11 +3,12 @@
 A weight is a tuple of integers: its coefficients on the fundamental
 dominant weights w1..wm.  Simple root i is row i of the Cartan matrix, so
 every reflection and orbit is computed in this one coordinate system.  A
-positive root also carries its simple-root coordinates c, found in the
-walk that finds the roots.  Its height is the sum of c, its support is
-where c is nonzero, and its inner product with a weight w is
-sum_i w_i * d_i * c_i, since (w_i, root j) = d_j if i == j and 0 otherwise
-(Humphreys, Introduction to Lie Algebras and Representation Theory, 24.3).
+positive root also carries its simple-root coordinates c, found with it
+by one walk up from the simple roots, which walks no Weyl orbit.  Its
+height is the sum of c, its support is where c is nonzero, and its inner
+product with a weight w is sum_i w_i * d_i * c_i, since (w_i, root j) =
+d_j if i == j and 0 otherwise (Humphreys, Introduction to Lie Algebras
+and Representation Theory, 24.3).
 So the root strata, the heights of weights, the Weyl product and
 Freudenthal's tables are read off c; only ``inner`` reads the inverse
 matrix.  All arithmetic is exact (integers and rationals); no value in
@@ -20,13 +21,13 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress, count, islice
+from itertools import compress, count
 from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Iterable, Sequence
 
 from . import _kernels
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 
 Weight = tuple[int, ...]
 
@@ -52,7 +53,8 @@ class CartanData:
     first read and kept, so a group whose roots no answer needs (a rank in
     the hundreds has tens of thousands) costs only the check.
     ``positive_roots`` and ``root_coordinates`` list each positive root in
-    weight and in simple-root coordinates, and ``height_vector`` is read
+    weight and in simple-root coordinates, both found by one walk up from
+    the simple roots (``_positive_roots``), and ``height_vector`` is read
     off them; none needs the inverse matrix, which ``inverse_cartan`` and
     ``gram`` build for ``inner`` alone.
     """
@@ -239,30 +241,35 @@ def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
 
 def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
     """Positive roots sorted by (height, weight), and their simple-root
-    coordinates c.
+    coordinates c, found by one walk up from the simple roots (Humphreys,
+    Introduction to Lie Algebras and Representation Theory, 10.2).
 
-    s_j changes c_j alone, by -u_j.  Simple root i is reflected up to the
-    dominant root of its orbit, c with it, and the orbit is walked down from
-    there.  The walk lists the parent s_j(u) of u before u, for j u's first
-    negative index, and the parent of a positive root is positive: its c_j
-    is larger and the rest is the same.  So c is kept for the positive roots
-    alone, and u is positive exactly when its parent is and c_j stays
-    non-negative, since the coordinates of a root have one sign.
+    Simple root i has c = e_i.  From each root v found, and each i with
+    v_i < 0, s_i(v) = v - v_i * (row i) is a higher positive root, whose c
+    is v's with c_i raised by -v_i; the walk keeps it if it is new.
+
+    The walk finds every positive root.  Take one, b, that is not simple,
+    with coordinates c.  Since 0 < (b, b) = sum_i c_i * (b, a_i) and
+    (b, a_i) = b_i * d_i, some i has b_i > 0.  Then s_i(b) = b - b_i * a_i
+    is a positive root (b is not a multiple of a_i) of lower height, with
+    s_i(b)_i = -b_i < 0, so the walk reaches b from s_i(b); induction on
+    the height finishes the argument.
+
+    The roots are the positive roots and their negatives, so the walk
+    raises ``orbit-cap`` once it holds more than ``ORBIT_CAP // 2`` positive
+    roots: once the roots number more than ``ORBIT_CAP``.
     """
-    coords: dict[Weight, bytes] = {}
-    for i, simple in enumerate(cartan):
-        if simple not in coords:  # an orbit already walked holds all of its roots
-            v, c = list(simple), [int(j == i) for j in range(len(cartan))]
-            while (j := next(compress(count(), map((0).__gt__, v)), None)) is not None:
-                c[j] -= v[j]
-                v = list(map(sub, v, map(v[j].__mul__, cartan[j])))
-            orbit = _kernels.weyl_orbit(cartan, tuple(v), ORBIT_CAP)
-            coords[orbit[0]] = bytes(c)
-            for u in islice(orbit, 1, None):
-                j = next(compress(count(), map((0).__gt__, u)))  # u's first negative index
-                up = coords.get(tuple(map(sub, u, map(u[j].__mul__, cartan[j]))))
-                if up is not None and up[j] + u[j] >= 0:
-                    coords[u] = up[:j] + bytes((up[j] + u[j],)) + up[j + 1:]
+    roots = list(cartan)
+    coords = {a: bytes(int(j == i) for j in range(len(cartan))) for i, a in enumerate(roots)}
+    for v in roots:
+        if len(roots) > ORBIT_CAP // 2:
+            raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {ORBIT_CAP}")
+        c = coords[v]
+        for i in compress(count(), map((0).__gt__, v)):
+            u = tuple(map(sub, v, map(v[i].__mul__, cartan[i])))
+            if u not in coords:
+                coords[u] = c[:i] + bytes((c[i] - v[i],)) + c[i + 1:]
+                roots.append(u)
     return tuple(zip(*sorted(coords.items(), key=lambda rc: (sum(rc[1]), rc[0]))))
 
 

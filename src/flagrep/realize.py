@@ -229,8 +229,8 @@ class SchurRealization:
 def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     """Flag-to-flag map data whose s-invariant realizes a Schur polynomial.
 
-    For a partition with fewer than m parts, the tableau weights assemble a
-    torus restriction;  its induced matrix h satisfies
+    For a partition with fewer than m parts, the tableau weights, all but
+    the last, are the rows of a matrix h, which satisfies
     alpha(s_map(h)) == schur(mu, m) with target size n = schur_dim(mu, m),
     which the result's ``matches`` checks.  The tableau contents are built
     once: the tableau weights are read off them, and so is the Schur
@@ -252,7 +252,7 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         )
     weights, target = _schur_weights(_shape(mu, m), m)
     n = len(weights)
-    hom = induced_hom(TorusRestriction(tuple(weights)))
+    hom = cohom_from_rows(weights[:-1])  # s_map derives the last weight
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes
     return SchurRealization(n, hom, image, image == target)

@@ -13,7 +13,7 @@ a content's multiplicity is the Kostka number of the partition its sorted
 entries form.  So the character engine gives the dominant multiplicities,
 in min(m, max(2, |mu|)) variables, and each dominant content's distinct
 rearrangements in m variables carry its multiplicity.  The character rank
-cap does not apply.  The hook-content count caps the content list, and
+cap does not apply.  The tableau count caps the content list, and
 for m > max(2, |mu|) the content count times m caps the rearrangements
 before any is built.
 """
@@ -21,8 +21,8 @@ before any is built.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, repeat
-from math import factorial, perm, prod
+from itertools import accumulate, chain, combinations, repeat
+from math import comb, factorial, perm, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
@@ -158,8 +158,8 @@ def _ypoly(contents: list[tuple[tuple[int, ...], int]], m: int) -> YPoly:
 
 
 def _check_tableau_count(shape: Partition, m: int) -> None:
-    """The hook-content count of the tableaux, held to ``TERM_CAP``."""
-    n = _hook_content(shape, m)
+    """The count of the tableaux, held to ``TERM_CAP``."""
+    n = _tableau_count(shape, m)
     if n > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
 
@@ -190,22 +190,24 @@ def schur(mu: Iterable[int], m: int) -> YPoly:
 
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
-    """Value at (1,..,1) by the hook-content product; counts the tableaux."""
-    return _hook_content(_shape(validate_partition(mu), m), m)
+    """Value at (1,..,1) by Weyl's product over rows; counts the tableaux."""
+    return _tableau_count(_shape(validate_partition(mu), m), m)
 
 
-def _hook_content(shape: Partition, m: int) -> int:
-    """The hook-content product of a shape with at most m parts."""
-    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
-    num = 1
-    den = 1
-    for i, row in enumerate(shape):
-        for j in range(row):
-            num *= m + j - i
-            den *= row - j + conj[j] - i - 1  # arm + leg + 1
+def _tableau_count(shape: Partition, m: int) -> int:
+    """The number of semistandard tableaux of a shape with l <= m parts:
+    Weyl's product over the rows i < j <= m of (e_i - e_j + j - i)/(j - i),
+    with e_j = 0 for j > l.  The rows j > l of each row i <= l together give
+    comb(e_i + m - i, m - l) / comb(m - i, m - l), so the product takes
+    O(l * l) factors and l binomials, however long the rows are."""
+    l = len(shape)
+    pairs = list(combinations(range(l), 2))
+    num = prod(shape[i] - shape[j] + j - i for i, j in pairs)
+    num *= prod(comb(e + m - i, m - l) for i, e in enumerate(shape, 1))
+    den = prod(j - i for i, j in pairs) * prod(comb(m - i, m - l) for i in range(1, l + 1))
     value, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError("hook-content product did not divide exactly")
+        raise ArithmeticError("Weyl's product did not divide exactly")
     return value
 
 

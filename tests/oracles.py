@@ -3,9 +3,10 @@
 Everything here is deliberately written from first principles, separate
 from the library code paths it checks: ladder enumeration for rank-1
 characters, explicit small-matrix inverses, determinant-based Schur
-polynomials, semistandard tableau enumeration, a standalone greedy
-reduction for rank-1 decompositions, box enumeration of the dominant
-weights below a highest weight, breadth-first Weyl orbits with a seen-set,
+polynomials, semistandard tableau enumeration, the hook-content product
+taken box by box, a standalone greedy reduction for rank-1
+decompositions, box enumeration of the dominant weights below a highest
+weight, breadth-first Weyl orbits with a seen-set,
 two-pass polynomial rendering, the recursive certificate enumerator, the
 Weyl dimension formula in rationals, the greedy decomposition that
 reduces every term against whole characters, and the Freudenthal recursion
@@ -188,6 +189,22 @@ def tableau_weights(mu, m):
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
     return [tuple(e[k] - e[k + 1] for k in range(m - 1)) for e in ssyt_contents(mu, m)]
+
+
+def hook_content(shape, m):
+    """The number of semistandard tableaux of a partition with entries <= m,
+    by Stanley's hook-content product, taken box by box."""
+    shape = tuple(p for p in shape if p > 0)
+    conj = [sum(1 for p in shape if p > j) for j in range(shape[0])] if shape else []
+    num = 1
+    den = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            num *= m + j - i
+            den *= row - j + conj[j] - i - 1  # arm + leg + 1
+    value, rem = divmod(num, den)
+    assert rem == 0
+    return value
 
 
 def a1_greedy_decompose(terms):

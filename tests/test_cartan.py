@@ -300,3 +300,16 @@ def test_builtin_cartan_is_built_once_per_group():
     assert again.positive_roots == b3.positive_roots
     assert again.gram == b3.gram
 
+
+def test_cartan_boundary_errors():
+    def error(f, *args):
+        with pytest.raises(InputError) as info:
+            f(*args)
+        return info.value.code, str(info.value)
+
+    # squared lengths would have to satisfy d1 = d2, d2 = d3 and d3 = 2 * d1
+    cyclic = [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]]
+    assert error(custom_cartan, cyclic) == ("invalid-cartan", "Cartan matrix is not symmetrizable")
+    a2 = cartan_from_tag("A2")
+    assert error(simple_reflection, a2, 2, (1, 0)) == ("invalid-index", "reflection index 2 out of range")
+    assert error(simple_reflection, a2, -1, (1, 0)) == ("invalid-index", "reflection index -1 out of range")

@@ -730,3 +730,17 @@ def test_large_character_consistency():
     a2 = cartan_from_tag("A2")
     char = weight_multiplicities(a2, (16, 16))
     assert char.evaluate_at_one() == dimension(a2, (16, 16)) == 4913
+
+
+def test_characters_boundary_errors():
+    a2 = cartan_from_tag("A2")
+    with pytest.raises(InputError) as info:
+        decompose(a2, CharPoly(1, {(1,): 1, (-1,): 1}))
+    assert (info.value.code, str(info.value)) == ("rank-mismatch", "polynomial rank 1 for rank 2")
+    for n in (0, -1):
+        with pytest.raises(InputError) as info:
+            is_in_omega_n(a2, CharPoly(2, {(0, 0): 1}), n)
+        assert (info.value.code, str(info.value)) == ("invalid-dimension", "n must be a positive integer")
+    empty = Certificate(summands=(), total_dim=0)
+    assert empty.render() == "0"
+    assert empty.to_json_dict() == {"summands": [], "dim": 0}

@@ -395,3 +395,10 @@ def test_long_digit_runs_are_input_errors():
     with pytest.raises(InputError) as info:
         parse("1" * 5000, 1)
     assert info.value.code == "parse-error"
+
+
+def test_charpoly_boundary_errors():
+    for rank in (0, -1):
+        with pytest.raises(InputError) as info:
+            CharPoly(rank)
+        assert (info.value.code, str(info.value)) == ("invalid-rank", "rank must be positive")

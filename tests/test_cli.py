@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -301,6 +302,27 @@ def test_cor3_prints_the_check_realize_schur_made(capsys, monkeypatch):
     monkeypatch.setattr(realize_module, "s_map", lambda h: s_map(h) * 2)
     code, out, _ = run(capsys, "cor3", "1", "2")
     assert (code, out.splitlines()[-2:]) == (0, ["alpha-s: 2*y1 + 2*y2", "check: mismatch"])
+
+
+def test_cor3_counts_the_tableaux_of_long_rows_before_its_cap(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "cor3", "100000000000", "3") == (
+        3,
+        "",
+        "error[term-cap]: 5000000000150000000001 tableaux exceed cap 10000000\n",
+    )
+    assert time.perf_counter() - start < 1
+
+
+def test_cli_boundary_errors(capsys, tmp_path):
+    # a --group-matrix whose JSON is not a matrix, inline or in a file
+    expected = (2, "", "error[invalid-cartan]: expected a JSON integer matrix\n")
+    assert run(capsys, "dim", "--group-matrix", '{"cartan": 5}', "1") == expected
+    path = tmp_path / "number.json"
+    path.write_text("5")
+    assert run(capsys, "dim", "--group-matrix", str(path), "1") == expected
+    path.write_text('"A2"')
+    assert run(capsys, "char", "--group-matrix", str(path), "1,0") == expected
 
 
 def test_char_cap_from_the_weight_before_any_walk(capsys):

@@ -7,9 +7,6 @@ Every command ends in one of four ways: exit 0, exit 1 (``realize`` only),
 or exit 2 or 3 with exactly one ``error[code]: `` line on stderr.  An argv
 that argparse itself rejects (a positional that starts with ``-`` reads as
 an option) ends in argparse's usage text and exit 2.
-
-The parts of a partition stay small: ``cor3`` counts its tableaux box by
-box, so a part in the billions runs for more than 10 s before its cap.
 """
 
 import contextlib
@@ -134,8 +131,13 @@ def poly(draw, rank):
     return draw(st.one_of(st.just("".join(map(str.__add__, signs, terms))[3:]), st.sampled_from(["", "0", "w1 +", "**"])))
 
 
+#: Small parts, or parts from 10^9 to 10^12, which the caps refuse after
+#: counting the tableaux by Weyl's product over rows, in a few steps
+#: however long a row is.  Parts in between give answers of up to 10^7
+#: terms, which are right but take seconds each.
+PART = st.one_of(st.integers(0, 3), st.integers(10**9, 10**12))
 PARTITION = st.one_of(
-    st.lists(st.integers(0, 3).map(str), min_size=1, max_size=4).map(",".join),
+    st.lists(PART.map(str), min_size=1, max_size=4).map(",".join),
     st.sampled_from(["x", "-1", "1" + "0" * 5000, "3,2,", ""]),
 )
 TERMS_CAP = st.sampled_from(["1", "5", "50", "500", "0", "-1"]).map(lambda c: ["--max-terms", c])

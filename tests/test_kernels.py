@@ -203,3 +203,9 @@ def test_freudenthal_rejects_a_form_that_is_not_invariant(tag, lam):
     for call in calls:
         with pytest.raises(ArithmeticError, match="non-integral multiplicity; invalid Cartan data"):
             call()
+
+
+def test_poly_mul_drops_terms_that_cancel():
+    # (x + 1)(x - 1) = x^2 - 1: the two x terms meet and cancel
+    assert _kernels.poly_mul({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}) == {(2,): 1, (0,): -1}
+    assert _kernels.poly_mul({(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}) == {(2, 0): 1, (0, 2): -1}

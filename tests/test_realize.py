@@ -397,3 +397,24 @@ def test_schur_module_matrix_certifies_in_a2():
     _, hom, _ = realize_schur((2, 1), 3)
     result = check_realizable(A2, hom)
     assert result == Certificate((((1, 1), 1),), 8)
+
+
+def test_realize_boundary_errors():
+    def error(f, *args, **kwargs):
+        with pytest.raises(InputError) as info:
+            f(*args, **kwargs)
+        return info.value.code, str(info.value)
+
+    assert error(CohomHom, n=2, m=0, rows=((),)) == ("invalid-hom", "rank m must be positive")
+    assert error(cohom_from_rows, []) == ("invalid-hom", "need at least one row")
+    for group in (5, ["A2"], {"tag": "A2"}):
+        data = {"rows": [[1, 0], [-1, 1]], "group": group}
+        assert error(cohom_from_json, data) == ("invalid-hom", "'group' must be a string tag")
+    assert error(TorusRestriction, ((0, 0),)) == ("invalid-weights", "need at least two weights")
+    assert error(TorusRestriction, ()) == ("invalid-weights", "need at least two weights")
+
+
+def test_cohom_json_round_trip():
+    for rows, group in (([[1, 0], [-1, 1]], "A2"), ([[2], [0], [-1]], None), ([[1, 0, -1]], "B3")):
+        h = cohom_from_rows(rows)
+        assert cohom_from_json(h.to_json_dict(group)) == (h, group)

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagrep import cartan, characters, cli, cartan_from_tag, custom_cartan, inner, weyl_orbit
+from flagrep import ResourceCapError, _kernels, cartan, characters, cli, cartan_from_tag, custom_cartan, inner, weyl_orbit
 from flagrep.characters import Certificate, NotInOmega, _orbit_size, decompose, dimension, dominant_weights_up_to_dim
 from flagrep.characters import weight_multiplicities
 from flagrep.charpoly import CharPoly
@@ -88,6 +88,58 @@ def test_root_data_matches_oracles(tag):
 def test_root_data_of_products_matches_oracles(tags, data):
     order = data.draw(st.permutations(range(sum(int(t[1:]) for t in tags))), label="order")
     check_root_data(block_diagonal(tags, order))
+
+
+#: Groups no tag names: E8 and F4, C3 with its long root first, and
+#: products with their nodes interleaved.
+OTHER_MATRICES = {
+    "E8": [
+        [2, 0, -1, 0, 0, 0, 0, 0],
+        [0, 2, 0, -1, 0, 0, 0, 0],
+        [-1, 0, 2, -1, 0, 0, 0, 0],
+        [0, -1, -1, 2, -1, 0, 0, 0],
+        [0, 0, 0, -1, 2, -1, 0, 0],
+        [0, 0, 0, 0, -1, 2, -1, 0],
+        [0, 0, 0, 0, 0, -1, 2, -1],
+        [0, 0, 0, 0, 0, 0, -1, 2],
+    ],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "C3 long first": [[2, -2, 0], [-1, 2, -1], [0, -1, 2]],
+    "A1xA2": block_diagonal(["A1", "A2"], order=[1, 0, 2]).cartan_matrix,
+    "G2xB2": block_diagonal(["G2", "B2"], order=[3, 0, 2, 1]).cartan_matrix,
+}
+
+
+@pytest.mark.parametrize("label", OTHER_MATRICES)
+def test_root_data_of_other_groups_matches_oracles(label):
+    cd = custom_cartan(OTHER_MATRICES[label], label=label)
+    check_root_data(cd)
+    assert len(cd.positive_roots) == {"E8": 120, "F4": 24, "C3 long first": 9, "A1xA2": 4, "G2xB2": 10}[label]
+
+
+def test_roots_are_found_without_an_orbit_walk(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the roots need no Weyl orbit")
+
+    monkeypatch.setattr(_kernels, "weyl_orbit", fail)
+    monkeypatch.setattr(_kernels, "dominant_representative", fail)
+    for tag in ("A6", "B5", "C5", "D6", "G2"):
+        cd = custom_cartan(cartan_from_tag(tag).cartan_matrix, label=tag)  # not memoised
+        assert cd.positive_roots == oracle_positive_roots(cd)
+    cd = custom_cartan(OTHER_MATRICES["G2xB2"], label="G2xB2")
+    assert cd.positive_roots == oracle_positive_roots(cd)
+
+
+@pytest.mark.parametrize("series, largest", [("A", 13), ("B", 10), ("C", 10), ("D", 10)])
+def test_root_orbit_cap_fires_at_the_rank_where_an_orbit_passes_it(monkeypatch, series, largest):
+    # at cap 200: A13's 182 roots form one orbit, A14's 210 do not fit, and
+    # the long roots of B and D and the short roots of C number 2n(n - 1)
+    monkeypatch.setattr(cartan, "ORBIT_CAP", 200)
+    fresh = custom_cartan(cartan._series_matrix(series, largest))
+    assert len(fresh.positive_roots) <= 100
+    with pytest.raises(ResourceCapError) as info:
+        custom_cartan(cartan._series_matrix(series, largest + 1)).positive_roots
+    assert (info.value.code, str(info.value)) == ("orbit-cap", "orbit size exceeds cap 200")
 
 
 SMALL = [cartan_from_tag(t) for t in TAGS if int(t[1:]) <= 4] + [

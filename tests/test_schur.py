@@ -1,5 +1,7 @@
 import itertools
+import math
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -81,6 +83,33 @@ def test_schur_dims():
     assert schur_dim((2,), 3) == 6  # weakly increasing pairs from 3 letters
     assert schur_dim((1, 1, 1), 3) == 1
     assert schur_dim((), 4) == 1
+
+
+def test_schur_dim_matches_hook_content_product():
+    for m in range(9):
+        for mu in partitions_up_to(9, m):
+            assert schur_dim(mu, m) == oracles.hook_content(mu, m), (mu, m)
+    for mu, m in (((40, 20, 10), 4), ((60, 30, 10), 4), ((4, 3, 2), 6), ((1,), 10**6), ((1, 1), 1000)):
+        assert schur_dim(mu, m) == oracles.hook_content(mu, m), (mu, m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 11).flatmap(lambda m: st.tuples(st.lists(st.integers(1, 30), max_size=m), st.just(m))))
+def test_schur_dim_matches_hook_content_product_on_random_shapes(case):
+    parts, m = case
+    mu = tuple(sorted(parts, reverse=True)) + (0,) * (m - len(parts))
+    assert schur_dim(mu, m) == oracles.hook_content(mu, m)
+
+
+def test_schur_dim_of_long_rows_is_immediate():
+    # Weyl's product takes a few factors per row, however long the row
+    start = time.perf_counter()
+    assert schur_dim((10**11,), 3) == (10**11 + 2) * (10**11 + 1) // 2 == 5000000000150000000001
+    assert schur_dim((10**6, 10**6), 3) == (10**6 + 2) * (10**6 + 1) // 2
+    assert schur_dim((10**12, 10**12), 2) == 1
+    assert schur_dim((10**12, 1), 2) == 10**12  # a 2 below a 1, and 0 to 10^12 - 1 twos in row one
+    assert schur_dim((10**12,), 6) == math.comb(10**12 + 5, 5)  # multisets of 10^12 entries from 6
+    assert time.perf_counter() - start < 0.1
 
 
 def test_partition_too_long_rejected():
@@ -596,3 +625,15 @@ def test_render_ypoly_output_takes_the_one_pass_reader(q):
 def test_ypoly_one_pass_reader_leaves_other_text_to_the_full_parser(text):
     assert _read(text, "y", 3, None) is None
     assert outcome(parse_ypoly, text, 3) == outcome(full_parse_ypoly, text, 3)
+
+
+def test_schur_boundary_errors():
+    def error(f, *args):
+        with pytest.raises(InputError) as info:
+            f(*args)
+        return info.value.code, str(info.value)
+
+    assert error(weight_of_partition, (2, 1, 1), 2) == ("invalid-partition", "partition (2, 1, 1) has more than 2 parts")
+    for m in (1, 0):
+        assert error(weight_of_partition, (), m) == ("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
+    assert error(alpha_inverse, YPoly(1, {(3,): 2})) == ("invalid-rank", "need at least two variables to invert")
