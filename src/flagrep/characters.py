@@ -208,7 +208,10 @@ def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Wei
     # strings share only lam, so the character has at least 1 + sum(lam) terms
     if 1 + sum(lam) > max_terms:
         raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
-    return _kernels.freudenthal(cd.freudenthal_tables, lam, _dominant_support(cd, lam, max_terms))
+    support = _dominant_support(cd, lam, max_terms)
+    if len(support) == 1:  # lam alone (0 or minuscule): no tables to build
+        return {lam: 1}
+    return _kernels.freudenthal(cd.freudenthal_tables, lam, support)
 
 
 def dimension(cd: CartanData, lam: Sequence[int]) -> int:

@@ -13,9 +13,10 @@ representation makes it a property of the rendering instead of a rewrite
 rule that arithmetic would have to maintain.
 
 Input is validated once, where it enters: the public ``CharPoly(...)``
-constructor and ``parse`` check every term.  Results the library computes
-itself (arithmetic, characters, s-invariants) already satisfy the invariant
-and are wrapped by ``CharPoly._trusted`` without being re-validated.  The
+constructor checks every term, and ``parse`` every token as it reads.
+Results the library computes itself (arithmetic, characters, s-invariants,
+the reader's terms) already satisfy the invariant and are wrapped by
+``CharPoly._trusted`` without being re-validated.  The
 term-dict format, its validation and its arithmetic are shared with
 ``schur.YPoly`` through one base class.
 
@@ -27,9 +28,12 @@ variable absent from a block costs one slice and compare.  A unit coefficient is
 dropped by one text replacement, which is exact because no factor text holds
 a space.
 
-Text in the exact form ``render`` writes takes a one-pass reader that splits
-it on the term separators, ``*`` and ``^``; any other text takes the full
-recursive-descent parser, which alone reports errors.
+One reader, ``_read``, takes all polynomial text, for ``parse`` and
+``schur.parse_ypoly``.  Text in the form ``render`` writes is read in one
+pass of splits on the term separators, ``*`` and ``^``; other text first
+loses its stray whitespace.  A term the pass cannot take is read again
+token by token, which raises the error the grammar's recursive-descent
+parser (kept in the tests as their oracle) raises at that spot.
 """
 
 from __future__ import annotations
@@ -126,6 +130,19 @@ class _TermDict:
         p = object.__new__(cls)
         p._fill(n, terms)
         return p
+
+    @classmethod
+    def _parsed(cls, n: int, text: str, prefix: str, rho_name: str | None):
+        """The polynomial ``_read`` reads from text, its terms summed with
+        no second check: their keys are exact int tuples of length n,
+        reduced here by ``_reduce``.  A size below 1 gets the constructor's
+        error, after any error in the text."""
+        terms = _read(text, prefix, n, rho_name)
+        if n < 1:
+            return cls(n)  # raises
+        if cls._reduce is not None:
+            terms = ((cls._reduce(e), c) for e, c in terms)
+        return cls._trusted(n, _add_terms({}, terms))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -292,194 +309,148 @@ def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | No
     return "".join(blocks)
 
 
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+[0-9]*)|(\^)|(\*)|(\+)|(-))")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise InputError("parse-error", f"unexpected input at {tail[:12]!r}")
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    return tokens
+#: A character outside the grammar: the text's first one is its error,
+#: before any other.
+_OUTSIDE = re.compile(r"[^0-9A-Za-z^*+\-\s]")
+#: A space that does not stand between two number or name characters.
+_STRAY_SPACE = re.compile(r" (?![0-9A-Za-z])|(?<![0-9A-Za-z]) ")
+#: The tokens of a term: numbers, names (letters, then digits), and any
+#: other character alone.
+_TERM_TOKEN = re.compile(r"[0-9]+|[A-Za-z]+[0-9]*|\S")
 
 
 def _digits(tok: str) -> str:
     """Decimal text of a digit token's value, without leading zeros.
 
     Found without ``int()`` on the whole token, which refuses strings of
-    more digits than ``sys.get_int_max_str_digits()``.  The tokenizer admits
-    ASCII digits only, as ``render`` writes them.
+    more digits than ``sys.get_int_max_str_digits()``.
     """
     return tok.lstrip("0") or "0"
 
 
-class _Parser:
-    """Recursive-descent parser for the shared polynomial grammar."""
-
-    def __init__(self, text: str, var_prefix: str, nvars: int, rho_name: str | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.var_prefix = var_prefix
-        self.nvars = nvars
-        self.rho_name = rho_name
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def parse_exponent(self) -> int:
-        tok = self.take()
-        if tok is None or not tok.isdigit():
-            raise InputError("parse-error", "expected an exponent after '^'")
-        digits = _digits(tok)
-        # more digits than MAX_EXPONENT already exceeds it: no int() needed
-        if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
-            raise InputError("exponent-overflow", f"exponent {digits} exceeds {MAX_EXPONENT}")
-        return int(digits)
-
-    def var_index(self, tok: str | None) -> int:
-        """0..nvars-1 for variables, nvars for the relation variable."""
-        if tok is None:
-            raise InputError("parse-error", "unexpected end of input")
-        if self.rho_name is not None and tok == self.rho_name:
-            return self.nvars
-        if tok.startswith(self.var_prefix) and tok[len(self.var_prefix):].isdigit():
-            digits = _digits(tok[len(self.var_prefix):])
-            if len(digits) > len(str(self.nvars)) or not 1 <= int(digits) <= self.nvars:
-                raise InputError(
-                    "rank-mismatch", f"variable {tok!r} out of range for rank {self.nvars}"
-                )
-            return int(digits) - 1
-        raise InputError("parse-error", f"unknown symbol {tok!r}")
-
-    def parse_factor(self, exps: list[int]) -> None:
-        idx = self.var_index(self.take())
-        e = 1
-        if self.peek() == "^":
-            self.take()
-            e = self.parse_exponent()
-        exps[idx] += e
-        if exps[idx] > MAX_EXPONENT:
-            raise InputError("exponent-overflow", "accumulated exponent too large")
-
-    def parse_term(self) -> tuple[list[int], int]:
-        coeff = 1
-        exps = [0] * (self.nvars + 1)
-        tok = self.peek()
-        if tok is None:
-            raise InputError("parse-error", "expected a term")
-        if tok.isdigit():
-            self.take()
-            try:
-                coeff = int(tok)
-            except ValueError:  # more digits than int() converts
-                limit = sys.get_int_max_str_digits()
-                raise InputError("parse-error", f"coefficient has more than {limit} digits") from None
-            if self.peek() == "*":
-                self.take()
-                self.parse_factor(exps)
-            else:
-                return exps, coeff
-        else:
-            self.parse_factor(exps)
-        while self.peek() == "*":
-            self.take()
-            self.parse_factor(exps)
-        return exps, coeff
-
-    def parse(self) -> list[tuple[list[int], int]]:
-        if not self.tokens:
-            raise InputError("parse-error", "empty polynomial text")
-        out = []
-        sign = 1
-        if self.peek() == "-":
-            self.take()
-            sign = -1
-        exps, c = self.parse_term()
-        out.append((exps, sign * c))
-        while self.peek() is not None:
-            op = self.take()
-            if op not in ("+", "-"):
-                raise InputError("parse-error", f"expected '+' or '-', got {op!r}")
-            exps, c = self.parse_term()
-            out.append((exps, c if op == "+" else -c))
-        return out
+def _outside(text: str) -> None:
+    """Raise the parse error of text's first character outside the grammar,
+    if it has one."""
+    bad = _OUTSIDE.search(text)
+    if bad:
+        raise InputError("parse-error", f"unexpected input at {text[bad.start():].strip()[:12]!r}")
 
 
-def _read(text: str, prefix: str, nvars: int, rho_name: str | None) -> list[tuple[tuple[int, ...], int]] | None:
-    """The terms of text in the exact form ``render`` writes, read in one
-    pass, as (exponents, coefficient) pairs; None for any other text.
+def _read(text: str, prefix: str, nvars: int, rho_name: str | None) -> list[tuple[tuple[int, ...], int]]:
+    """The terms of polynomial text over ``prefix``1..``prefix``<nvars> and
+    ``rho_name``, as (exponents, coefficient) pairs; rho's exponent is taken
+    off the others, so a term's exponents are its lattice point.
 
-    Terms are split on " + " and " - " (the first may carry a leading
-    "-"), a term on "*" (its first factor may be a coefficient) and a
-    factor on "^"; the variables are ``prefix``1..``prefix``<nvars> and
-    ``rho_name``, whose exponent is taken off the others, so a term's
-    exponents are its lattice point.  Other spacing, an unknown name, a
-    non-ASCII digit, an empty factor, an over-long coefficient or an
-    exponent above MAX_EXPONENT, alone or accumulated, gives None, so that
-    ``_Parser`` reads the text and alone reports its errors.
+    The grammar: an optional leading "-", then terms joined by "+" or "-";
+    a term is a number, or factors joined by "*" after an optional number
+    and "*"; a factor is a name with an optional "^" and exponent.
+    Whitespace separates tokens and is otherwise ignored.  The separators
+    " + " and " - " that ``render`` writes become "+" and "-"; any other
+    whitespace is dropped, but for one space between two number or name
+    characters, which keeps "w1 2" from reading as "w12".  The text is then
+    split on the separators, a term on "*" and a factor on "^", in one
+    pass.  A term that pass cannot take (other spacing, leading zeros, an
+    empty factor, an over-long number or an exponent above MAX_EXPONENT,
+    alone or accumulated, or any error) is read again token by token,
+    which names the first error in it.  A character outside the grammar is
+    reported before every other error.
     """
-    if not text.isascii():
-        return None
+    def error(code: str, message: str) -> InputError:
+        _outside(text)  # a character outside the grammar comes first
+        return InputError(code, message)
+
+    s = text.replace(" + ", "+").replace(" - ", "-")
+    if not s.isascii() or s.split() != [s]:  # other whitespace, non-ASCII or no text
+        _outside(text)
+        s = _STRAY_SPACE.sub("", " ".join(s.split()))
+        if not s:
+            raise error("parse-error", "empty polynomial text")
     names = [f"{prefix}{i + 1}" for i in range(nvars)]
     if rho_name is not None:
         names.append(rho_name)
     n = len(names)
     factors = {name: (i, 1) for i, name in enumerate(names)}  # factor text -> (i, e)
-    get = factors.get
-    negative = text[:1] == "-"
-    sign = -1 if negative else 1
-    out = []
-    for chunk in (text[1:] if negative else text).split(" + "):
-        for piece in chunk.split(" - "):
+    pieces = s.replace("-", "+-").split("+")  # a term's text, after its sign
+    if s[0] == "-":
+        del pieces[0]  # the leading sign's empty text
+
+    def factor(toks: list[str], k: int, exps: list[int]) -> int:
+        """Read the factor at toks[k] into exps; the index after it."""
+        tok = toks[k]
+        if tok == rho_name:
+            i = nvars
+        elif tok.startswith(prefix) and tok[len(prefix):].isdigit():
+            digits = _digits(tok[len(prefix):])
+            if len(digits) > len(str(nvars)) or not 1 <= int(digits) <= nvars:
+                raise error("rank-mismatch", f"variable {tok!r} out of range for rank {nvars}")
+            i = int(digits) - 1
+        else:
+            raise error("parse-error", f"unknown symbol {tok!r}" if tok else "unexpected end of input")
+        e = 1
+        if toks[k + 1] == "^":
+            k += 2
+            if not toks[k].isdigit():
+                raise error("parse-error", "expected an exponent after '^'")
+            digits = _digits(toks[k])
+            # more digits than MAX_EXPONENT already exceeds it: no int() needed
+            if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
+                raise error("exponent-overflow", f"exponent {digits} exceeds {MAX_EXPONENT}")
+            e = int(digits)
+        exps[i] += e
+        if exps[i] > MAX_EXPONENT:
+            raise error("exponent-overflow", "accumulated exponent too large")
+        return k + 1
+
+    def term(j: int, body: str) -> tuple[list[int], int]:
+        """(exponents, coefficient) of pieces[j], whose text after its sign
+        is body, read token by token up to the next separator ("" at the
+        end of the text)."""
+        follow = "" if j + 1 == len(pieces) else "-" if pieces[j + 1][:1] == "-" else "+"
+        toks = _TERM_TOKEN.findall(body) + [follow]
+        coeff, exps, k = 1, [0] * n, 0
+        if not toks[0]:
+            raise error("parse-error", "expected a term")
+        if toks[0].isdigit():
+            try:
+                coeff = int(toks[0])
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise error("parse-error", f"coefficient has more than {limit} digits") from None
+            k = 2 if toks[1] == "*" else 1
+        if k != 1:
+            k = factor(toks, k, exps)
+            while toks[k] == "*":
+                k = factor(toks, k + 1, exps)
+        if toks[k] != follow:
+            raise error("parse-error", f"expected '+' or '-', got {toks[k]!r}")
+        return exps, coeff
+
+    pairs = []
+    for j, piece in enumerate(pieces):
+        sign = 1
+        if piece[:1] == "-":
+            sign, piece = -1, piece[1:]
+        try:
             fs = piece.split("*")
-            coeff = 1
-            if fs[0].isdigit():
-                try:
-                    coeff = int(fs[0])
-                except ValueError:  # more digits than int() converts
-                    return None
-                del fs[0]
+            coeff = int(fs.pop(0)) if fs[0].isdigit() else 1
             exps = [0] * n
             for f in fs:
-                hit = get(f)
-                if hit is None:
+                hit = factors.get(f)
+                if hit is None:  # a power, met for the first time
                     name, _, e = f.partition("^")
-                    if name not in factors or not e.isdigit() or len(e) > _EXPONENT_DIGITS:
-                        return None
+                    if not e.isdigit() or len(e) > _EXPONENT_DIGITS:
+                        raise ValueError
                     hit = factors[f] = (factors[name][0], int(e))
                 exps[hit[0]] += hit[1]
             if fs and max(exps) > MAX_EXPONENT:
-                return None
-            rho = exps.pop() if rho_name is not None else 0
-            out.append((tuple([x - rho for x in exps]) if rho else tuple(exps), sign * coeff))
-            sign = -1  # the chunk's later pieces followed " - "
-        sign = 1
-    return out
-
-
-def _parse_terms(text: str, prefix: str, nvars: int, rho_name: str | None) -> list[tuple[tuple[int, ...], int]]:
-    """``_read``'s terms, or the full parser's when ``_read`` declines."""
-    terms = _read(text, prefix, nvars, rho_name)
-    if terms is None:
-        # the parser keeps rho's exponent in slot nvars (always 0 without rho)
-        raw = _Parser(text, prefix, nvars, rho_name).parse()
-        terms = [(tuple(x - e[nvars] for x in e[:nvars]), c) for e, c in raw]
-    return terms
+                raise ValueError
+        except (KeyError, ValueError):  # term() names the error, if there is one
+            exps, coeff = term(j, piece)
+        rho = exps.pop() if rho_name is not None else 0
+        pairs.append((tuple([x - rho for x in exps]) if rho else tuple(exps), sign * coeff))
+    return pairs
 
 
 def parse(text: str, rank: int) -> CharPoly:
     """Parse the polynomial grammar over w1..w<rank> and rho."""
-    return CharPoly(rank, _parse_terms(text, "w", rank, "rho"))
+    return CharPoly._parsed(rank, text, "w", "rho")

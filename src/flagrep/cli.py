@@ -219,6 +219,14 @@ def _cmd_omega(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser that reports bad usage as every bad input is
+    reported: one ``error[usage]: `` line on stderr, and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"error[usage]: {message}\n")
+
+
 def _add_group_options(sub):
     sub.add_argument("group", nargs="?", help="group tag such as A2, B3, G2")
     sub.add_argument(
@@ -231,7 +239,7 @@ def _add_group_options(sub):
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="flagrep",
         description="Exact character arithmetic for cohomology maps between flag manifolds.",
     )
@@ -297,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on bad usage, which matches the input-error code
+        # bad usage exits 2, the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Mapping
 from . import characters
 from .cartan import Weight, builtin_cartan
 from .characters import TERM_CAP
-from .charpoly import CharPoly, _parse_terms, _TermDict, _write
+from .charpoly import CharPoly, _TermDict, _write
 from .errors import InputError, ResourceCapError
 
 Partition = tuple[int, ...]
@@ -83,7 +83,7 @@ def render_ypoly(q: YPoly) -> str:
 
 
 def parse_ypoly(text: str, nvars: int) -> YPoly:
-    return YPoly(nvars, _parse_terms(text, "y", nvars, None))
+    return YPoly._parsed(nvars, text, "y", None)
 
 
 def _shape(mu: Partition, m: int) -> Partition:
@@ -158,10 +158,15 @@ def _ypoly(contents: list[tuple[tuple[int, ...], int]], m: int) -> YPoly:
 
 
 def _check_tableau_count(shape: Partition, m: int) -> None:
-    """The count of the tableaux, held to ``TERM_CAP``."""
+    """The count of the tableaux, held to ``TERM_CAP``.  A count of more
+    digits than Python converts to text is named by a power of two below it."""
     n = _tableau_count(shape, m)
     if n > TERM_CAP:
-        raise ResourceCapError("term-cap", f"{n} tableaux exceed cap {TERM_CAP}")
+        try:
+            count = str(n)
+        except ValueError:  # more digits than int-to-text converts
+            count = f"at least 2^{n.bit_length() - 1}"
+        raise ResourceCapError("term-cap", f"{count} tableaux exceed cap {TERM_CAP}")
 
 
 def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:

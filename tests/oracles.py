@@ -18,9 +18,13 @@ reduces W-invariant input on its dominant terms; it reads characters from
 ``weight_multiplicities``, so it checks the reduction, not the characters.
 The recursion is the library's earlier ``_kernels.freudenthal``, kept
 verbatim, with its two helpers, as the reference for the kernel that
-memoises string sums.
+memoises string sums.  ``Parser`` is the library's earlier
+recursive-descent parser of the polynomial grammar, kept verbatim with its
+tokenizer, as the reference for the one-pass reader.
 """
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
@@ -28,7 +32,7 @@ from typing import Iterator
 
 from flagrep.cartan import CartanData, Weight, is_dominant
 from flagrep.characters import TERM_CAP, DecomposeResult, NotInOmega, _certificate, weight_multiplicities
-from flagrep.charpoly import CharPoly
+from flagrep.charpoly import MAX_EXPONENT, CharPoly
 from flagrep.errors import InputError, ResourceCapError
 from flagrep.schur import Partition, YPoly, validate_partition
 
@@ -329,6 +333,138 @@ def render_polynomial(p):
         exps = tuple(x + c for x in w)
         ordered.append((p.terms[w], _monomial_text(list(exps) + [c], names + ["rho"])))
     return _render_terms(ordered)
+
+
+# --- the recursive-descent parser of the polynomial grammar -----------------
+# The library's earlier parser, kept verbatim as the reference for the
+# one-pass reader behind ``parse`` and ``parse_ypoly``.
+
+_EXPONENT_DIGITS = len(str(MAX_EXPONENT))
+
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+[0-9]*)|(\^)|(\*)|(\+)|(-))")
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            tail = text[pos:].strip()
+            if not tail:
+                break
+            raise InputError("parse-error", f"unexpected input at {tail[:12]!r}")
+        tokens.append(m.group(m.lastindex))
+        pos = m.end()
+    return tokens
+
+
+def _digits(tok: str) -> str:
+    """Decimal text of a digit token's value, without leading zeros.
+
+    Found without ``int()`` on the whole token, which refuses strings of
+    more digits than ``sys.get_int_max_str_digits()``.  The tokenizer admits
+    ASCII digits only, as ``render`` writes them.
+    """
+    return tok.lstrip("0") or "0"
+
+
+class Parser:
+    """Recursive-descent parser for the shared polynomial grammar."""
+
+    def __init__(self, text: str, var_prefix: str, nvars: int, rho_name: str | None):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.var_prefix = var_prefix
+        self.nvars = nvars
+        self.rho_name = rho_name
+
+    def peek(self) -> str | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str | None:
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def parse_exponent(self) -> int:
+        tok = self.take()
+        if tok is None or not tok.isdigit():
+            raise InputError("parse-error", "expected an exponent after '^'")
+        digits = _digits(tok)
+        # more digits than MAX_EXPONENT already exceeds it: no int() needed
+        if len(digits) > _EXPONENT_DIGITS or int(digits) > MAX_EXPONENT:
+            raise InputError("exponent-overflow", f"exponent {digits} exceeds {MAX_EXPONENT}")
+        return int(digits)
+
+    def var_index(self, tok: str | None) -> int:
+        """0..nvars-1 for variables, nvars for the relation variable."""
+        if tok is None:
+            raise InputError("parse-error", "unexpected end of input")
+        if self.rho_name is not None and tok == self.rho_name:
+            return self.nvars
+        if tok.startswith(self.var_prefix) and tok[len(self.var_prefix):].isdigit():
+            digits = _digits(tok[len(self.var_prefix):])
+            if len(digits) > len(str(self.nvars)) or not 1 <= int(digits) <= self.nvars:
+                raise InputError(
+                    "rank-mismatch", f"variable {tok!r} out of range for rank {self.nvars}"
+                )
+            return int(digits) - 1
+        raise InputError("parse-error", f"unknown symbol {tok!r}")
+
+    def parse_factor(self, exps: list[int]) -> None:
+        idx = self.var_index(self.take())
+        e = 1
+        if self.peek() == "^":
+            self.take()
+            e = self.parse_exponent()
+        exps[idx] += e
+        if exps[idx] > MAX_EXPONENT:
+            raise InputError("exponent-overflow", "accumulated exponent too large")
+
+    def parse_term(self) -> tuple[list[int], int]:
+        coeff = 1
+        exps = [0] * (self.nvars + 1)
+        tok = self.peek()
+        if tok is None:
+            raise InputError("parse-error", "expected a term")
+        if tok.isdigit():
+            self.take()
+            try:
+                coeff = int(tok)
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                raise InputError("parse-error", f"coefficient has more than {limit} digits") from None
+            if self.peek() == "*":
+                self.take()
+                self.parse_factor(exps)
+            else:
+                return exps, coeff
+        else:
+            self.parse_factor(exps)
+        while self.peek() == "*":
+            self.take()
+            self.parse_factor(exps)
+        return exps, coeff
+
+    def parse(self) -> list[tuple[list[int], int]]:
+        if not self.tokens:
+            raise InputError("parse-error", "empty polynomial text")
+        out = []
+        sign = 1
+        if self.peek() == "-":
+            self.take()
+            sign = -1
+        exps, c = self.parse_term()
+        out.append((exps, sign * c))
+        while self.peek() is not None:
+            op = self.take()
+            if op not in ("+", "-"):
+                raise InputError("parse-error", f"expected '+' or '-', got {op!r}")
+            exps, c = self.parse_term()
+            out.append((exps, c if op == "+" else -c))
+        return out
 
 
 def recursive_certificates(irreps, n):

@@ -8,7 +8,11 @@ bound, alone and accumulated.  Each odd choice is rare, so that much of
 the soup is still valid text.
 """
 
+from unittest import mock
+
 from hypothesis import strategies as st
+
+from flagrep import charpoly
 
 LONG_DIGITS = "9" * 5000
 
@@ -57,6 +61,13 @@ def texts(prefix, nvars, rho, rendered):
     """Text over ``prefix``1..``prefix``<nvars> (and ``rho``, if given):
     ``rendered`` (a strategy for render output) or token soup."""
     return st.one_of(rendered, _soup(prefix, nvars, rho))
+
+
+def one_pass_only():
+    """A patch under which reading fails the test if the text needs
+    re-spacing or a term needs reading token by token."""
+    refuse = mock.Mock(side_effect=AssertionError("not read in one pass"))
+    return mock.patch.multiple(charpoly, _STRAY_SPACE=mock.Mock(sub=refuse), _TERM_TOKEN=mock.Mock(findall=refuse))
 
 
 #: Block lengths for the writer: a block boundary after every term, every

@@ -638,8 +638,8 @@ def test_weight_multiplicities_returns_a_fresh_character():
 def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
     characters._dominant_character.cache_clear()
     calls = []
-    freudenthal = _kernels.freudenthal
-    monkeypatch.setattr(_kernels, "freudenthal", lambda *a: calls.append(a[1]) or freudenthal(*a))
+    support = characters._dominant_support
+    monkeypatch.setattr(characters, "_dominant_support", lambda *a: calls.append(a[1]) or support(*a))
     b2 = cartan_from_tag("B2")
     # V(1,0) (x) V(0,1) = V(1,1) + V(0,1): decompose reads (0, 1), which
     # weight_multiplicities computed, and then weight_multiplicities reads
@@ -650,6 +650,20 @@ def test_character_reuses_the_multiplicities_decompose_memoised(monkeypatch):
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
     assert len(weight_multiplicities(b2, (1, 1)).terms) == 12
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "tag, lam",
+    [("A3", (0, 0, 0)), ("A3", (0, 1, 0)), ("B3", (0, 0, 1)), ("C3", (1, 0, 0)), ("D4", (0, 0, 0, 1)), ("G2", (0, 0))],
+)
+def test_a_one_weight_support_builds_no_freudenthal_tables(tag, lam):
+    # lambda = 0 or minuscule: its character is its orbit, multiplicity 1
+    characters._dominant_character.cache_clear()
+    cd = custom_cartan(cartan_from_tag(tag).cartan_matrix, label=tag)
+    p = weight_multiplicities(cd, lam)
+    assert "freudenthal_tables" not in vars(cd)
+    assert p.terms == dict.fromkeys(oracles.bfs_weyl_orbit(cd.cartan_matrix, lam, TERM_CAP), 1)
+    assert len(p.terms) == dimension(cd, lam)
 
 
 def _small_character_memo(monkeypatch, size):

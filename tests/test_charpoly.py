@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,6 @@ from flagrep import InputError, cartan_from_tag, charpoly, weight_multiplicities
 from flagrep.charpoly import (
     CharPoly,
     NormalMonomial,
-    _Parser,
-    _read,
     denormalize,
     normalize,
     parse,
@@ -329,8 +328,9 @@ def test_render_orders_terms_by_descending_lattice_point():
 # --- the one-pass reader against the full parser ---------------------------
 
 def full_terms(text, rank):
-    """Lattice points and coefficients of the terms, by the full parser alone."""
-    raw = _Parser(text, "w", rank, "rho").parse()
+    """Lattice points and coefficients of the terms, by the oracle's
+    recursive-descent parser."""
+    raw = oracles.Parser(text, "w", rank, "rho").parse()
     return [(tuple(x - e[rank] for x in e[:rank]), c) for e, c in raw]
 
 
@@ -359,12 +359,14 @@ def test_parse_agrees_with_the_full_parser(case):
 @given(st.integers(1, 4).flatmap(polys))
 def test_render_output_takes_the_one_pass_reader(p):
     text = render(p)
-    assert _read(text, "w", p.rank, "rho") == full_terms(text, p.rank)
+    with poly_text.one_pass_only():
+        assert parse(text, p.rank) == full_parse(text, p.rank) == p
 
 
 def test_one_pass_reader_reads_rho_repeats_and_zero_exponents():
     text = "-3*w1^2*w1*rho^0 + rho - 0 + 2"
-    assert _read(text, "w", 2, "rho") == full_terms(text, 2)
+    with poly_text.one_pass_only():
+        assert parse(text, 2) == full_parse(text, 2)
     assert parse(text, 2) == CharPoly(2, {(3, 0): -3, (-1, -1): 1, (0, 0): 2})
 
 
@@ -378,8 +380,40 @@ def test_one_pass_reader_reads_rho_repeats_and_zero_exponents():
     ],
 )
 def test_one_pass_reader_leaves_other_text_to_the_full_parser(text):
-    assert _read(text, "w", 2, "rho") is None
     assert outcome(parse, text, 2) == outcome(full_parse, text, 2)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        # a character outside the grammar comes before every other error,
+        # in text with other spacing and in text spaced as render writes it
+        ("w1 + + rho ²", ("parse-error", "unexpected input at '²'")),
+        ("w1**w2 + rho/2", ("parse-error", "unexpected input at '/2'")),
+        # within a term, errors come in token order
+        ("w1^600000*w1^600000**w1", ("exponent-overflow", "accumulated exponent too large")),
+    ],
+)
+def test_reader_reports_the_parsers_first_error(text, error):
+    assert outcome(parse, text, 2) == outcome(full_parse, text, 2) == error
+
+
+@pytest.mark.parametrize("text", ["w1 2", "w 12", "1 2*w3", "w1\t2*w3", "w1 2^3", "w12", "w1  *  w12"])
+def test_reader_keeps_whitespace_between_words_at_rank_12(text):
+    # "w1 2" is two tokens, w1 and 2, never w12
+    assert outcome(parse, text, 12) == outcome(full_parse, text, 12)
+
+
+def test_reader_separates_words_that_whitespace_separates():
+    assert outcome(parse, "w1 2", 12) == ("parse-error", "expected '+' or '-', got '2'")
+    assert outcome(parse, "w 12", 12) == ("parse-error", "unknown symbol 'w'")
+    assert parse("w1  *  w12", 12) == CharPoly(12, {(1,) + (0,) * 10 + (1,): 1})
+
+
+@given(st.integers(1, 4).flatmap(polys))
+def test_parse_validates_its_text_once(p):
+    with mock.patch.object(charpoly._TermDict, "_validated", side_effect=AssertionError("validated twice")):
+        assert parse(render(p), p.rank).terms == p.terms
 
 
 def test_long_digit_runs_are_input_errors():
@@ -402,3 +436,6 @@ def test_charpoly_boundary_errors():
         with pytest.raises(InputError) as info:
             CharPoly(rank)
         assert (info.value.code, str(info.value)) == ("invalid-rank", "rank must be positive")
+        # parse reports an error in the text first, then the rank's
+        assert outcome(parse, "5 + rho", rank) == ("invalid-rank", "rank must be positive")
+        assert outcome(parse, "w1", rank) == ("rank-mismatch", f"variable 'w1' out of range for rank {rank}")

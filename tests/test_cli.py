@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from flagrep import characters, weight_of_partition
+from flagrep import characters, schur_dim, weight_of_partition
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
@@ -314,6 +314,23 @@ def test_cor3_counts_the_tableaux_of_long_rows_before_its_cap(capsys):
     assert time.perf_counter() - start < 1
 
 
+def test_cor3_names_a_tableau_count_too_long_for_text_by_a_power_of_two(capsys):
+    # both counts pass Python's 4,300-digit int-to-text limit
+    for mu, m, k in [((20000,), 20000, 39991), ((3000, 2000, 1000), 9000, 21925)]:
+        argv = (",".join(map(str, mu)), str(m))
+        assert 2**k <= schur_dim(mu, m) < 2 ** (k + 1)
+        assert run(capsys, "cor3", *argv) == (3, "", f"error[term-cap]: at least 2^{k} tableaux exceed cap 10000000\n")
+
+
+def test_usage_errors_are_one_error_line(capsys):
+    # a positional that starts with "-" reads as an option
+    assert run(capsys, "dim", "A2", "-1,2") == (2, "", "error[usage]: unrecognized arguments: -1,2\n")
+    assert run(capsys, "realize") == (2, "", "error[usage]: the following arguments are required: hom\n")
+    code, out, err = run(capsys, "omega", "A2", "9" * 5001)
+    assert (code, out) == (2, "") and err.startswith("error[usage]: argument n: invalid int value: '999")
+    assert err.count("\n") == 1 and err.endswith("'\n")
+
+
 def test_cli_boundary_errors(capsys, tmp_path):
     # a --group-matrix whose JSON is not a matrix, inline or in a file
     expected = (2, "", "error[invalid-cartan]: expected a JSON integer matrix\n")
@@ -541,7 +558,7 @@ def test_repeated_calls_give_the_same_result(capsys):
     ]
     first = [run(capsys, *argv) for argv in calls]
     assert [r[0] for r in first] == [2, 0, 0, 1, 2, 0]
-    assert first[0][2].startswith("usage: flagrep realize")
+    assert first[0][2] == "error[usage]: the following arguments are required: hom\n"
     for _ in range(2):
         assert [run(capsys, *argv) for argv in calls] == first
 

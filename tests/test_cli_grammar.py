@@ -6,7 +6,7 @@ limit among them.
 Every command ends in one of four ways: exit 0, exit 1 (``realize`` only),
 or exit 2 or 3 with exactly one ``error[code]: `` line on stderr.  An argv
 that argparse itself rejects (a positional that starts with ``-`` reads as
-an option) ends in argparse's usage text and exit 2.
+an option) ends in one ``error[usage]: `` line and exit 2.
 """
 
 import contextlib
@@ -195,7 +195,7 @@ def test_every_command_ends_in_an_answer_a_verdict_or_one_error_line(files, data
     argv = data.draw(calls(files), label="argv")
     code, out, err = run(argv)
     if not argparse_accepts(argv):
-        assert (code, out) == (2, "") and err.startswith("usage: flagrep")
+        assert (code, out) == (2, "") and ERROR_LINE.fullmatch(err) and err.startswith("error[usage]: "), err
         return
     assert code in (0, 1, 2, 3), err
     if code == 1:

@@ -3,6 +3,7 @@ import math
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +27,7 @@ from flagrep import (
     weights_of_schur,
 )
 from flagrep.characters import TERM_CAP, Certificate
-from flagrep.charpoly import CharPoly, _Parser, _read
+from flagrep.charpoly import CharPoly
 from flagrep.schur import YPoly, parse_ypoly, render_ypoly, validate_partition
 
 import oracles
@@ -591,8 +592,8 @@ def test_alpha_of_characters_is_clean():
 # --- the one-pass reader against the full parser ------------------------------
 
 def full_parse_ypoly(text, n):
-    """``parse_ypoly`` with the full parser alone."""
-    return YPoly(n, [(tuple(e[:n]), c) for e, c in _Parser(text, "y", n, None).parse()])
+    """``parse_ypoly`` by the oracle's recursive-descent parser."""
+    return YPoly(n, [(tuple(e[:n]), c) for e, c in oracles.Parser(text, "y", n, None).parse()])
 
 
 def outcome(f, *args):
@@ -616,15 +617,19 @@ def test_parse_ypoly_agrees_with_the_full_parser(case):
 @given(ypolys())
 def test_render_ypoly_output_takes_the_one_pass_reader(q):
     text = render_ypoly(q)
-    full = [(tuple(e[:q.nvars]), c) for e, c in _Parser(text, "y", q.nvars, None).parse()]
-    assert _read(text, "y", q.nvars, None) == full
-    assert parse_ypoly(text, q.nvars) == q
+    with poly_text.one_pass_only():
+        assert parse_ypoly(text, q.nvars) == full_parse_ypoly(text, q.nvars) == q
 
 
 @pytest.mark.parametrize("text", ["rho", "y4", "y0", "y1 +y2", "y1^²", "y1^1000001", "y1^600000*y1^600000"])
 def test_ypoly_one_pass_reader_leaves_other_text_to_the_full_parser(text):
-    assert _read(text, "y", 3, None) is None
     assert outcome(parse_ypoly, text, 3) == outcome(full_parse_ypoly, text, 3)
+
+
+@given(ypolys())
+def test_parse_ypoly_validates_its_text_once(q):
+    with mock.patch.object(charpoly._TermDict, "_validated", side_effect=AssertionError("validated twice")):
+        assert parse_ypoly(render_ypoly(q), q.nvars).terms == q.terms
 
 
 def test_schur_boundary_errors():
@@ -637,3 +642,6 @@ def test_schur_boundary_errors():
     for m in (1, 0):
         assert error(weight_of_partition, (), m) == ("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
     assert error(alpha_inverse, YPoly(1, {(3,): 2})) == ("invalid-rank", "need at least two variables to invert")
+    # parse_ypoly reports an error in the text first, then the size's
+    assert error(parse_ypoly, "2", 0) == ("invalid-rank", "need at least one variable")
+    assert error(parse_ypoly, "y1", 0) == ("rank-mismatch", "variable 'y1' out of range for rank 0")
