@@ -11,23 +11,26 @@ d_j if i == j and 0 otherwise (Humphreys, Introduction to Lie Algebras
 and Representation Theory, 24.3).
 So the root strata, the heights of weights, the Weyl product and
 Freudenthal's tables are read off c; only ``inner`` reads the inverse
-matrix.  All arithmetic is exact (integers and rationals); no value in
-this module is ever rounded.
+matrix.  All arithmetic is exact and no value in this module is ever
+rounded: the symmetrizer is found in integers, and only ``inner``, with
+the inverse matrix and invariant form it reads, uses ``Fraction``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress, count
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _kernels
+from ._record import _Record
 from .errors import InputError, ResourceCapError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Weight = tuple[int, ...]
 
@@ -40,8 +43,7 @@ BUILTIN_CACHE_SIZE = 64
 _TAG_RE = re.compile(r"^([A-Za-z])[-_ ]?(\d+)$")
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(_Record):
     """Root-system data of a simply-connected compact semisimple group.
 
     ``cartan_matrix`` rows are the simple roots in weight coordinates;
@@ -165,6 +167,8 @@ def _eliminate(aug: list[list[int]], col: int, rows: Iterable[int]) -> None:
 
 def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse by integer Gauss-Jordan elimination of [matrix | 1]."""
+    from fractions import Fraction
+
     n = len(matrix)
     aug = [list(matrix[i]) + [int(j == i) for j in range(n)] for i in range(n)]
     for col in range(n):
@@ -177,33 +181,43 @@ def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Minimal positive integers d with C[i][j]*d[j] == C[j][i]*d[i]."""
+    """Minimal positive integers d with C[i][j]*d[j] == C[j][i]*d[i].
+
+    Found in integers: ``vals`` holds the ratios d[k]/d[start] found so
+    far, each component's first node at 1, all times ``scale``, the least
+    common denominator of those ratios.  A step whose value is not an
+    integer multiplies every value, and the scale, by the missing factor;
+    the values are divided by their gcd at the end.
+    """
     n = len(matrix)
-    vals: list[Fraction | None] = [None] * n
+    vals = [0] * n
+    scale = 1
     for start in range(n):
-        if vals[start] is not None:
+        if vals[start]:
             continue
-        vals[start] = Fraction(1)
+        vals[start] = scale
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
                 if i == j or matrix[i][j] == 0:
                     continue
-                want = vals[i] * Fraction(matrix[j][i], matrix[i][j])  # d[j]/d[i]
-                if vals[j] is None:
-                    vals[j] = want
-                    stack.append(j)
-                elif vals[j] != want:
-                    raise InputError(
-                        "invalid-cartan", "Cartan matrix is not symmetrizable"
-                    )
-    denom = lcm(*[v.denominator for v in vals])
-    ints = [int(v * denom) for v in vals]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+                num, den = vals[i] * matrix[j][i], matrix[i][j]  # d[j] = num / den
+                if vals[j]:
+                    if vals[j] * den != num:
+                        raise InputError(
+                            "invalid-cartan", "Cartan matrix is not symmetrizable"
+                        )
+                    continue
+                if num % den:
+                    f = abs(den) // gcd(num, den)
+                    vals = [v * f for v in vals]
+                    scale *= f
+                    num *= f
+                vals[j] = num // den
+                stack.append(j)
+    g = gcd(*vals)
+    return tuple(x // g for x in vals)
 
 
 def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
@@ -239,6 +253,13 @@ def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _check_root_count(n: int) -> None:
+    """Raises ``orbit-cap`` if n positive roots and their negatives number
+    more than ``ORBIT_CAP``."""
+    if n > ORBIT_CAP // 2:
+        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {ORBIT_CAP}")
+
+
 def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
     """Positive roots sorted by (height, weight), and their simple-root
     coordinates c, found by one walk up from the simple roots (Humphreys,
@@ -262,8 +283,7 @@ def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
     roots = list(cartan)
     coords = {a: bytes(int(j == i) for j in range(len(cartan))) for i, a in enumerate(roots)}
     for v in roots:
-        if len(roots) > ORBIT_CAP // 2:
-            raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {ORBIT_CAP}")
+        _check_root_count(len(roots))
         c = coords[v]
         for i in compress(count(), map((0).__gt__, v)):
             u = tuple(map(sub, v, map(v[i].__mul__, cartan[i])))
@@ -381,6 +401,8 @@ def _check_length(cd: CartanData, w: Sequence[int]) -> Weight:
 
 def inner(cd: CartanData, u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Invariant symmetric bilinear form, exact rational value."""
+    from fractions import Fraction
+
     u = _check_length(cd, u)
     v = _check_length(cd, v)
     g = cd.gram

@@ -32,13 +32,13 @@ with no orbit expanded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add
 from typing import Callable, Iterator, Sequence, Union
 
 from . import _kernels
+from ._record import _Record
 from .cartan import CartanData, Weight, _check_length, is_dominant
 from .charpoly import CharPoly
 from .errors import InputError, ResourceCapError
@@ -52,8 +52,7 @@ OMEGA_N_CAP = 64
 CHARACTER_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Multiset of dominant weights witnessing a character decomposition.
 
     ``summands`` pairs each highest weight with its positive multiplicity,
@@ -82,8 +81,7 @@ class Certificate:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class NotInOmega:
+class NotInOmega(_Record):
     """Failure report: the tested polynomial is not certified as a character.
 
     This is a negative result for the sufficient criterion only; it never
@@ -197,6 +195,15 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
     return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms))
 
 
+def _check_string_terms(lam: Weight, max_terms: int) -> None:
+    """Raises the term cap if the simple root strings through ``lam`` hold
+    more than ``max_terms`` weights: the alpha_i-string through lam holds
+    lam_i + 1 distinct weights and two strings share only lam, so the
+    character has at least 1 + sum(lam) terms."""
+    if 1 + sum(lam) > max_terms:
+        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
+
+
 @lru_cache(maxsize=CHARACTER_CACHE_SIZE)
 def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of the character of a checked
@@ -204,10 +211,7 @@ def _dominant_character(cd: CartanData, lam: Weight, max_terms: int) -> dict[Wei
     than ``max_terms`` terms, before Freudenthal runs; the cap is part of
     the key, so a cached entry was held to the same cap.  The dict is
     shared, so callers only read it."""
-    # the alpha_i-string through lam holds lam_i + 1 distinct weights and two
-    # strings share only lam, so the character has at least 1 + sum(lam) terms
-    if 1 + sum(lam) > max_terms:
-        raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
+    _check_string_terms(lam, max_terms)
     support = _dominant_support(cd, lam, max_terms)
     if len(support) == 1:  # lam alone (0 or minuscule): no tables to build
         return {lam: 1}

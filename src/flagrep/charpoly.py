@@ -147,6 +147,10 @@ class _TermDict:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return type(self), (self._size, self.terms)
+
     @classmethod
     def zero(cls, n: int):
         return cls(n)

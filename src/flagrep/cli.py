@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 from . import characters, realize
@@ -33,6 +32,8 @@ EXIT_INTERNAL = 4
 
 def _load_json_arg(arg: str):
     """Inline JSON if the argument looks like JSON, else a file path."""
+    import json
+
     text = arg.strip()
     if not text.startswith(("{", "[")):
         try:
@@ -47,6 +48,14 @@ def _load_json_arg(arg: str):
     except ValueError:  # more digits than int() converts
         limit = sys.get_int_max_str_digits()
         raise InputError("invalid-json", f"integer has more than {limit} digits") from None
+
+
+def _dumps(value) -> str:
+    """``value`` as JSON text; ``json`` is imported by the commands that
+    read or write it, not by every launch."""
+    import json
+
+    return json.dumps(value)
 
 
 @contextlib.contextmanager
@@ -110,13 +119,13 @@ def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
     JSON line, or one text line per field after ``certified``."""
     fields = result.to_json_dict()
     if fmt == "json":
-        print(json.dumps(fields))
+        print(_dumps(fields))
         return
     print("not-certified")
     del fields["certified"]
     print(f"reason: {fields.pop('reason')}")
     for key, value in fields.items():
-        print(f"{key}: {json.dumps(value)}")
+        print(f"{key}: {_dumps(value)}")
     print("note: not certified by this criterion; existence of a map is not ruled out")
 
 
@@ -157,7 +166,7 @@ def _cmd_realize(args) -> int:
             _print_not_certified(result, args.format)
             return EXIT_NOT_CERTIFIED
         if args.format == "json":
-            print(json.dumps(result.to_json_dict()))
+            print(_dumps(result.to_json_dict()))
         else:
             print("certified")
             print(f"summands: {result.render()}")
@@ -201,7 +210,7 @@ def _cmd_cor3(args) -> int:
     mu = parse_partition(args.mu)
     result = realize.realize_schur(mu, args.m)
     print(f"n: {result.n}")
-    print(f"rows: {json.dumps([list(r) for r in result.hom.rows])}")
+    print(f"rows: {_dumps([list(r) for r in result.hom.rows])}")
     print(f"alpha-s: {render_ypoly(result.symmetric_function)}")
     print(f"check: {'ok' if result.matches else 'mismatch'}")
     return EXIT_OK
@@ -212,7 +221,7 @@ def _cmd_omega(args) -> int:
     max_n = _positive_cap(args.max_n, "--max-n")
     certs = characters.omega_n_enumerate(cd, args.n, max_n, characters.TERM_CAP)
     if args.format == "json":
-        print(json.dumps([c.to_json_dict() for c in certs]))
+        print(_dumps([c.to_json_dict() for c in certs]))
     else:
         for cert in certs:
             print(cert.render())

@@ -13,11 +13,11 @@ homomorphism.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
+from ._record import _Record
 from .cartan import CartanData, Weight
 from .characters import (
     TERM_CAP,
@@ -62,8 +62,7 @@ def _count_weights(rank: int, weights: Iterable[Sequence[int]]) -> CharPoly:
     return CharPoly._trusted(rank, dict(Counter(map(tuple, weights))))
 
 
-@dataclass(frozen=True)
-class CohomHom:
+class CohomHom(_Record):
     """Integer matrix of a candidate homomorphism on second cohomology.
 
     ``rows`` are the images of the first n-1 generators; ``derived_row`` is
@@ -121,8 +120,7 @@ def cohom_from_json(data: dict) -> tuple[CohomHom, str | None]:
     return hom, group
 
 
-@dataclass(frozen=True)
-class TorusRestriction:
+class TorusRestriction(_Record):
     """Weights of a torus-preserving homomorphism into a unitary group.
 
     The list is the multiset of characters through which the maximal torus
@@ -210,8 +208,7 @@ def torus_restriction_from_certificate(cd: CartanData, cert: Certificate) -> Tor
     return TorusRestriction(tuple(weights))
 
 
-@dataclass(frozen=True)
-class SchurRealization:
+class SchurRealization(_Record):
     """Map data for a Schur polynomial; ``matches`` records whether
     alpha(s_map(hom)) equals the Schur polynomial of the tableau contents
     the weights were read off, which is ``schur(mu, m)``: the two routes

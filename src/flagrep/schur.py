@@ -26,7 +26,7 @@ from math import comb, factorial, perm, prod
 from operator import sub
 from typing import Iterable, Iterator, Mapping
 
-from . import characters
+from . import cartan, characters
 from .cartan import Weight, builtin_cartan
 from .characters import TERM_CAP
 from .charpoly import CharPoly, _TermDict, _write
@@ -108,10 +108,15 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
     the root data does not grow with m.  When k < m, the content count
     times m is held to ``TERM_CAP``, counted on the nonzero parts before
     any content is built; for k = m the character's term cap applies.
+    The character's first caps, on its root strings and on the k(k-1)/2
+    positive roots of A_(k-1), are checked before the group is built.
     """
     size = sum(shape)
     k = min(m, max(2, size))
     top = _content_to_weight(shape + (0,) * (k - len(shape)))  # the part differences
+    # the character's first two caps, raised before A_(k-1) and its k^2 matrix are built
+    characters._check_string_terms(top, TERM_CAP)
+    cartan._check_root_count(k * (k - 1) // 2)
     dominant = characters._dominant_character(builtin_cartan("A", k - 1), top, TERM_CAP)
     partitions = []
     for w, c in dominant.items():

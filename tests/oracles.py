@@ -20,7 +20,9 @@ The recursion is the library's earlier ``_kernels.freudenthal``, kept
 verbatim, with its two helpers, as the reference for the kernel that
 memoises string sums.  ``Parser`` is the library's earlier
 recursive-descent parser of the polynomial grammar, kept verbatim with its
-tokenizer, as the reference for the one-pass reader.
+tokenizer, as the reference for the one-pass reader.  ``symmetrizer`` is
+the library's earlier symmetrizer in rationals, kept verbatim, as the
+reference for the one found in integers.
 """
 
 import re
@@ -28,7 +30,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, permutations, product
-from typing import Iterator
+from math import gcd, lcm
+from typing import Iterator, Sequence
 
 from flagrep.cartan import CartanData, Weight, is_dominant
 from flagrep.characters import TERM_CAP, DecomposeResult, NotInOmega, _certificate, weight_multiplicities
@@ -62,6 +65,36 @@ def inverse_2x2(m):
         (Fraction(d, det), Fraction(-b, det)),
         (Fraction(-c, det), Fraction(a, det)),
     )
+
+
+def symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Minimal positive integers d with C[i][j]*d[j] == C[j][i]*d[i]."""
+    n = len(matrix)
+    vals: list[Fraction | None] = [None] * n
+    for start in range(n):
+        if vals[start] is not None:
+            continue
+        vals[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if i == j or matrix[i][j] == 0:
+                    continue
+                want = vals[i] * Fraction(matrix[j][i], matrix[i][j])  # d[j]/d[i]
+                if vals[j] is None:
+                    vals[j] = want
+                    stack.append(j)
+                elif vals[j] != want:
+                    raise InputError(
+                        "invalid-cartan", "Cartan matrix is not symmetrizable"
+                    )
+    denom = lcm(*[v.denominator for v in vals])
+    ints = [int(v * denom) for v in vals]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
 
 
 def gram_from_cartan(cartan_inverse, symmetrizer):

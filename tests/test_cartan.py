@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -313,3 +315,73 @@ def test_cartan_boundary_errors():
     a2 = cartan_from_tag("A2")
     assert error(simple_reflection, a2, 2, (1, 0)) == ("invalid-index", "reflection index 2 out of range")
     assert error(simple_reflection, a2, -1, (1, 0)) == ("invalid-index", "reflection index -1 out of range")
+
+
+# --- the symmetrizer, in integers against the rational oracle ---------------
+
+def _block_diagonal(blocks, order):
+    """The block-diagonal matrix of ``blocks`` with node ``order[k]`` of it
+    placed at position k."""
+    n = sum(map(len, blocks))
+    full = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            full[at + i][at:at + len(row)] = row
+        at += len(block)
+    return [[full[i][j] for j in order] for i in order]
+
+
+def test_symmetrizer_matches_the_oracle_on_the_builtin_series():
+    for series, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(low, 13):
+            matrix = cartan._series_matrix(series, rank)
+            assert cartan._symmetrizer(matrix) == oracles.symmetrizer(matrix), (series, rank)
+    g2 = cartan._series_matrix("G", 2)
+    assert cartan._symmetrizer(g2) == oracles.symmetrizer(g2) == (1, 3)
+
+
+def test_symmetrizer_matches_the_oracle_on_interleaved_products():
+    rng = random.Random(20)
+    pieces = [("A", 1), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
+    for _ in range(200):
+        blocks = [cartan._series_matrix(*rng.choice(pieces)) for _ in range(rng.randint(2, 4))]
+        order = list(range(sum(map(len, blocks))))
+        rng.shuffle(order)
+        matrix = _block_diagonal(blocks, order)
+        assert cartan._symmetrizer(matrix) == oracles.symmetrizer(matrix), matrix
+        assert custom_cartan(matrix).symmetrizer == oracles.symmetrizer(matrix)
+
+
+def test_symmetrizer_matches_the_oracle_on_random_symmetrizable_matrices():
+    # C[i][j] = -k * lcm(d_i, d_j) / d_j is symmetrized by d, whatever k
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        d = [rng.randint(1, 6) for _ in range(n)]
+        matrix = [[2] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                k = rng.choice((0, 0, 1, 2))
+                s = k * math.lcm(d[i], d[j])
+                matrix[i][j], matrix[j][i] = -s // d[j], -s // d[i]
+        found = cartan._symmetrizer(matrix)
+        assert found == oracles.symmetrizer(matrix), matrix
+        assert all(matrix[i][j] * found[j] == matrix[j][i] * found[i] for i in range(n) for j in range(n))
+
+
+def test_non_symmetrizable_cycles_are_rejected_by_both():
+    rng = random.Random(22)
+    seen = 0
+    while seen < 100:
+        a, b, c, x, y, z = (-rng.randint(1, 4) for _ in range(6))
+        if a * b * c == x * y * z:  # the cycle's ratios multiply to 1
+            continue
+        seen += 1
+        matrix = [[2, a, z], [x, 2, b], [c, y, 2]]
+        for find in (cartan._symmetrizer, oracles.symmetrizer):
+            with pytest.raises(InputError, match="^Cartan matrix is not symmetrizable$"):
+                find(matrix)
+        with pytest.raises(InputError) as info:
+            custom_cartan(matrix)
+        assert (info.value.code, str(info.value)) == ("invalid-cartan", "Cartan matrix is not symmetrizable")

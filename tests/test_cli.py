@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -320,6 +323,14 @@ def test_cor3_names_a_tableau_count_too_long_for_text_by_a_power_of_two(capsys):
         argv = (",".join(map(str, mu)), str(m))
         assert 2**k <= schur_dim(mu, m) < 2 ** (k + 1)
         assert run(capsys, "cor3", *argv) == (3, "", f"error[term-cap]: at least 2^{k} tableaux exceed cap 10000000\n")
+
+
+def test_schur_of_a_long_row_in_many_variables_stops_before_the_cartan_matrix(capsys):
+    # A19999 and A5999 have more than 10^6 roots; their matrices alone hold 4 * 10^8 and 3.6 * 10^7 entries
+    for argv in (("schur", "20000", "20000"), ("schur", "3000,2000,1000", "9000")):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (3, "", "error[orbit-cap]: orbit size exceeds cap 1000000\n")
+        assert time.perf_counter() - start < 1
 
 
 def test_usage_errors_are_one_error_line(capsys):
@@ -716,3 +727,21 @@ def test_not_certified_text_lists_the_report_fields(capsys, report, text):
     assert capsys.readouterr().out == "not-certified\n" + text + note
     cli_module._print_not_certified(report, "json")
     assert json.loads(capsys.readouterr().out) == report.to_json_dict()
+
+
+# --- what a launch imports ------------------------------------------------------
+
+def test_a_launch_imports_no_dataclasses_fractions_or_json():
+    # a CLI launch answers most questions in about a millisecond, so its imports are most of its cost
+    code = (
+        "import sys\n"
+        "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
+        "import flagrep.cli\n"
+        "print(sorted(set(heavy) & set(sys.modules)))\n"
+        "assert flagrep.cli.main(['dim', 'A1', '1']) == 0\n"
+        "print(sorted(set(heavy) & set(sys.modules)))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n2\n[]\n", "")

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 import sys
@@ -26,12 +27,15 @@ from flagrep import (
     weight_of_partition,
     weights_of_schur,
 )
+from flagrep import cartan, characters, custom_cartan
 from flagrep.characters import TERM_CAP, Certificate
 from flagrep.charpoly import CharPoly
 from flagrep.schur import YPoly, parse_ypoly, render_ypoly, validate_partition
 
 import oracles
 import poly_text
+
+schur_module = importlib.import_module("flagrep.schur")  # ``flagrep.schur`` is the function
 
 
 def partitions_up_to(total, max_parts):
@@ -645,3 +649,48 @@ def test_schur_boundary_errors():
     # parse_ypoly reports an error in the text first, then the size's
     assert error(parse_ypoly, "2", 0) == ("invalid-rank", "need at least one variable")
     assert error(parse_ypoly, "y1", 0) == ("rank-mismatch", "variable 'y1' out of range for rank 0")
+
+
+# --- the character's caps, checked before the group is built ------------------
+
+def _full_path_error(shape, m, term_cap):
+    """The error ``schur``'s character raises on a freshly built group with
+    no memo, or None: what the early checks must reproduce."""
+    k = min(m, max(2, sum(shape)))
+    top = schur_module._content_to_weight(tuple(shape) + (0,) * (k - len(shape)))
+    group = custom_cartan(cartan._series_matrix("A", k - 1), label=f"A{k - 1}")
+    try:
+        characters._dominant_character.__wrapped__(group, top, term_cap)
+    except ResourceCapError as exc:
+        return exc.code, str(exc)
+    return None
+
+
+def _schur_error(shape, m):
+    try:
+        schur(shape, m)
+    except ResourceCapError as exc:
+        return exc.code, str(exc)
+    return None
+
+
+def test_schur_raises_the_root_walks_cap_before_building_the_group(monkeypatch):
+    monkeypatch.setattr(cartan, "ORBIT_CAP", 30)  # A_(k-1) passes it once k(k-1)/2 > 15, at k = 7
+    built = []
+    monkeypatch.setattr(schur_module, "builtin_cartan", lambda *a: built.append(a) or cartan.builtin_cartan(*a))
+    at_k = (((7,), 7), ((4, 3), 20), ((3, 2, 2), 7), ((7,), 9))
+    below_k = (((6,), 6), ((3, 3), 8), ((2, 2, 2), 6), ((6,), 8))
+    for (shape, m), expected in [(case, ("orbit-cap", "orbit size exceeds cap 30")) for case in at_k] + [
+        (case, None) for case in below_k
+    ]:
+        built.clear()
+        assert _schur_error(shape, m) == _full_path_error(shape, m, TERM_CAP) == expected, (shape, m)
+        assert built == ([] if expected else [("A", 5)])
+
+
+def test_schur_raises_the_string_term_cap_before_building_the_group(monkeypatch):
+    monkeypatch.setattr(schur_module, "TERM_CAP", 11)
+    monkeypatch.setattr(schur_module, "builtin_cartan", None)  # never reached
+    monkeypatch.setattr(cartan, "ORBIT_CAP", 100)
+    for shape, m in (((11,), 11), ((30,), 2), ((12,), 40)):
+        assert _schur_error(shape, m) == _full_path_error(shape, m, 11) == ("term-cap", "support exceeds cap 11")
