@@ -9,11 +9,12 @@ height is the sum of c, its support is where c is nonzero, and its inner
 product with a weight w is sum_i w_i * d_i * c_i, since (w_i, root j) =
 d_j if i == j and 0 otherwise (Humphreys, Introduction to Lie Algebras
 and Representation Theory, 24.3).
-So the root strata, the heights of weights, the Weyl product and
-Freudenthal's tables are read off c; only ``inner`` reads the inverse
-matrix.  All arithmetic is exact and no value in this module is ever
-rounded: the symmetrizer is found in integers, and only ``inner``, with
-the inverse matrix and invariant form it reads, uses ``Fraction``.
+So the root strata, the heights of weights, the Weyl product,
+Freudenthal's tables and the support walk's steps are read off c; only
+``inner`` reads the inverse matrix.  All arithmetic is exact and no value
+in this module is ever rounded: the symmetrizer is found in integers, and
+only ``inner``, with the inverse matrix and invariant form it reads, uses
+``Fraction``.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ class CartanData(_Record):
     the hundreds has tens of thousands) costs only the check.
     ``positive_roots`` and ``root_coordinates`` list each positive root in
     weight and in simple-root coordinates, both found by one walk up from
-    the simple roots (``_positive_roots``), and ``height_vector`` is read
-    off them; none needs the inverse matrix, which ``inverse_cartan`` and
-    ``gram`` build for ``inner`` alone.
+    the simple roots (``_positive_roots``), and ``height_vector``,
+    ``freudenthal_tables`` and ``support_steps`` are read off them; none
+    needs the inverse matrix, which ``inverse_cartan`` and ``gram`` build
+    for ``inner`` alone.
     """
 
     rank: int
@@ -130,6 +132,34 @@ class CartanData(_Record):
         ]
         rows = [list(map(mul, self.symmetrizer, c)) for c in self.root_coordinates]
         return self.positive_roots, reflect, rows, _kernels._reflection_tables(self.cartan_matrix)[1]
+
+    @cached_property
+    def support_steps(self) -> list[tuple[list[Weight], list[bytes], list[tuple]]]:
+        """What ``characters._dominant_support`` reads of the positive roots.
+
+        mu - a is dominant for a dominant mu only if mu_k >= a_k at every
+        positive coordinate k of the root a, so only roots whose positive
+        coordinates lie in mu's support can step.  Entry i holds the roots
+        whose first positive coordinate is i in three parallel lists: their
+        weight and their simple-root coordinates, and the (k, a_k) that a
+        mu with mu_i > 0 must still test (every other positive k, and i
+        itself if a_i > 1).  Every positive root has a positive coordinate
+        (see ``_positive_roots``).  The lists hold the roots' own tuples and
+        bytes, and checks tuples shared by the roots that test the same
+        coordinates: three references per root, nothing of the rank's
+        length.
+        """
+        positions = range(self.rank)
+        shared: dict[tuple, tuple] = {}
+        steps: list[tuple[list, list, list]] = [([], [], []) for _ in positions]
+        for a, c in zip(self.positive_roots, self.root_coordinates):
+            pos = [k for k in compress(positions, a) if a[k] > 0]
+            checks = tuple((k, a[k]) for k in pos if k != pos[0] or a[k] > 1)
+            roots, coords, tests = steps[pos[0]]
+            roots.append(a)
+            coords.append(c)
+            tests.append(shared.setdefault(checks, checks))
+        return steps
 
     @property
     def weyl_vector(self) -> Weight:
@@ -391,20 +421,25 @@ def is_dominant(w: Weight) -> bool:
     return all(c >= 0 for c in w)
 
 
-def _check_length(cd: CartanData, w: Sequence[int]) -> Weight:
+def _check_weight(cd: CartanData, w: Sequence[int]) -> Weight:
     """``w`` as a tuple; raises ``rank-mismatch`` unless it has ``cd.rank``
-    coordinates."""
+    coordinates, and ``invalid-weight`` unless each is an ``int``, not a
+    ``bool``: ``1.0`` and ``True`` hash equal to ``1``, so one would stand
+    in a memo key for the other."""
     if len(w) != cd.rank:
         raise InputError("rank-mismatch", f"weight length {len(w)} for rank {cd.rank}")
-    return tuple(w)
+    w = tuple(w)
+    if not set(map(type, w)) <= {int}:
+        raise InputError("invalid-weight", f"weight {w} has a coordinate that is not an integer")
+    return w
 
 
 def inner(cd: CartanData, u: Sequence[int], v: Sequence[int]) -> Fraction:
     """Invariant symmetric bilinear form, exact rational value."""
     from fractions import Fraction
 
-    u = _check_length(cd, u)
-    v = _check_length(cd, v)
+    u = _check_weight(cd, u)
+    v = _check_weight(cd, v)
     g = cd.gram
     total = Fraction(0)
     for i, ui in enumerate(u):
@@ -415,7 +450,7 @@ def inner(cd: CartanData, u: Sequence[int], v: Sequence[int]) -> Fraction:
 
 def simple_reflection(cd: CartanData, i: int, w: Sequence[int]) -> Weight:
     """s_i(w) = w - w[i] * root_i."""
-    w = _check_length(cd, w)
+    w = _check_weight(cd, w)
     if not 0 <= i < cd.rank:
         raise InputError("invalid-index", f"reflection index {i} out of range")
     c = w[i]
@@ -425,11 +460,11 @@ def simple_reflection(cd: CartanData, i: int, w: Sequence[int]) -> Weight:
 
 def dominant_representative(cd: CartanData, w: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of ``w``."""
-    return _kernels.dominant_representative(cd.cartan_matrix, _check_length(cd, w))
+    return _kernels.dominant_representative(cd.cartan_matrix, _check_weight(cd, w))
 
 
 def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = ORBIT_CAP) -> frozenset[Weight]:
     """Full Weyl orbit of ``w``, found by a duplicate-free walk down from its
     dominant representative; raises ResourceCapError ``orbit-cap`` exactly
     when the orbit has more than ``cap`` weights, holding at most ``cap``."""
-    return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_length(cd, w), cap))
+    return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_weight(cd, w), cap))

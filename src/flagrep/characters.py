@@ -2,13 +2,15 @@
 
 Characters are computed with the Freudenthal multiplicity recursion run
 over the dominant weights only, which a breadth-first walk down the
-positive roots finds; the walk adds up the Weyl orbit sizes |W| / |W_mu|
-as it goes, so the term cap fires the moment the exact term count passes
-it, before the walk ends or the recursion runs.  The walk also sums the
-recursion's denominators step by step, and the dominance order is read
-off the group's height vector, both from the roots' simple-root
-coordinates, so no character, dimension or decomposition reads the
-inverse Cartan matrix.  The recursion keeps each dominant weight's sums
+positive roots finds.  From each weight the walk tries only the roots
+whose positive coordinates lie in the weight's support, since no other
+step stays dominant.  It adds up the Weyl orbit sizes |W| / |W_mu| as it
+goes, so the term cap fires the moment the exact term count passes it,
+before the walk ends or the recursion runs.  It also carries each
+weight's recursion denominator and its depth below the highest weight
+from step to step, both read off the roots' simple-root coordinates, and
+sorts by the depths; so no character, dimension or decomposition reads
+the inverse Cartan matrix.  The recursion keeps each dominant weight's sums
 along the positive root strings above it, so a term of its sum is one
 reflection and one lookup, not a walk to the end of a root string
 (``_kernels.freudenthal``).  Only the dominant
@@ -33,13 +35,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import repeat
-from operator import add
+from itertools import compress, count, repeat
+from operator import add, mul, sub
 from typing import Callable, Iterator, Sequence, Union
 
 from . import _kernels
 from ._record import _Record
-from .cartan import CartanData, Weight, _check_length, is_dominant
+from .cartan import CartanData, Weight, _check_weight, is_dominant
 from .charpoly import CharPoly
 from .errors import InputError, ResourceCapError
 
@@ -111,7 +113,7 @@ DecomposeResult = Union[Certificate, NotInOmega]
 
 
 def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
-    lam = _check_length(cd, lam)
+    lam = _check_weight(cd, lam)
     if not is_dominant(lam):
         raise InputError("not-dominant", f"weight {lam} is not dominant")
     return lam
@@ -125,16 +127,22 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
     Any two dominant weights mu < nu are linked by a chain of dominant
     weights, each a positive root below the previous (Stembridge, The
     partial order of dominant weights, 1998), so a breadth-first walk down
-    the positive roots from ``lam`` reaches every one of them.  Each is in
-    the character with its whole orbit, so the orbit sizes of the levels
-    found so far count terms of the character, and the walk stops the
-    moment that count passes ``max_terms``.  A step from mu to nu = mu - a
-    adds (a, mu + nu + 2 rho) to the denominator, read off a's simple-root
-    coordinates c as the sum of (mu_i + nu_i + 2) * d_i * c_i.
+    the positive roots from ``lam`` reaches every one of them; from mu it
+    tries only the roots whose positive coordinates lie in mu's support
+    (``CartanData.support_steps``), since any other root leaves the
+    dominant chamber.  Each weight is in the character with its whole
+    orbit, so the orbit sizes of the levels found so far count terms of
+    the character, and the walk stops the moment that count passes
+    ``max_terms``.  A step from mu to nu = mu - a adds (a, mu + nu + 2 rho)
+    to the denominator, read off a's simple-root coordinates c as the sum
+    of (mu_i + nu_i + 2) * d_i * c_i, and a's height, the sum of c, to the
+    depth; the sort reads the depths so carried.  The roots' step data is
+    read only from a weight with a nonzero coordinate, so a walk from 0
+    builds none.
     """
-    steps = list(zip(cd.positive_roots, cd.root_coordinates))
     d = cd.symmetrizer
     support = {lam: 0}
+    depth = {lam: 0}
     frontier = [lam]
     terms = 0
     while frontier:
@@ -143,16 +151,22 @@ def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) ->
             raise ResourceCapError("term-cap", f"support exceeds cap {max_terms}")
         below = []
         for mu in frontier:
-            for root, c in steps:
-                nu = tuple(a - b for a, b in zip(mu, root))
-                if nu not in support and all(x >= 0 for x in nu):
-                    support[nu] = support[mu] + sum(
-                        (x + y + 2) * di * ci for x, y, di, ci in zip(mu, nu, d, c)
-                    )
-                    below.append(nu)
+            base, level = support[mu], depth[mu]
+            shifted = [(x + 2) * di for x, di in zip(mu, d)]  # mu + 2 rho, times d
+            for i in compress(count(), mu):
+                for root, c, checks in zip(*cd.support_steps[i]):
+                    for k, x in checks:
+                        if mu[k] < x:
+                            break
+                    else:
+                        nu = tuple(map(sub, mu, root))
+                        if nu not in support:
+                            nud = map(mul, nu, d)
+                            support[nu] = base + sum(map(mul, map(add, shifted, nud), c))
+                            depth[nu] = level + sum(c)
+                            below.append(nu)
         frontier = below
-    # the height key is a positive multiple of the root-coordinate sum
-    return dict(sorted(support.items(), key=lambda item: (-cd.height_key(item[0]), item[0])))
+    return dict(sorted(support.items(), key=lambda item: (depth[item[0]], item[0])))
 
 
 def _parabolic_order(strata: tuple[tuple[int, int], ...], allowed: int) -> int:

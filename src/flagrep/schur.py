@@ -4,7 +4,8 @@ Schur polynomials live in the semiring of exponent vectors on y1..ym taken
 modulo the relation y1*...*ym = 1; a canonical representative has at least
 one zero exponent.  The substitution wk -> y1*...*yk identifies rank-(m-1)
 lattice polynomials with these, with inverse ek -> ek - e(k+1); both
-directions are exact monomial maps.
+directions are exact monomial maps, which ``alpha`` and ``alpha_inverse``
+apply to all the terms at once, one coordinate column per pass.
 
 No tableau is enumerated and no Weyl orbit is walked.  The tableau
 contents of mu in m variables are the weights, in content coordinates, of
@@ -21,10 +22,10 @@ before any is built.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, chain, combinations, repeat
+from itertools import chain, combinations, repeat
 from math import comb, factorial, perm, prod
-from operator import sub
-from typing import Iterable, Iterator, Mapping
+from operator import add, sub
+from typing import Collection, Iterable, Iterator, Mapping
 
 from . import cartan, characters
 from .cartan import Weight, builtin_cartan
@@ -37,7 +38,7 @@ Partition = tuple[int, ...]
 
 def validate_partition(parts: Iterable[int]) -> Partition:
     mu = tuple(parts)
-    if any(not isinstance(x, int) or x < 0 for x in mu):
+    if any(type(x) is not int or x < 0 for x in mu):  # no bool, as for CharPoly terms
         raise InputError("invalid-partition", "parts must be nonnegative integers")
     if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
         raise InputError("invalid-partition", f"{mu} is not weakly decreasing")
@@ -119,8 +120,7 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
     cartan._check_root_count(k * (k - 1) // 2)
     dominant = characters._dominant_character(builtin_cartan("A", k - 1), top, TERM_CAP)
     partitions = []
-    for w, c in dominant.items():
-        e = _suffix_sums(w)
+    for e, c in zip(zip(*_suffix_sums(dominant)), dominant.values()):
         shift = (size - sum(e)) // k  # a content sums to |shape|
         partitions.append((tuple(filter(None, (x + shift for x in e))), c))
     if k < m:
@@ -231,9 +231,17 @@ def weight_of_partition(mu: Iterable[int], m: int) -> Weight:
     return _content_to_weight(mu + (0,) * (m - len(mu)))
 
 
-def _suffix_sums(w: Weight) -> tuple[int, ...]:
-    """Exponents of alpha's image of w: ek = w_k + ... + w_(m-1), and em = 0."""
-    return (*accumulate(reversed(w)),)[::-1] + (0,)
+def _suffix_sums(weights: Collection[Weight]) -> list[list[int]]:
+    """Exponents of alpha's image of each weight w, as columns:
+    ek = w_k + ... + w_(m-1), and em = 0.  One ``map(add)`` pass per
+    coordinate from the last, each column of the weights dropped once it
+    is added."""
+    cols = list(zip(*weights))
+    sums = [[0] * len(weights)]
+    while cols:
+        sums.append(list(map(add, sums[-1], cols.pop())))
+    sums.reverse()
+    return sums
 
 
 def _content_to_weight(e: tuple[int, ...]) -> Weight:
@@ -259,18 +267,36 @@ def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], YPoly]:
     """
     _check_tableau_count(shape, m)
     contents = _contents(shape, m)
-    weights = chain.from_iterable(repeat(_content_to_weight(e), c) for e, c in contents)
-    return list(weights), _ypoly(contents, m)
+    weights = _differences(e for e, _ in contents)
+    counts = (c for _, c in contents)
+    return list(chain.from_iterable(map(repeat, weights, counts))), _ypoly(contents, m)
 
 
 def alpha(p: CharPoly) -> YPoly:
     """Substitute wk -> y1*...*yk (rho -> y2*y3^2*...*ym^(m-1)), reduced.
 
-    The suffix sums less their minimum are canonical, and the lattice
-    point is their difference sequence, so no two terms share a key.
+    The exponents of w's image are its suffix sums less their minimum,
+    which makes them canonical; the lattice point is their difference
+    sequence, so no two terms share a key.  The keys are built by columns
+    (``_suffix_sums``): one ``map(min)`` over the columns gives the shifts,
+    one ``map(sub)`` per column subtracts them only when one is nonzero,
+    and one ``zip`` turns the columns back into keys in the order of
+    ``p``'s terms.
     """
-    terms = {_canonical(_suffix_sums(w)): c for w, c in p.terms.items()}
-    return YPoly._trusted(p.rank + 1, terms)
+    sums = _suffix_sums(p.terms)
+    low = list(map(min, *sums))
+    if any(low):
+        for i, col in enumerate(sums):
+            sums[i] = list(map(sub, col, low))
+    return YPoly._trusted(p.rank + 1, dict(zip(zip(*sums), p.terms.values())))
+
+
+def _differences(keys: Iterable[tuple[int, ...]]) -> Iterator[Weight]:
+    """The difference sequence of each key of two or more coordinates, in
+    the keys' order, built by columns: one ``map(sub)`` pass per pair of
+    adjacent coordinates."""
+    cols = list(zip(*keys))
+    return zip(*[map(sub, a, b) for a, b in zip(cols, cols[1:])])
 
 
 def alpha_inverse(q: YPoly) -> CharPoly:
@@ -278,4 +304,4 @@ def alpha_inverse(q: YPoly) -> CharPoly:
     and canonical keys with equal differences are equal."""
     if q.nvars < 2:
         raise InputError("invalid-rank", "need at least two variables to invert")
-    return CharPoly._trusted(q.nvars - 1, {_content_to_weight(e): c for e, c in q.terms.items()})
+    return CharPoly._trusted(q.nvars - 1, dict(zip(_differences(q.terms), q.terms.values())))

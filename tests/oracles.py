@@ -4,7 +4,8 @@ Everything here is deliberately written from first principles, separate
 from the library code paths it checks: ladder enumeration for rank-1
 characters, explicit small-matrix inverses, determinant-based Schur
 polynomials, semistandard tableau enumeration, the hook-content product
-taken box by box, a standalone greedy reduction for rank-1
+taken box by box, the substitution ``alpha`` multiplied out monomial by
+monomial, a standalone greedy reduction for rank-1
 decompositions, box enumeration of the dominant weights below a highest
 weight, breadth-first Weyl orbits with a seen-set,
 two-pass polynomial rendering, the recursive certificate enumerator, the
@@ -226,6 +227,33 @@ def tableau_weights(mu, m):
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
     return [tuple(e[k] - e[k + 1] for k in range(m - 1)) for e in ssyt_contents(mu, m)]
+
+
+def alpha_substitution(terms, rank):
+    """``schur.alpha`` by monomial arithmetic: each weight lam is written as
+    the monomial w1^(lam_1 + r) * ... * wr^(lam_r + r) * rho^r, with r the
+    largest of 0 and -lam_k so that every exponent is nonnegative, and rho
+    the weight (-1, ..., -1).  Then wk -> y1*...*yk and
+    rho -> y2*y3^2*...*ym^(m-1) are multiplied out, and the product is
+    reduced modulo y1*...*ym by dividing out the largest power of it that
+    divides the monomial.  Terms stay in their order."""
+    m = rank + 1
+    out = {}
+    for lam, c in terms.items():
+        r = max(0, -min(lam))
+        exps = [0] * m
+        for k, a in enumerate(lam, 1):
+            for _ in range(a + r):  # times y1*...*yk
+                for j in range(k):
+                    exps[j] += 1
+        for _ in range(r):  # times y2*y3^2*...*ym^(m-1)
+            for j in range(m):
+                exps[j] += j
+        while all(exps):  # divide by y1*...*ym
+            exps = [x - 1 for x in exps]
+        key = tuple(exps)
+        out[key] = out.get(key, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def hook_content(shape, m):

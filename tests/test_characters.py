@@ -19,7 +19,9 @@ from flagrep import (
     custom_cartan,
     decompose,
     dimension,
+    dominant_representative,
     dominant_weights_up_to_dim,
+    inner,
     is_in_omega_n,
     omega_n_enumerate,
     simple_reflection,
@@ -158,6 +160,29 @@ SMALL_GROUPS.append(custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1
 def test_root_walk_matches_box_enumeration_random(cd, coords):
     lam = tuple(coords[: cd.rank])
     check_support(cd, lam, _dominant_support(cd, lam))
+
+
+F4 = custom_cartan([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]], label="F4")
+B2xG2 = custom_cartan([[2, -2, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -3, 2]], label="B2xG2")
+
+
+@pytest.mark.parametrize(
+    "cd, grid, most_positive, values",
+    [
+        (F4, list(itertools.product(range(2), repeat=4)) + [(2, 0, 0, 0), (0, 0, 0, 2), (1, 0, 0, 2)], 2, {1, 2}),
+        (B2xG2, list(itertools.product(range(3), repeat=4)), 1, {1, 2, 3}),
+    ],
+)
+def test_pruned_root_walk_where_roots_are_irregular(cd, grid, most_positive, values):
+    # the walk tries from mu only the roots whose positive coordinates lie
+    # in mu's support and are at most mu's there; F4 has roots with two
+    # positive coordinates, and both groups have roots that are not simple
+    # with a positive coordinate of 2, or 3 in G2, so every check runs
+    simple = set(cd.cartan_matrix)
+    assert max(sum(x > 0 for x in a) for a in cd.positive_roots) == most_positive
+    assert {x for a in cd.positive_roots if a not in simple for x in a if x > 0} == values
+    for lam in grid:
+        check_support(cd, lam, _dominant_support(cd, lam))
 
 
 def test_root_walk_term_cap_is_exact():
@@ -758,3 +783,37 @@ def test_characters_boundary_errors():
     empty = Certificate(summands=(), total_dim=0)
     assert empty.render() == "0"
     assert empty.to_json_dict() == {"summands": [], "dim": 0}
+
+
+def test_non_integer_weights_are_refused_before_the_memo():
+    # 1.0 and True hash equal to 1, so a float or bool weight that reached
+    # the character memo would answer, or poison, the query for the int one
+    a2 = cartan_from_tag("A2")
+    characters._dominant_character.cache_clear()
+    bad = [
+        (weight_multiplicities, (1.0, 0)),
+        (weight_multiplicities, (True, 0)),
+        (dimension, (1.5, 0)),
+        (dimension, (True, 0)),
+        (dimension, (1.0, 0)),
+        (weyl_orbit, (0, 1.0)),
+        (dominant_representative, (False, 1)),
+    ]
+    for f, lam in bad:
+        with pytest.raises(InputError) as info:
+            f(a2, lam)
+        assert (info.value.code, str(info.value)) == (
+            "invalid-weight", f"weight {lam} has a coordinate that is not an integer"
+        )
+    for u, v in [((1.0, 0), (1, 0)), ((1, 0), (0, True))]:
+        with pytest.raises(InputError) as info:
+            inner(a2, u, v)
+        assert info.value.code == "invalid-weight"
+    with pytest.raises(InputError) as info:
+        simple_reflection(a2, 0, (0.5, 0))
+    assert info.value.code == "invalid-weight"
+    assert characters._dominant_character.cache_info().currsize == 0
+    char = weight_multiplicities(a2, (1, 0))
+    assert char.terms == {(1, 0): 1, (-1, 1): 1, (0, -1): 1}
+    assert {type(x) for w in char.terms for x in w} == {int}
+    assert dimension(a2, (1, 0)) == 3

@@ -117,6 +117,18 @@ def test_schur_dim_of_long_rows_is_immediate():
     assert time.perf_counter() - start < 0.1
 
 
+def test_bool_parts_are_refused():
+    # True == 1, so (True,) would read as the partition (1,)
+    calls = [(schur, (True,), 3), (realize_schur, (2, True), 3), (schur_dim, (False,), 2),
+             (ssyt_contents, (1, True), 2), (weights_of_schur, (True,), 3), (weight_of_partition, (True,), 2)]
+    for f, mu, m in calls:
+        with pytest.raises(InputError) as info:
+            f(mu, m)
+        assert (info.value.code, str(info.value)) == ("invalid-partition", "parts must be nonnegative integers")
+    assert str(schur((1,), 3)) == "y1 + y2 + y3"
+    assert realize_schur((2, 1), 3).n == 8
+
+
 def test_partition_too_long_rejected():
     with pytest.raises(InputError):
         schur((1, 1, 1), 2)
@@ -365,6 +377,30 @@ def test_alpha_bijection(terms):
 def test_alpha_inverse_bijection(terms):
     q = YPoly(3, terms)
     assert alpha(alpha_inverse(q)) == q
+
+
+def ranked_charpolys():
+    """CharPolys of rank 1-4 with negative exponents and coefficients of any
+    size and sign."""
+    def polys(rank):
+        return st.dictionaries(
+            st.tuples(*[st.integers(-5, 5)] * rank), st.integers(-60, 60).filter(bool), max_size=8
+        ).map(lambda d: CharPoly(rank, d))
+    return st.integers(1, 4).flatmap(polys)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ranked_charpolys())
+@example(CharPoly(1, {}))
+@example(CharPoly(3, {}))
+@example(CharPoly(1, {(-3,): 5, (4,): -7, (0,): 2}))
+@example(CharPoly(2, {(-5, -5): -12, (5, -5): 3, (-1, 4): 40}))
+def test_alpha_and_its_inverse_agree_with_monomial_substitution(p):
+    expected = oracles.alpha_substitution(p.terms, p.rank)
+    q = alpha(p)
+    assert q.nvars == p.rank + 1
+    assert list(q.terms.items()) == list(expected.items())  # same terms, in p's order
+    assert alpha_inverse(YPoly(p.rank + 1, expected)) == p
 
 
 def charpoly_pairs():
