@@ -10,11 +10,17 @@ Conventions used by every function here:
 * Per-group tables come from the caller: ``freudenthal`` reads the positive
   roots, the tables it walks them by and the invariant form on them from
   ``CartanData.freudenthal_tables``, built once per group, and its
-  denominators from the support.  No kernel keeps a cache, and none reads
-  an inverse Cartan matrix.
+  denominators from the support.
+* The Weyl orbit walk is Python source written from the Cartan matrix's
+  entries alone, each simple reflection spelt out in named coordinates,
+  and compiled by ``compile_orbit_walk``.  ``CartanData.orbit_walk`` keeps
+  one per group, and ``orbit_terms`` and ``weyl_orbit`` run the one they
+  are given.
+
+No kernel keeps a cache, and none reads an inverse Cartan matrix.
 """
 
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import add, mul
 
 from .errors import ResourceCapError
@@ -37,55 +43,105 @@ def dominant_representative(cartan, w):
     return tuple(v)
 
 
-def _reflection_tables(cartan):
-    """Per simple reflection s_i: the pairs (k, -cartan[i][k]) for k < i,
-    and the pairs (j, cartan[i][j]) of the coordinates s_i can change."""
+def _moved_pairs(cartan):
+    """Per simple reflection s_i, the pairs (j, cartan[i][j]) of the
+    coordinates s_i can change."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+
+
+#: The longest run of coordinates that a compiled orbit walk names one by
+#: one.  A longer run, of coordinates that a reflection leaves as they are
+#: or only tests for a negative entry, is read as one slice of the weight,
+#: so the source grows with the rank plus the edges of the Dynkin diagram.
+RUN = 8
+
+
+def _run(start, stop, one, many):
+    """Text for the coordinates start..stop-1: ``one`` per coordinate, or
+    ``many`` once over the slice when there are more than ``RUN``."""
+    if stop - start > RUN:
+        return [many % (start, stop)]
+    return [one % k for k in range(start, stop)]
+
+
+def _orbit_walk_source(cartan):
+    """The source of ``walk(top, cap)`` for ``cartan``, each simple
+    reflection written out: the weight is unpacked into ``v0``, ``v1``, ...;
+    s_i's parent test compares those names, and its child is a tuple of
+    them.  Numbers are written with ``%d``, which formats an int's value
+    and nothing else."""
     m = len(cartan)
-    lower = [[(k, -cartan[i][k]) for k in range(i)] for i in range(m)]
-    moved = [[(j, a) for j, a in enumerate(cartan[i]) if a] for i in range(m)]
-    return lower, moved
+    lines = [
+        "def walk(top, cap):",
+        "    if cap < 1:",
+        "        _over_cap(cap)",
+        "    orbit = [top]",
+        "    append = orbit.append",
+        "    for v in orbit:",
+        "        %s, = v" % ", ".join("v%d" % j for j in range(m)),
+    ]
+    for i, row in enumerate(cartan):
+        # s_i(v)[j] = v[j] + v[i] * a for the coordinates j it moves
+        moved = {j: -row[j] for j in compress(range(m), row) if j != i}
+        plus = {j: "v%d + v%d" % (j, i) if a == 1 else "v%d + v%d * %d" % (j, i, a) for j, a in moved.items()}
+        # the lower neighbours' tests come before the far ones, which a
+        # slice may read many at a time
+        tests, far, child = ["v%d > 0" % i], [], []
+        start = 0
+        for k in [k for k in moved if k < i] + [i]:
+            far += _run(start, k, "v%d >= 0", "min(v[%d:%d]) >= 0")
+            if k < i:
+                tests.append(plus[k] + " >= 0")
+            start = k + 1
+        start = 0
+        for j in sorted([*moved, i]) + [m]:
+            child += _run(start, j, "v%d", "*v[%d:%d]")
+            if j < m:
+                child.append(plus[j] if j != i else "-v%d" % i)
+            start = j + 1
+        lines += [
+            "        if %s:" % " and ".join(tests + far),
+            "            if len(orbit) == cap:",
+            "                _over_cap(cap)",
+            "            append((%s,))" % ", ".join(child),
+        ]
+    lines.append("    return orbit")
+    return "\n".join(lines) + "\n"
 
 
-def _orbit_walk(top, lower, moved, cap):
-    """The orbit of the dominant weight ``top``, each element once.
+def _over_cap(cap):
+    raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {cap}")
 
-    From v, for each i with v[i] > 0, keep u = s_i(v) only if u[k] >= 0
-    for every k < i (u[k] = v[k] + v[i] * a over ``lower[i]``, checked
-    before u is built).  Then i is u's first negative index, so every
-    element other than ``top`` has exactly one parent: s_j(u), for j its
-    first negative index.
+
+def compile_orbit_walk(cartan):
+    """``walk(top, cap)``: the orbit of the dominant weight ``top``, each
+    element once, as a list that starts at ``top``; compiled from
+    ``cartan``'s entries (``_orbit_walk_source``) on each call, so a caller
+    that walks many orbits of one group compiles once
+    (``CartanData.orbit_walk``).
+
+    The walk is a duplicate-free tree walk down from ``top`` (Snow, Weyl
+    group orbits, ACM TOMS), with no seen-set.  From v, for each i with
+    v[i] > 0, it keeps u = s_i(v) only if u[k] >= 0 for every k < i, which
+    it checks before u is built.  Then i is u's first negative index, so
+    every element other than ``top`` has exactly one parent: s_j(u), for j
+    its first negative index.  The walk checks the cap before each weight
+    it adds, so it raises ``orbit-cap`` as soon as the orbit would hold
+    more than ``cap`` weights, and never holds more.
     """
-    if cap < 1:
-        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {cap}")
-    orbit = [top]
-    for v in orbit:
-        for i, c in enumerate(v):
-            if c > 0:
-                for k, a in lower[i]:
-                    if v[k] + c * a < 0:
-                        break
-                else:
-                    if len(orbit) == cap:
-                        raise ResourceCapError(
-                            "orbit-cap", f"orbit size exceeds cap {cap}"
-                        )
-                    u = list(v)
-                    for j, a in moved[i]:
-                        u[j] -= c * a
-                    orbit.append(tuple(u))
-    return orbit
+    namespace = {"_over_cap": _over_cap}
+    exec(compile(_orbit_walk_source(cartan), "<orbit walk>", "exec"), namespace)
+    return namespace["walk"]
 
 
-def weyl_orbit(cartan, w, cap):
-    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i.
-
-    A duplicate-free tree walk down from the dominant representative
-    (Snow, Weyl group orbits, ACM TOMS), with no seen-set.  Returns a list;
-    raises the orbit cap as soon as the orbit would hold more than ``cap``
-    weights, so it never holds more than ``cap``.
-    """
+def weyl_orbit(cartan, w, cap, walk=None):
+    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i: the
+    orbit ``walk`` finds from the dominant representative, where ``walk`` is
+    ``compile_orbit_walk(cartan)``, compiled here if it is not given.
+    Returns a list of at most ``cap`` weights, and raises the orbit cap as
+    soon as the orbit would hold more."""
     top = dominant_representative(cartan, w)
-    return _orbit_walk(top, *_reflection_tables(cartan), cap)
+    return (walk or compile_orbit_walk(cartan))(top, cap)
 
 
 def freudenthal(tables, lam, support):
@@ -146,14 +202,14 @@ def freudenthal(tables, lam, support):
     return mults
 
 
-def orbit_terms(cartan, dominant_mults, max_terms):
-    """Expand dominant multiplicities to the full Weyl-symmetric term dict;
-    each key of ``dominant_mults`` must be dominant, as the walk starts there."""
-    lower, moved = _reflection_tables(cartan)
+def orbit_terms(walk, dominant_mults, max_terms):
+    """Expand dominant multiplicities to the full Weyl-symmetric term dict,
+    with the group's compiled ``walk`` (``compile_orbit_walk``); each key of
+    ``dominant_mults`` must be dominant, as the walk starts there."""
     terms = {}
     for mu, mult in dominant_mults.items():
         try:
-            orbit = _orbit_walk(mu, lower, moved, max_terms - len(terms))
+            orbit = walk(mu, max_terms - len(terms))
         except ResourceCapError:
             raise ResourceCapError(
                 "term-cap", f"support exceeds cap {max_terms}"
@@ -172,7 +228,7 @@ def invariant_dominant_terms(cartan, terms):
     these maps are onto the terms with a negative coordinate exactly when
     positive and negative coordinates are equally many.
     """
-    _, moved = _reflection_tables(cartan)
+    moved = _moved_pairs(cartan)
     get = terms.get
     dominant = {}
     balance = 0

@@ -60,7 +60,8 @@ class CartanData(_Record):
     the simple roots (``_positive_roots``), and ``height_vector``,
     ``freudenthal_tables`` and ``support_steps`` are read off them; none
     needs the inverse matrix, which ``inverse_cartan`` and ``gram`` build
-    for ``inner`` alone.
+    for ``inner`` alone.  ``orbit_walk``, the Weyl orbit walk compiled from
+    the matrix alone, is built on first read and kept in the same way.
     """
 
     rank: int
@@ -131,7 +132,13 @@ class CartanData(_Record):
             for i, row in enumerate(self.cartan_matrix)
         ]
         rows = [list(map(mul, self.symmetrizer, c)) for c in self.root_coordinates]
-        return self.positive_roots, reflect, rows, _kernels._reflection_tables(self.cartan_matrix)[1]
+        return self.positive_roots, reflect, rows, _kernels._moved_pairs(self.cartan_matrix)
+
+    @cached_property
+    def orbit_walk(self):
+        """The orbit walk of ``_kernels.weyl_orbit`` and ``orbit_terms``,
+        compiled from the Cartan matrix alone (``_kernels.compile_orbit_walk``)."""
+        return _kernels.compile_orbit_walk(self.cartan_matrix)
 
     @cached_property
     def support_steps(self) -> list[tuple[list[Weight], list[bytes], list[tuple]]]:
@@ -257,7 +264,7 @@ def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
     for i in range(n):
         for j in range(n):
             x = matrix[i][j]
-            if not isinstance(x, int) or isinstance(x, bool):
+            if type(x) is not int:
                 raise InputError("invalid-cartan", "entries must be integers")
             if i == j and x != 2:
                 raise InputError("invalid-cartan", "diagonal entries must equal 2")
@@ -465,6 +472,8 @@ def dominant_representative(cd: CartanData, w: Sequence[int]) -> Weight:
 
 def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = ORBIT_CAP) -> frozenset[Weight]:
     """Full Weyl orbit of ``w``, found by a duplicate-free walk down from its
-    dominant representative; raises ResourceCapError ``orbit-cap`` exactly
-    when the orbit has more than ``cap`` weights, holding at most ``cap``."""
-    return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_weight(cd, w), cap))
+    dominant representative, compiled once per group (``cd.orbit_walk``).
+    The walk checks the cap before it adds each weight, so it raises
+    ResourceCapError ``orbit-cap`` exactly when the orbit has more than
+    ``cap`` weights, and never holds more than ``cap``."""
+    return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_weight(cd, w), cap, cd.orbit_walk))

@@ -206,7 +206,7 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = T
     if cd.rank > RANK_CAP:
         raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
     dominant = _dominant_character(cd, lam, max_terms)
-    return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.cartan_matrix, dominant, max_terms))
+    return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.orbit_walk, dominant, max_terms))
 
 
 def _check_string_terms(lam: Weight, max_terms: int) -> None:

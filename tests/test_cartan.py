@@ -290,6 +290,19 @@ def test_custom_cartan_rejects_non_matrix_input():
         custom_cartan([[2, True], [-1, 2]])
 
 
+def test_custom_cartan_rejects_int_subclass_entries():
+    # an entry that prints as other text must not reach the compiled orbit walk
+    class I(int):
+        def __str__(self):
+            return "X"
+
+        __repr__ = __str__
+
+    with pytest.raises(InputError) as info:
+        custom_cartan([[2, I(-1)], [I(-1), 2]])
+    assert (info.value.code, str(info.value)) == ("invalid-cartan", "entries must be integers")
+
+
 def test_builtin_cartan_is_built_once_per_group():
     b3 = builtin_cartan("b", 3)
     assert b3 is builtin_cartan("B", 3)

@@ -19,8 +19,7 @@ import oracles
 KERNELS = [pytest.param(_kernels, id="flagrep._kernels_py")]
 
 
-def freudenthal_inputs(tag, lam):
-    cd = cartan_from_tag(tag)
+def freudenthal_inputs(cd, lam):
     return cd.freudenthal_tables, lam, _dominant_support(cd, lam)
 
 
@@ -51,12 +50,21 @@ def test_kernel_backend_is_pure():
     assert flagrep.kernel_backend() == "pure"
 
 
+# D4 numbered with the centre at 2, so that node 2 has a lower neighbour,
+# node 0, other than node 1
+D4_CENTRE_2 = custom_cartan([[2, 0, -1, 0], [0, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]], label="D4c2")
+G2_LONG_FIRST = custom_cartan([[2, -3], [-1, 2]], label="G2long")
+B2_G2 = custom_cartan([[2, -2, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -3, 2]], label="B2xG2")
+
 ORBIT_GROUPS = [
     cartan_from_tag(t)
     for t in "A1 A2 A3 A4 A5 A6 B2 B3 B4 B5 C3 C4 C5 D4 D5 G2".split()
 ] + [
     custom_cartan([[2, 0, 0], [0, 2, -1], [0, -1, 2]], label="A1xA2"),
     custom_cartan([[2, -1, 0], [-2, 2, -1], [0, -1, 2]]),  # C3 with the long root first
+    D4_CENTRE_2,
+    G2_LONG_FIRST,
+    B2_G2,
 ]
 
 
@@ -97,6 +105,16 @@ def test_weyl_orbit_cap_is_exact(backend, cd):
             )
 
 
+def test_orbit_walk_source_grows_linearly_with_the_rank():
+    for r in (16, 64, 256):
+        cartan = cartan_from_tag(f"A{r}").cartan_matrix
+        assert len(_kernels._orbit_walk_source(cartan)) < 240 * r, r
+    cd = cartan_from_tag("A256")
+    omega1 = (1,) + (0,) * 255
+    assert weyl_orbit(cd, omega1) == oracles.bfs_weyl_orbit(cd.cartan_matrix, omega1, 10**6)
+    assert len(cd.orbit_walk(omega1, 257)) == 257
+
+
 def test_weyl_orbit_cap_counts_the_dominant_weight():
     cd = cartan_from_tag("B3")
     with pytest.raises(ResourceCapError, match="orbit size exceeds cap 0"):
@@ -104,20 +122,30 @@ def test_weyl_orbit_cap_counts_the_dominant_weight():
     assert weyl_orbit(cd, (0, 0, 0), cap=1) == frozenset({(0, 0, 0)})
 
 
+ORBIT_TERMS_CASES = [
+    ("A3", (1, 2, 1)), ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("D4", (1, 0, 1, 1)), ("G2", (2, 3)),
+    (D4_CENTRE_2, (1, 1, 0, 1)), (G2_LONG_FIRST, (3, 2)), (B2_G2, (1, 1, 2, 1)),
+    # 1,830 weights, walked with slices of the weight over the runs of
+    # coordinates that a reflection leaves as they are
+    ("A60", tuple(int(j == 1) for j in range(60))),
+]
+
+
 @pytest.mark.parametrize("backend", KERNELS)
 @pytest.mark.parametrize(
-    "tag,lam", [("A3", (1, 2, 1)), ("B3", (1, 1, 1)), ("C3", (2, 0, 1)), ("D4", (1, 0, 1, 1)), ("G2", (2, 3))]
+    "group,lam", ORBIT_TERMS_CASES, ids=lambda g: getattr(g, "label", None)
 )
-def test_orbit_terms_matches_breadth_first_oracle(backend, tag, lam):
-    cartan = cartan_from_tag(tag).cartan_matrix
-    dom = backend.freudenthal(*freudenthal_inputs(tag, lam))
+def test_orbit_terms_matches_breadth_first_oracle(backend, group, lam):
+    cd = cartan_from_tag(group) if isinstance(group, str) else group
+    cartan = cd.cartan_matrix
+    dom = backend.freudenthal(*freudenthal_inputs(cd, lam))
     expected = {}
     for mu, mult in dom.items():
         expected.update(dict.fromkeys(oracles.bfs_weyl_orbit(cartan, mu, 10**6), mult))
     size = len(expected)
-    assert backend.orbit_terms(cartan, dom, size) == expected
+    assert backend.orbit_terms(cd.orbit_walk, dom, size) == expected
     with pytest.raises(ResourceCapError) as info:
-        backend.orbit_terms(cartan, dom, size - 1)
+        backend.orbit_terms(cd.orbit_walk, dom, size - 1)
     assert (info.value.code, str(info.value)) == ("term-cap", f"support exceeds cap {size - 1}")
 
 
