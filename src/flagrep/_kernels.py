@@ -17,7 +17,7 @@ Conventions used by every function here:
   one per group, and ``orbit_terms`` and ``weyl_orbit`` run the one they
   are given.
 
-No kernel keeps a cache, and none reads an inverse Cartan matrix.
+No kernel keeps a cache, and none solves in the Cartan matrix.
 """
 
 from itertools import compress, islice, repeat

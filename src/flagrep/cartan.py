@@ -9,12 +9,13 @@ height is the sum of c, its support is where c is nonzero, and its inner
 product with a weight w is sum_i w_i * d_i * c_i, since (w_i, root j) =
 d_j if i == j and 0 otherwise (Humphreys, Introduction to Lie Algebras
 and Representation Theory, 24.3).
-So the root strata, the heights of weights, the Weyl product,
-Freudenthal's tables and the support walk's steps are read off c; only
-``inner`` reads the inverse matrix.  All arithmetic is exact and no value
-in this module is ever rounded: the symmetrizer is found in integers, and
-only ``inner``, with the inverse matrix and invariant form it reads, uses
-``Fraction``.
+So the root strata, the Weyl product, Freudenthal's tables and the
+support walk's steps are read off c.  The height vector and ``inner`` need
+no root: each is one solve of a linear system in the Cartan matrix,
+eliminated in integers (``_solve``), and no inverse matrix is built.  All
+arithmetic is exact and no value in this module is ever rounded: the
+symmetrizer and the solve work in integers, and only ``inner``, whose
+value is a rational, uses ``Fraction``.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ class CartanData(_Record):
     the hundreds has tens of thousands) costs only the check.
     ``positive_roots`` and ``root_coordinates`` list each positive root in
     weight and in simple-root coordinates, both found by one walk up from
-    the simple roots (``_positive_roots``), and ``height_vector``,
-    ``freudenthal_tables`` and ``support_steps`` are read off them; none
-    needs the inverse matrix, which ``inverse_cartan`` and ``gram`` build
-    for ``inner`` alone.  ``orbit_walk``, the Weyl orbit walk compiled from
-    the matrix alone, is built on first read and kept in the same way.
+    the simple roots (``_positive_roots``), and ``freudenthal_tables`` and
+    ``support_steps`` are read off them.  ``height_vector`` is one integer
+    solve in the matrix, with no root, as is each call of ``inner``.
+    ``orbit_walk``, the Weyl orbit walk compiled from the matrix alone, is
+    built on first read and kept in the same way.
     """
 
     rank: int
@@ -70,22 +71,15 @@ class CartanData(_Record):
     label: str
 
     @cached_property
-    def inverse_cartan(self) -> tuple[tuple[Fraction, ...], ...]:
-        return _invert(self.cartan_matrix)
-
-    @cached_property
     def height_vector(self) -> tuple[int, ...]:
         """2 rho-check in simple-coroot coordinates, so h . w = (w, 2 rho-check)
         is twice the root-coordinate sum of any weight w, and h strictly
-        refines the dominance order.  It sums the coroots of the positive
-        roots: a root with coordinates c has coroot c_i * d_i / d_a, an
-        integer, where 2 * d_a = (a, a) = sum_i a_i * d_i * c_i."""
-        total = [0] * self.rank
-        for a, c in zip(self.positive_roots, self.root_coordinates):
-            dc = list(map(mul, self.symmetrizer, c))
-            da = sum(map(mul, a, dc)) // 2
-            total = [t + x // da for t, x in zip(total, dc)]
-        return tuple(total)
+        refines the dominance order.  Simple root j, row j of C, has
+        (a_j, 2 rho-check) = 2, so h solves C h = (2, ..., 2); h is integral,
+        as 2 rho-check is the sum of the positive coroots (Humphreys, 13.3)."""
+        h = _solve(self.cartan_matrix, (2,) * self.rank)
+        assert all(x % p == 0 for p, x in h), "2 rho-check is a sum of coroots"
+        return tuple(x // p for p, x in h)
 
     @cached_property
     def _roots(self) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
@@ -172,17 +166,6 @@ class CartanData(_Record):
     def weyl_vector(self) -> Weight:
         return (1,) * self.rank
 
-    @cached_property
-    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Invariant inner product on weight coordinates: C^-1 * diag(d).
-        Only ``inner`` reads it."""
-        inv = self.inverse_cartan
-        d = self.symmetrizer
-        return tuple(
-            tuple(inv[i][j] * d[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
-
     def height_key(self, w: Weight) -> int:
         hv = self.height_vector
         return sum(a * b for a, b in zip(hv, w))
@@ -200,21 +183,6 @@ def _eliminate(aug: list[list[int]], col: int, rows: Iterable[int]) -> None:
             row = [p * x - f * y for x, y in zip(aug[r], top)]
             g = gcd(*row) or 1  # a singular matrix can clear a whole row
             aug[r] = [x // g for x in row]
-
-
-def _invert(matrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse by integer Gauss-Jordan elimination of [matrix | 1]."""
-    from fractions import Fraction
-
-    n = len(matrix)
-    aug = [list(matrix[i]) + [int(j == i) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InputError("invalid-cartan", "Cartan matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        _eliminate(aug, col, (r for r in range(n) if r != col))
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(aug))
 
 
 def _symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -279,15 +247,35 @@ def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in matrix)
 
 
-def _positive_definite(matrix: Sequence[Sequence[int]]) -> bool:
-    """Sylvester's criterion: each pivot has the sign of a leading minor."""
-    n = len(matrix)
-    a = [list(row) for row in matrix]
+def _positive_definite(a: list[list[int]]) -> bool:
+    """Sylvester's criterion: each pivot has the sign of a leading minor.
+    Eliminates the square rows ``a`` in place below the diagonal, with no
+    pivot search; columns to the right of the square ride along."""
+    n = len(a)
     for k in range(n):
         if a[k][k] <= 0:
             return False
         _eliminate(a, k, range(k + 1, n))
     return True
+
+
+def _solve(matrix, b: Sequence[int]) -> list[tuple[int, int]]:
+    """x with matrix . x = b, for a finite-type Cartan matrix, as one
+    (pivot, numerator) pair of ints per coordinate: x_i = numerator / pivot.
+
+    [matrix | b] is eliminated in integers in two passes: forward, by
+    ``_positive_definite``'s loop, then back up from the last row.  The
+    forward pass needs no pivot search: C * diag(d) is positive definite,
+    so every leading minor of C is positive, in any node order, and every
+    pivot stays positive.  A one-pass Gauss-Jordan would fill in above the
+    diagonal as it goes, and costs some forty times as much at A160."""
+    n = len(matrix)
+    aug = [[*row, x] for row, x in zip(matrix, b)]
+    finite = _positive_definite(aug)
+    assert finite, "a finite-type Cartan matrix has positive pivots"
+    for k in range(n - 1, 0, -1):
+        _eliminate(aug, k, range(k))
+    return [(row[i], row[n]) for i, row in enumerate(aug)]
 
 
 def _check_root_count(n: int) -> None:
@@ -336,7 +324,10 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
     The matrix must be a valid Cartan matrix of finite type (block-diagonal
     matrices of valid blocks are accepted, giving semisimple products).
     Only the checks run here; the root data is built when first read.
+    The label must be a ``str``: it is part of the group's hash.
     """
+    if not isinstance(label, str):
+        raise InputError("invalid-cartan", "label must be a string")
     try:
         rows = [list(row) for row in matrix]
     except TypeError:
@@ -442,17 +433,16 @@ def _check_weight(cd: CartanData, w: Sequence[int]) -> Weight:
 
 
 def inner(cd: CartanData, u: Sequence[int], v: Sequence[int]) -> Fraction:
-    """Invariant symmetric bilinear form, exact rational value."""
+    """Invariant symmetric bilinear form, exact rational value.  v is
+    sum_j x_j a_j with C^T x = v, and (w_i, a_j) = d_j if i == j and 0
+    otherwise, so (u, v) = sum_i u_i d_i x_i; C diag(d) is symmetric, so
+    y = d * x solves C y = d * v, and (u, v) = sum_i u_i y_i."""
     from fractions import Fraction
 
     u = _check_weight(cd, u)
     v = _check_weight(cd, v)
-    g = cd.gram
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui:
-            total += ui * sum(g[i][j] * v[j] for j in range(cd.rank) if v[j])
-    return total
+    y = _solve(cd.cartan_matrix, list(map(mul, cd.symmetrizer, v)))
+    return sum((Fraction(ui * num, p) for ui, (p, num) in zip(u, y) if ui), Fraction(0))
 
 
 def simple_reflection(cd: CartanData, i: int, w: Sequence[int]) -> Weight:

@@ -9,11 +9,12 @@ goes, so the term cap fires the moment the exact term count passes it,
 before the walk ends or the recursion runs.  It also carries each
 weight's recursion denominator and its depth below the highest weight
 from step to step, both read off the roots' simple-root coordinates, and
-sorts by the depths; so no character, dimension or decomposition reads
-the inverse Cartan matrix.  The recursion keeps each dominant weight's sums
-along the positive root strings above it, so a term of its sum is one
-reflection and one lookup, not a walk to the end of a root string
-(``_kernels.freudenthal``).  Only the dominant
+sorts by the depths; so no character or dimension solves in the Cartan
+matrix, and a decomposition solves in it once per group, for the height
+vector that orders its greedy.  The recursion keeps each dominant
+weight's sums along the positive root strings above it, so a term of its
+sum is one reflection and one lookup, not a walk to the end of a root
+string (``_kernels.freudenthal``).  Only the dominant
 multiplicities are memoised, in one ``lru_cache`` of
 ``CHARACTER_CACHE_SIZE`` entries keyed by group, highest weight and cap;
 ``decompose`` reads them as they are, and a caller that needs every term

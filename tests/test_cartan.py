@@ -216,30 +216,15 @@ def test_custom_cartan_rejects_invalid(matrix):
 def test_positive_roots_lie_in_the_positive_root_lattice():
     for tag in ("A3", "B3", "C3", "D4", "G2"):
         cd = cartan_from_tag(tag)
-        inv = cd.inverse_cartan
         for root in cd.positive_roots:
-            coords = [
-                sum(root[i] * inv[i][j] for i in range(cd.rank))
-                for j in range(cd.rank)
-            ]
+            coords = oracles._root_coordinates(cd.cartan_matrix, root)
             assert all(c.denominator == 1 and c >= 0 for c in coords)
             assert dominant_representative(cd, root) in cd.positive_roots
 
 
-def test_inverse_cartan_is_exact():
-    for tag in ("A1", "A7", "B5", "C5", "D6", "G2"):
-        cd = cartan_from_tag(tag)
-        c, inv, n = cd.cartan_matrix, cd.inverse_cartan, cd.rank
-        for i in range(n):
-            for j in range(n):
-                assert sum(c[i][k] * inv[k][j] for k in range(n)) == (i == j)
-
-
-def test_cartan_matrix_is_inverted_once_per_build(monkeypatch):
+def test_roots_are_built_once_per_build(monkeypatch):
     calls = []
-    real = cartan._invert
     real_roots = cartan._positive_roots
-    monkeypatch.setattr(cartan, "_invert", lambda c: calls.append(c) or real(c))
     monkeypatch.setattr(cartan, "_positive_roots", lambda *a: calls.append(a) or real_roots(*a))
     cd = custom_cartan([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], label="B3")
     large = cartan_from_tag("A400")
@@ -249,13 +234,11 @@ def test_cartan_matrix_is_inverted_once_per_build(monkeypatch):
     assert cd == same and hash(cd) == hash(same)
     assert large == custom_cartan(large.cartan_matrix, label="A400")
     assert calls == []
-    cd.inverse_cartan, cd.gram, inner(cd, (1, 0, 0), (0, 1, 0))
+    cd.positive_roots, cd.positive_roots, cd.freudenthal_tables
     assert len(calls) == 1
-    cd.positive_roots, cd.positive_roots
-    assert len(calls) == 2
-    # heights and Freudenthal's tables read the roots, not the inverse
-    cd.height_key((1, 0, 0)), cd.freudenthal_tables
-    assert len(calls) == 2
+    # heights and the invariant form solve in the matrix, not in the roots
+    large.height_key((1,) * 400), inner(large, (1,) * 400, (1,) * 400)
+    assert len(calls) == 1
     # derived fields take no part in comparison or hashing
     assert cd == cartan_from_tag("B3") and hash(cd) == hash(cartan_from_tag("B3"))
 
@@ -313,7 +296,6 @@ def test_builtin_cartan_is_built_once_per_group():
     assert again is not b3
     assert again == b3
     assert again.positive_roots == b3.positive_roots
-    assert again.gram == b3.gram
 
 
 def test_cartan_boundary_errors():

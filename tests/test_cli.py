@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from flagrep import characters, schur_dim, weight_of_partition
+from flagrep import cartan_from_tag, characters, custom_cartan, schur_dim, weight_of_partition
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
@@ -218,6 +218,14 @@ def test_group_matrix_bare_matrix(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[[2]]")
     assert run(capsys, "dim", "--group-matrix", str(path), "3")[:2] == (0, "4\n")
+
+
+def test_group_matrix_label_must_be_a_string(capsys):
+    # the label is part of the group's hash: a list or dict would fail in the character memo
+    expected = (2, "", "error[invalid-cartan]: label must be a string\n")
+    assert run(capsys, "char", "--group-matrix", '{"cartan":[[2]],"label":[1]}', "2") == expected
+    assert run(capsys, "char", "--group-matrix", '{"cartan":[[2]],"label":5}', "2") == expected
+    assert run(capsys, "realize", "--group-matrix", '{"cartan":[[2]],"label":{}}', '{"rows":[[1]]}') == expected
 
 
 def test_group_matrix_invalid(capsys, tmp_path):
@@ -432,6 +440,18 @@ _GROUP_CASES = [
         ["realize", "A400", '{"n":2,"rows":[[1]]}'],
         (2, "", "error[rank-mismatch]: hom rank 1 for group rank 400\n"),
     ),
+    # the greedy's order, 2 rho-check, is one solve in the Cartan matrix
+    (["realize", "A400", json.dumps({"rows": [[1] + [0] * 399]})], _RANK_CAP),
+    (
+        ["realize", "A400", json.dumps({"rows": [[1, -1] + [0] * 398]})],
+        (
+            1,
+            "not-certified\nreason: leading-weight-not-dominant\n"
+            f"witness: [-1, 1{', 0' * 398}]\n"
+            "note: not certified by this criterion; existence of a map is not ruled out\n",
+            "",
+        ),
+    ),
     (
         ["verify-theorem", "A400", "[[1],[-1]]"],
         (2, "", "error[rank-mismatch]: weights rank 1 for group rank 400\n"),
@@ -452,16 +472,17 @@ _GROUP_CASES = [
 def test_group_subcommands_check_their_input_before_any_root_data(
     capsys, monkeypatch, argv, expected
 ):
-    # A400 has 80,200 positive roots, which take tens of seconds to build,
-    # and inverting its matrix alone takes seconds
-    from flagrep import cartan
-
-    def fail(*args):
-        raise AssertionError("Cartan matrix inverted before the input was checked")
-
+    # A400 has 80,200 positive roots, which take tens of seconds to build
     _no_root_data(monkeypatch)
-    monkeypatch.setattr(cartan, "_invert", fail)
     assert run(capsys, *argv) == expected
+
+
+def test_height_vector_needs_no_root_data(monkeypatch):
+    # 2 rho-check of A_n is the sum of its positive coroots: i * (n + 1 - i) at node i
+    _no_root_data(monkeypatch)
+    expected = tuple(i * (401 - i) for i in range(1, 401))
+    fresh = custom_cartan(cartan_from_tag("A400").cartan_matrix, label="A400")
+    assert fresh.height_vector == cartan_from_tag("A400").height_vector == expected
 
 
 def test_every_group_subcommand_has_a_root_data_case():
@@ -734,14 +755,22 @@ def test_not_certified_text_lists_the_report_fields(capsys, report, text):
 def test_a_launch_imports_no_dataclasses_fractions_or_json():
     # a CLI launch answers most questions in about a millisecond, so its imports are most of its cost
     code = (
-        "import sys\n"
+        "import io, sys\n"
         "heavy = ('dataclasses', 'inspect', 'fractions', 'decimal', 'json')\n"
         "import flagrep.cli\n"
         "print(sorted(set(heavy) & set(sys.modules)))\n"
         "assert flagrep.cli.main(['dim', 'A1', '1']) == 0\n"
         "print(sorted(set(heavy) & set(sys.modules)))\n"
+        # the answer paths too; cor3 writes JSON and realize reads it
+        "for argv in (['char', 'B3', '1,0,1'], ['omega', 'B3', '8'], ['cor3', '2,1', '3'],\n"
+        "             ['realize', 'A2', '{\"n\":3,\"rows\":[[1,0],[-1,1]]}']):\n"
+        "    out, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    code = flagrep.cli.main(argv)\n"
+        "    sys.stdout = out\n"
+        "    print(argv[0], code, sorted(set(heavy) & set(sys.modules)))\n"
     )
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n2\n[]\n", "")
+    answers = "char 0 []\nomega 0 []\ncor3 0 ['json']\nrealize 0 ['json']\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n2\n[]\n" + answers, "")

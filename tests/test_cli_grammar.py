@@ -30,7 +30,15 @@ SMALL_INT = st.integers(-1, 6).map(str)
 RANKS = {"A1": 1, "A2": 2, "A3": 3, "B2": 2, "B3": 3, "C3": 3, "D4": 4, "G2": 2, "A40": 40}
 BAD_TAGS = ["A0", "B1", "D2", "G3", "X2", "a2", "A 2", ""]
 MATRICES = {"[[2,-1],[-1,2]]": 2, '{"cartan":[[2,-1],[-3,2]],"label":"G"}': 2, "[[2,0,0],[0,2,-2],[0,-1,2]]": 3}
-BAD_MATRICES = ["[[2,-2],[-2,2]]", "[[2,1],[1,2]]", '{"label":"x"}', "[[2,true],[-1,2]]", "5"]
+BAD_MATRICES = [
+    "[[2,-2],[-2,2]]",
+    "[[2,1],[1,2]]",
+    '{"label":"x"}',
+    "[[2,true],[-1,2]]",
+    "5",
+    '{"cartan":[[2]],"label":[1]}',
+    '{"cartan":[[2]],"label":{"x":1}}',
+]
 
 
 def _json_list(items):

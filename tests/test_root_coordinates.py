@@ -1,6 +1,7 @@
 """Root data read off simple-root coordinates, against independent oracles:
-exact elimination for the coordinates, breadth-first orbits for the roots
-and the orbit sizes, and the Weyl product in rationals for dimensions."""
+exact elimination for the coordinates and the invariant form,
+breadth-first orbits for the roots and the orbit sizes, and the Weyl
+product in rationals for dimensions."""
 
 import itertools
 from fractions import Fraction
@@ -68,7 +69,13 @@ def check_root_data(cd):
         for a, k in zip(roots, reflect[i]):
             image = tuple(x - a[i] * y for x, y in zip(a, row))
             assert k == (roots.index(image) if image in roots else None)
+    # inner on the fundamental weights, the simple roots and two mixed weights
     n = cd.rank
+    weights = [tuple(int(i == j) for j in range(n)) for i in range(n)] + list(cd.cartan_matrix)
+    weights += [tuple(range(-1, n - 1)), tuple((3 * i) % 5 - 2 for i in range(n))]
+    for u in weights:
+        for v in weights:
+            assert inner(cd, u, v) == oracles.form_value(form, u, v), (u, v)
     for lam in [(0,) * n, (1,) * n, tuple(range(n)), tuple(i * 5 % 3 for i in range(n))]:
         assert dimension(cd, lam) == oracles.fraction_dimension(cd, lam), lam
 
@@ -157,35 +164,37 @@ def test_orbit_size_matches_breadth_first_orbits(cd):
 
 
 @pytest.fixture
-def inversions(monkeypatch):
-    """The calls to ``cartan._invert`` from here on, with empty memos of
+def solves(monkeypatch):
+    """The calls to ``cartan._solve`` from here on, with empty memos of
     built-in groups and of characters, so every group read is fresh."""
     calls = []
-    real = cartan._invert
-    monkeypatch.setattr(cartan, "_invert", lambda m: calls.append(m) or real(m))
+    real = cartan._solve
+    monkeypatch.setattr(cartan, "_solve", lambda m, b: calls.append(b) or real(m, b))
     for module, name in ((cartan, "_builtin_cartan"), (characters, "_dominant_character")):
         memo = getattr(module, name)
         monkeypatch.setattr(module, name, lru_cache(maxsize=memo.cache_info().maxsize)(memo.__wrapped__))
     return calls
 
 
-def test_roots_and_dimension_need_no_inverse(inversions):
+def test_roots_and_dimension_need_no_inverse(solves):
     cd = custom_cartan(cartan_from_tag("B5").cartan_matrix, label="B5")  # not memoised
     assert len(cd.positive_roots) == 25
     assert dimension(cd, (1, 0, 0, 0, 0)) == 11
     assert dimension(cd, (1, 1, 1, 1, 1)) == 2**25
-    assert inversions == []
+    assert solves == []
 
 
-def test_characters_and_decompositions_need_no_inverse(inversions):
+def test_characters_and_decompositions_need_no_inverse(solves):
     cd = custom_cartan(cartan_from_tag("C3").cartan_matrix, label="C3")
     product = weight_multiplicities(cd, (1, 0, 0)) * weight_multiplicities(cd, (0, 1, 1))
+    assert solves == []
     assert isinstance(decompose(cd, product), Certificate)  # W-invariant: dominant terms
     orbit_sum = CharPoly(3, dict.fromkeys(weyl_orbit(cd, (0, 1, 0)), 1))
     assert decompose(cd, orbit_sum) == NotInOmega("negative-coefficient", witness=(0, 0, 0), deficit=-2)
     moved = product + CharPoly(3, {(2, -1, 0): 1})  # not invariant: every term
     assert decompose(cd, moved).reason == "leading-weight-not-dominant"
-    assert inversions == []
+    # the greedy's order: one solve for the group's height vector, kept
+    assert solves == [(2, 2, 2)]
 
 
 @pytest.mark.parametrize(
@@ -203,18 +212,22 @@ def test_characters_and_decompositions_need_no_inverse(inversions):
     ],
     ids=" ".join,
 )
-def test_cli_answers_need_no_inverse(inversions, capsys, argv):
+def test_cli_answers_need_no_inverse(solves, capsys, argv):
     assert cli.main(list(argv)) in (0, 1)
     assert capsys.readouterr().err == ""
-    assert inversions == []
+    # the group's height vector, once, for realize's decomposition alone
+    assert len(solves) == (argv[0] == "realize")
 
 
-def test_only_inner_inverts(inversions):
+def test_inner_solves_once_per_call(solves):
     cd = custom_cartan(cartan_from_tag("B3").cartan_matrix, label="B3")
-    cd.positive_roots, cd.height_vector, cd.freudenthal_tables, cd.root_strata
-    assert inversions == []
+    cd.positive_roots, cd.freudenthal_tables, cd.root_strata
+    assert solves == []
+    assert cd.height_vector == (6, 10, 6)
+    assert len(solves) == 1
     assert inner(cd, (0, 0, 1), (0, 0, 1)) == Fraction(3, 2)  # the short roots have (a, a) = 2
-    assert len(inversions) == 1
+    assert inner(cd, (1, 0, 0), (0, 0, 1)) == 1
+    assert len(solves) == 3
 
 
 def every_coordinate_walk(cd, bound):
