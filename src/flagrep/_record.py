@@ -4,7 +4,8 @@ A subclass declares its fields as class annotations, in order, with an
 optional class-level default each, as a dataclass would.  The base gives
 it a constructor taking the fields by position or keyword (ending in a
 call to ``__post_init__``, looked up on the instance so that it can be
-replaced on the class), a ``repr`` naming every field, equality by value
+replaced on the class; ``_trusted`` skips it for values the library
+built itself), a ``repr`` naming every field, equality by value
 between instances of one class, a hash of the field values, computed on
 first use and kept, and immutability.  Pickling rebuilds a record through
 its constructor, so neither the kept hash (which a ``str`` field makes
@@ -49,6 +50,14 @@ class _Record:
 
     def __post_init__(self) -> None:
         pass
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of field values the library built itself, set with no
+        call to ``__post_init__``: they must already be what it would set."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
 
     def _values(self) -> tuple:
         return tuple(map(self.__dict__.__getitem__, self._fields))

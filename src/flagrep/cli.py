@@ -6,7 +6,9 @@ stdout, diagnostics to stderr, and output is byte-stable across runs.
 
 Exit codes: 0 success or certified, 1 not certified (realize only),
 2 input error, 3 resource cap exceeded, 4 internal error (a bug: the
-exception is reported as ``error[internal]`` on stderr, without a traceback).
+exception is reported as ``error[internal]`` on stderr, without a traceback),
+141 when the reader closed stdout before the answer was written, with
+nothing printed: the code a shell reports for a process that SIGPIPE ends.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
+from itertools import chain, groupby, repeat
 
 from . import characters, realize
 from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
@@ -28,6 +32,7 @@ EXIT_NOT_CERTIFIED = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141
 
 
 def _load_json_arg(arg: str):
@@ -209,8 +214,13 @@ def _cmd_alpha(args) -> int:
 def _cmd_cor3(args) -> int:
     mu = parse_partition(args.mu)
     result = realize.realize_schur(mu, args.m)
+    # the rows as JSON: equal rows are adjacent, so each run's text is
+    # written once, by one format of as many integers as a row has
+    row = f"[{', '.join(['%d'] * result.hom.m)}]"
+    runs = groupby(result.hom.rows)
+    rows = chain.from_iterable(repeat(row % key, len(list(run))) for key, run in runs)
     print(f"n: {result.n}")
-    print(f"rows: {_dumps([list(r) for r in result.hom.rows])}")
+    print(f"rows: [{', '.join(rows)}]")
     print(f"alpha-s: {render_ypoly(result.symmetric_function)}")
     print(f"check: {'ok' if result.matches else 'mismatch'}")
     return EXIT_OK
@@ -317,13 +327,21 @@ def main(argv: list[str] | None = None) -> int:
         # bad usage exits 2, the input-error code
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except InputError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # no reader is left: nothing more is written, not even at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_PIPE
     except Exception as exc:
         print(f"error[internal]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -249,7 +249,9 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         )
     weights, target = _schur_weights(_shape(mu, m), m)
     n = len(weights)
-    hom = cohom_from_rows(weights[:-1])  # s_map derives the last weight
+    # s_map derives the last weight; the rows are int tuples built here, so
+    # the record takes them unchecked
+    hom = CohomHom._trusted(n, m - 1, tuple(weights[:-1]))
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes
     return SchurRealization(n, hom, image, image == target)

@@ -17,6 +17,12 @@ rearrangements in m variables carry its multiplicity.  The character rank
 cap does not apply.  The tableau count caps the content list, and
 for m > max(2, |mu|) the content count times m caps the rearrangements
 before any is built.
+
+The work is done once per dominant partition where it can be.  ``schur``
+rearranges each partition, less its smallest entry, straight into
+canonical keys, and sorts nothing.  Only the tableau listings of
+``ssyt_contents``, ``weights_of_schur`` and ``cor3`` build the content
+list and sort it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, combinations, repeat
 from math import comb, factorial, perm, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Collection, Iterable, Iterator, Mapping
 
 from . import cartan, characters
@@ -96,10 +102,9 @@ def _shape(mu: Partition, m: int) -> Partition:
     return shape
 
 
-def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
-    """(content, multiplicity) per distinct tableau content of a nonempty
-    shape in m >= 2 variables, sorted by descending content: the fixed
-    order the weight listings downstream rely on.
+def _partitions(shape: Partition, m: int) -> list[tuple[Partition, int]]:
+    """(partition, multiplicity) per dominant tableau content of a nonempty
+    shape in m >= 2 variables, the partition without its zero parts.
 
     A content's multiplicity is a Kostka number, which depends only on the
     partition its sorted entries form (Macdonald, I.6), and that partition
@@ -126,8 +131,22 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
     if k < m:
         n = sum(perm(m, len(p)) // prod(map(factorial, Counter(p).values())) for p, _ in partitions)
         _check_content_count(n, m)
-    contents = [(e, c) for p, c in partitions for e in _rearrangements(p + (0,) * (m - len(p)))]
-    contents.sort(reverse=True)
+    return partitions
+
+
+def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
+    """(content, multiplicity) per distinct tableau content of a nonempty
+    shape in m >= 2 variables, sorted by descending content: the fixed
+    order the tableau listings of ``ssyt_contents``, ``weights_of_schur``
+    and ``cor3`` rely on.  ``schur`` needs no order and builds no content
+    list.
+
+    The contents are each partition's rearrangements, padded to m, each in
+    a descending run; contents are distinct, so they sort by the content
+    alone, and the runs merge.
+    """
+    contents = [(e, c) for p, c in _partitions(shape, m) for e in _rearrangements(p + (0,) * (m - len(p)))]
+    contents.sort(key=itemgetter(0), reverse=True)
     return contents
 
 
@@ -154,12 +173,6 @@ def _check_content_count(n: int, m: int) -> None:
     """n contents of m entries each, held to ``TERM_CAP`` before any is built."""
     if n * m > TERM_CAP:
         raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
-
-
-def _ypoly(contents: list[tuple[tuple[int, ...], int]], m: int) -> YPoly:
-    """The Schur polynomial with these contents: distinct contents stay
-    distinct once canonical, so no two terms share a key."""
-    return YPoly._trusted(m, {_canonical(e): c for e, c in contents})
 
 
 def _check_tableau_count(shape: Partition, m: int) -> None:
@@ -196,7 +209,12 @@ def schur(mu: Iterable[int], m: int) -> YPoly:
     if m < 2 or not shape:
         _check_content_count(1, m)
         return YPoly._trusted(m, {(0,) * m: 1})  # one constant content, canonical
-    return _ypoly(_contents(shape, m), m)
+    terms: dict[tuple[int, ...], int] = {}
+    for p, c in _partitions(shape, m):
+        if len(p) == m:  # a canonical key is a content less its smallest entry
+            p = tuple(x - p[-1] for x in p)
+        terms.update(zip(_rearrangements(p + (0,) * (m - len(p))), repeat(c)))
+    return YPoly._trusted(m, terms)
 
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
@@ -263,13 +281,18 @@ def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], YPoly]:
     are read off.
 
     A tableau's weight is the part differences of its content, so each
-    distinct weight is one tuple, repeated by its multiplicity.
+    distinct weight is one tuple, repeated by its multiplicity.  A
+    content's canonical key is the content less its smallest entry, taken
+    by columns as in ``alpha``; distinct contents keep distinct keys.
     """
     _check_tableau_count(shape, m)
-    contents = _contents(shape, m)
-    weights = _differences(e for e, _ in contents)
-    counts = (c for _, c in contents)
-    return list(chain.from_iterable(map(repeat, weights, counts))), _ypoly(contents, m)
+    contents, counts = zip(*_contents(shape, m))
+    weights = _differences(contents)
+    cols = list(zip(*contents))
+    low = list(map(min, *cols))
+    keys = zip(*[map(sub, col, low) for col in cols]) if any(low) else contents
+    target = YPoly._trusted(m, dict(zip(keys, counts)))
+    return list(chain.from_iterable(map(repeat, weights, counts))), target
 
 
 def alpha(p: CharPoly) -> YPoly:

@@ -315,6 +315,44 @@ def test_cor3_prints_the_check_realize_schur_made(capsys, monkeypatch):
     assert (code, out.splitlines()[-2:]) == (0, ["alpha-s: 2*y1 + 2*y2", "check: mismatch"])
 
 
+@pytest.mark.parametrize("mu, m", [((2, 1), 3), ((2, 2), 4), ((3, 2, 1), 5)])
+def test_cor3_rows_line_is_the_rows_json(capsys, mu, m):
+    # each run of equal rows is written once; its text must still be JSON's
+    rows = realize_module.realize_schur(mu, m).hom.rows
+    assert len(set(rows)) < len(rows)
+    code, out, _ = run(capsys, "cor3", ",".join(map(str, mu)), str(m))
+    assert code == 0
+    assert out.splitlines()[1] == "rows: " + json.dumps([list(r) for r in rows])
+
+
+def test_an_answer_into_a_closed_pipe_exits_141_and_prints_nothing():
+    # a reader that stops early is no internal fault; the code is the shell's for SIGPIPE
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    command = [sys.executable, "-m", "flagrep"]
+    for unbuffered in ("1", ""):  # the answer is written at once, or in main's flush
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": unbuffered}
+        # 139 KB, more than a pipe holds: the reader takes 10 bytes and closes
+        child = subprocess.Popen(
+            [*command, "char", "B3", "4,4,4"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        head = child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert (child.wait(timeout=60), head, err) == (141, b"w1^20*rho^", b"")
+        # a small answer into a pipe whose reader closed before the launch
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [*command, "schur", "2,1", "3"], stdout=write_end,
+                stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, b"")
+
+
 def test_cor3_counts_the_tableaux_of_long_rows_before_its_cap(capsys):
     start = time.perf_counter()
     assert run(capsys, "cor3", "100000000000", "3") == (
@@ -761,7 +799,7 @@ def test_a_launch_imports_no_dataclasses_fractions_or_json():
         "print(sorted(set(heavy) & set(sys.modules)))\n"
         "assert flagrep.cli.main(['dim', 'A1', '1']) == 0\n"
         "print(sorted(set(heavy) & set(sys.modules)))\n"
-        # the answer paths too; cor3 writes JSON and realize reads it
+        # the answer paths too; realize reads JSON, and cor3 writes its rows without it
         "for argv in (['char', 'B3', '1,0,1'], ['omega', 'B3', '8'], ['cor3', '2,1', '3'],\n"
         "             ['realize', 'A2', '{\"n\":3,\"rows\":[[1,0],[-1,1]]}']):\n"
         "    out, sys.stdout = sys.stdout, io.StringIO()\n"
@@ -772,5 +810,5 @@ def test_a_launch_imports_no_dataclasses_fractions_or_json():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    answers = "char 0 []\nomega 0 []\ncor3 0 ['json']\nrealize 0 ['json']\n"
+    answers = "char 0 []\nomega 0 []\ncor3 0 []\nrealize 0 ['json']\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n2\n[]\n" + answers, "")

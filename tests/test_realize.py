@@ -24,6 +24,7 @@ from flagrep import (
     torus_restriction_from_certificate,
     verify_factorization,
     weight_multiplicities,
+    weights_of_schur,
 )
 from flagrep import realize as realize_module
 from flagrep.charpoly import CharPoly, render
@@ -370,6 +371,15 @@ def test_realize_schur_builds_the_type_a_character_once(monkeypatch):
     assert calls == [((2, 1), 4)]
     assert result.matches is True
     assert result.symmetric_function == schur((2, 1), 4)
+
+
+def test_realize_schur_checks_no_row_it_built(monkeypatch):
+    # the tableau weights are exact int tuples already; CohomHom's check is for input
+    monkeypatch.setattr(CohomHom, "__post_init__", lambda self: pytest.fail("rows re-checked"))
+    result = realize_schur((2, 1), 4)
+    assert result.matches is True
+    assert (result.n, result.hom.n, result.hom.m) == (20, 20, 3)
+    assert result.hom.rows == tuple(weights_of_schur((2, 1), 4)[:-1])
 
 
 def test_realize_schur_rejects_full_last_part():

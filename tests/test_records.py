@@ -158,3 +158,22 @@ def test_schur_realization_unpacks_to_three_values():
     n, hom, sf = result
     assert (n, hom, sf) == (result.n, result.hom, result.symmetric_function)
     assert isinstance(result, SchurRealization) and result.matches
+
+
+def test_a_trusted_record_is_a_checked_one(monkeypatch):
+    # _trusted sets the fields and nothing else; the checked record is what it must equal
+    trusted = CohomHom._trusted(3, 2, ((1, 0), (0, 1)))
+    checked = cohom_from_rows([[1, 0], [0, 1]])
+    assert type(trusted) is CohomHom
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked)
+    assert repr(trusted) == repr(checked) == "CohomHom(n=3, m=2, rows=((1, 0), (0, 1)))"
+    assert trusted.derived_row == checked.derived_row == (-1, -1)
+    assert pickle.dumps(trusted) == pickle.dumps(checked)
+    again = pickle.loads(pickle.dumps(trusted))
+    assert type(again) is CohomHom and again == checked and repr(again) == repr(checked)
+    with pytest.raises(AttributeError):
+        trusted.n = 4
+    # no check runs, not even one replaced on the class
+    monkeypatch.setattr(CohomHom, "__post_init__", lambda self: pytest.fail("checked"))
+    assert CohomHom._trusted(2, 1, ((5,),)).rows == ((5,),)

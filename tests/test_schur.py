@@ -205,6 +205,17 @@ def test_schur_route_walks_no_orbit_and_takes_no_alpha(monkeypatch):
         assert result.symmetric_function == oracles.tableau_schur(mu, m)
 
 
+def test_schur_builds_no_content_list(monkeypatch):
+    # schur rearranges each dominant partition into canonical keys itself
+    def fail(*args):
+        raise AssertionError("schur built the content list")
+
+    monkeypatch.setattr(sys.modules["flagrep.schur"], "_contents", fail)
+    cases = (((3, 1), 3), ((2, 1), 3), ((2, 1), 5), ((2, 2), 2), ((3, 2, 2), 3), ((4, 2, 1), 3))
+    for mu, m in cases:  # m < |mu|, m = |mu|, m > |mu|, and exactly m nonzero parts
+        assert _outcome(schur, mu, m) == _outcome(oracles.tableau_schur, mu, m)
+
+
 @st.composite
 def shapes_and_variables(draw):
     """A partition of size <= 6 and m in {|mu| - 1, |mu|, |mu| + 1, |mu| + 3}."""
@@ -219,6 +230,8 @@ def shapes_and_variables(draw):
 @example(((1,), 0))
 @example(((2, 2, 1, 1), 5))
 @example(((3, 2, 1), 9))
+@example(((2, 2), 2))
+@example(((3, 2, 2), 3))
 def test_contents_route_matches_tableau_oracle(case):
     mu, m = case
     assert _outcome(ssyt_contents, mu, m) == _outcome(oracles.ssyt_contents, mu, m)
