@@ -18,7 +18,8 @@ import contextlib
 import functools
 import os
 import sys
-from itertools import chain, groupby, repeat
+from collections import Counter
+from itertools import chain, repeat
 
 from . import characters, realize
 from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
@@ -214,11 +215,12 @@ def _cmd_alpha(args) -> int:
 def _cmd_cor3(args) -> int:
     mu = parse_partition(args.mu)
     result = realize.realize_schur(mu, args.m)
-    # the rows as JSON: equal rows are adjacent, so each run's text is
-    # written once, by one format of as many integers as a row has
+    # the rows as JSON: equal rows are adjacent, so the counts' first-seen
+    # order is the rows' order, and each distinct row's text is written
+    # once, by one format of as many integers as a row has
     row = f"[{', '.join(['%d'] * result.hom.m)}]"
-    runs = groupby(result.hom.rows)
-    rows = chain.from_iterable(repeat(row % key, len(list(run))) for key, run in runs)
+    counts = Counter(result.hom.rows)
+    rows = chain.from_iterable(repeat(row % key, n) for key, n in counts.items())
     print(f"n: {result.n}")
     print(f"rows: [{', '.join(rows)}]")
     print(f"alpha-s: {render_ypoly(result.symmetric_function)}")

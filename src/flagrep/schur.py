@@ -23,10 +23,20 @@ rearranges each partition, less its smallest entry, straight into
 canonical keys, and sorts nothing.  Only the tableau listings of
 ``ssyt_contents``, ``weights_of_schur`` and ``cor3`` build the content
 list and sort it.
+
+A partition's rearrangements depend only on its multiplicity pattern, the
+count of each distinct entry.  Each pattern's layout of positions is
+built once and kept, by columns of one byte per entry, in a memo keyed by
+the pattern and held to ``TERM_CAP`` bytes, so a partition costs one pass
+per column.  Only a process that answers several Schur queries in the
+same number of variables reuses a layout; a single query pays one walk
+step per row of each layout it builds.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from collections import Counter
 from itertools import chain, combinations, repeat
 from math import comb, factorial, perm, prod
@@ -150,23 +160,78 @@ def _contents(shape: Partition, m: int) -> list[tuple[tuple[int, ...], int]]:
     return contents
 
 
-def _rearrangements(e: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct rearrangements of a weakly decreasing tuple, in
-    descending order: each is the previous permutation of the one before,
-    found in place, so a tuple of any length needs no recursion."""
-    a = list(e)
+def _rearrangements(e: tuple[int, ...], low: int = 0) -> Iterator[tuple[int, ...]]:
+    """The distinct rearrangements of a weakly decreasing tuple, each entry
+    less ``low``, in descending order: e's multiplicity pattern's layout
+    (``_layout``) read through e's distinct values, one pass per column
+    and one ``zip``, with no Python step per rearrangement.  A column
+    becomes its values by one ``bytes.translate`` when they all fit a
+    byte, else by one ``map``."""
+    values = sorted(set(e))  # a layout's index j stands for the j-th smallest entry
+    cols = _layout(tuple(map(e.count, reversed(values))))
+    if low:
+        values = [x - low for x in values]
+    if values[-1] < 256:
+        table = bytes(values).ljust(256, b"\0")
+        return zip(*[col.translate(table) for col in cols])
+    return zip(*[map(values.__getitem__, col) for col in cols])
+
+
+#: The layouts ``_layout`` keeps, keyed by multiplicity pattern, oldest
+#: first, and the bytes of their columns, which ``_layout`` holds to
+#: ``TERM_CAP``.
+_LAYOUTS: dict[tuple[int, ...], tuple[bytes, ...]] = {}
+_layout_bytes = 0
+_LAYOUT_LOCK = threading.Lock()
+
+
+def _layout(counts: tuple[int, ...]) -> tuple[bytes, ...]:
+    """The distinct rearrangements of a multiplicity pattern's index tuple,
+    in descending order, stored by columns: one ``bytes`` per position.
+
+    The pattern counts each distinct entry of a weakly decreasing tuple,
+    largest entry first, so (5, 5, 2, 0, 0, 0) has pattern (2, 1, 3) and
+    index tuple (2, 2, 1, 0, 0, 0): index j stands for the j-th smallest
+    entry, so the index rows and the tuples they stand for share one
+    order.  Each row is the previous permutation of the one before, found
+    in place (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L), and appended to one
+    row-major buffer that a strided slice per position cuts into columns.
+    An index fits a byte: d distinct entries have at least d! arrangements,
+    and the caps stop d > 10 before any layout is built.
+
+    Every tuple of one pattern shares its layout, so the layouts are kept
+    in one memo keyed by the pattern and holding at most ``TERM_CAP``
+    bytes of columns (``sys.getsizeof``), the oldest evicted first.  A
+    layout larger than that is built and not kept.
+    """
+    global _layout_bytes
+    cols = _LAYOUTS.get(counts)
+    if cols is not None:
+        return cols
+    a = bytearray(j for j, c in zip(range(len(counts) - 1, -1, -1), counts) for _ in range(c))
+    m = len(a)
+    rows = bytearray()
     while True:
-        yield tuple(a)
-        i = len(a) - 2
+        rows += a
+        i = m - 2
         while i >= 0 and a[i] <= a[i + 1]:
             i -= 1
         if i < 0:
-            return
-        j = len(a) - 1
+            break
+        j = m - 1
         while a[j] >= a[i]:
             j -= 1
         a[i], a[j] = a[j], a[i]
-        a[i + 1:] = reversed(a[i + 1:])
+        a[i + 1:] = a[:i:-1]
+    cols = tuple(bytes(rows[i::m]) for i in range(m))
+    size = sum(map(sys.getsizeof, cols))
+    with _LAYOUT_LOCK:  # two threads may build one layout; it is counted once
+        if size <= TERM_CAP and counts not in _LAYOUTS:
+            while _layout_bytes + size > TERM_CAP:
+                _layout_bytes -= sum(map(sys.getsizeof, _LAYOUTS.pop(next(iter(_LAYOUTS)))))
+            _LAYOUTS[counts] = cols
+            _layout_bytes += size
+    return cols
 
 
 def _check_content_count(n: int, m: int) -> None:
@@ -211,9 +276,9 @@ def schur(mu: Iterable[int], m: int) -> YPoly:
         return YPoly._trusted(m, {(0,) * m: 1})  # one constant content, canonical
     terms: dict[tuple[int, ...], int] = {}
     for p, c in _partitions(shape, m):
-        if len(p) == m:  # a canonical key is a content less its smallest entry
-            p = tuple(x - p[-1] for x in p)
-        terms.update(zip(_rearrangements(p + (0,) * (m - len(p))), repeat(c)))
+        e = p + (0,) * (m - len(p))
+        # a canonical key is a content less its smallest entry
+        terms.update(zip(_rearrangements(e, e[-1]), repeat(c)))
     return YPoly._trusted(m, terms)
 
 

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from unittest import mock
@@ -214,6 +215,94 @@ def test_schur_builds_no_content_list(monkeypatch):
     cases = (((3, 1), 3), ((2, 1), 3), ((2, 1), 5), ((2, 2), 2), ((3, 2, 2), 3), ((4, 2, 1), 3))
     for mu, m in cases:  # m < |mu|, m = |mu|, m > |mu|, and exactly m nonzero parts
         assert _outcome(schur, mu, m) == _outcome(oracles.tableau_schur, mu, m)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from((0, 0, 1, 2, 2, 5, 255, 256, 300)), min_size=1, max_size=7))
+@example([0])
+@example([5, 5, 2, 0, 0, 0])
+@example([300, 300, 256, 255, 0, 0, 0])  # values past a byte, with a byte-sized pattern
+def test_rearrangements_are_the_distinct_permutations(entries):
+    # the oracle is itertools, not the layout walk
+    e = tuple(sorted(entries, reverse=True))
+    assert list(schur_module._rearrangements(e)) == sorted(set(itertools.permutations(e)), reverse=True)
+    low = e[-1]
+    shifted = tuple(x - low for x in e)
+    assert list(schur_module._rearrangements(e, low)) == sorted(set(itertools.permutations(shifted)), reverse=True)
+
+
+def test_one_pattern_shares_one_layout(monkeypatch):
+    monkeypatch.setattr(schur_module, "_LAYOUTS", {})
+    monkeypatch.setattr(schur_module, "_layout_bytes", 0)
+    for e in ((5, 5, 2, 0, 0, 0), (9, 9, 4, 1, 1, 1), (300, 300, 7, 6, 6, 6)):
+        assert list(schur_module._rearrangements(e)) == sorted(set(itertools.permutations(e)), reverse=True)
+    assert list(schur_module._LAYOUTS) == [(2, 1, 3)]
+    # schur((1,), 1000) builds the one-box layout that the tableau listing reuses
+    assert len(schur((1,), 1000).terms) == 1000
+    assert list(schur_module._LAYOUTS) == [(2, 1, 3), (1, 999)]
+    first = schur_module._LAYOUTS[(1, 999)]
+    assert ssyt_contents((1,), 1000) == tuple(tuple(int(i == j) for j in range(1000)) for i in range(1000))
+    assert schur_module._LAYOUTS[(1, 999)] is first
+
+
+def _layout_memo_bytes():
+    return sum(sys.getsizeof(col) for cols in schur_module._LAYOUTS.values() for col in cols)
+
+
+def test_layout_memo_holds_its_budget(monkeypatch):
+    monkeypatch.setattr(schur_module, "_LAYOUTS", {})
+    monkeypatch.setattr(schur_module, "_layout_bytes", 0)
+    # 3000 contents of 3000 entries: 9 * 10^6 cells, under the content cap
+    q = schur((1,), 3000)
+    assert len(q.terms) == 3000
+    assert list(schur_module._LAYOUTS) == [(1, 2999)]
+    assert schur_module._layout_bytes == _layout_memo_bytes() <= TERM_CAP
+    # a second wide layout evicts the first, the oldest
+    assert len(schur((1, 1), 140).terms) == 9730
+    assert list(schur_module._LAYOUTS) == [(2, 138)]
+    assert schur_module._layout_bytes == _layout_memo_bytes() <= TERM_CAP
+    # the budget is read at each build; a layout larger than it is not kept
+    monkeypatch.setattr(schur_module, "_LAYOUTS", {})
+    monkeypatch.setattr(schur_module, "_layout_bytes", 0)
+    monkeypatch.setattr(schur_module, "TERM_CAP", 300)
+    cols = schur_module._layout((1, 1, 1, 1, 1))  # 120 rows by 5 columns
+    assert list(zip(*cols)) == sorted(itertools.permutations(range(5)), reverse=True)
+    assert schur_module._LAYOUTS == {} and schur_module._layout_bytes == 0
+    for counts in ((1, 2), (2, 1), (1, 1, 1)):  # 108, 108 and 117 bytes
+        schur_module._layout(counts)
+        assert schur_module._layout_bytes == _layout_memo_bytes() <= 300
+    assert list(schur_module._LAYOUTS) == [(2, 1), (1, 1, 1)]
+
+
+def test_layout_memo_counts_each_layout_once_across_threads(monkeypatch):
+    monkeypatch.setattr(schur_module, "_LAYOUTS", {})
+    monkeypatch.setattr(schur_module, "_layout_bytes", 0)
+    monkeypatch.setattr(schur_module, "TERM_CAP", 1000)  # a few layouts fit, so the threads evict
+    patterns = [(1, 1, 1, 1), (2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (1, 1, 1, 1, 1)]
+    errors = []
+
+    def work():
+        try:
+            for _ in range(40):
+                for counts in patterns:
+                    assert len(schur_module._layout(counts)[0]) == math.factorial(sum(counts)) // math.prod(
+                        map(math.factorial, counts))
+        except Exception as exc:  # a failure in a thread is reported by the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert schur_module._layout_bytes == _layout_memo_bytes() <= 1000
 
 
 @st.composite
