@@ -14,8 +14,7 @@ Conventions used by every function here:
 * The Weyl orbit walk is Python source written from the Cartan matrix's
   entries alone, each simple reflection spelt out in named coordinates,
   and compiled by ``compile_orbit_walk``.  ``CartanData.orbit_walk`` keeps
-  one per group, and ``orbit_terms`` and ``weyl_orbit`` run the one they
-  are given.
+  one per group, and ``orbit_terms`` runs the one it is given.
 
 No kernel keeps a cache, and none solves in the Cartan matrix.
 """
@@ -41,12 +40,6 @@ def dominant_representative(cartan, w):
         else:
             i += 1
     return tuple(v)
-
-
-def _moved_pairs(cartan):
-    """Per simple reflection s_i, the pairs (j, cartan[i][j]) of the
-    coordinates s_i can change."""
-    return [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
 
 
 #: The longest run of coordinates that a compiled orbit walk names one by
@@ -134,16 +127,6 @@ def compile_orbit_walk(cartan):
     return namespace["walk"]
 
 
-def weyl_orbit(cartan, w, cap, walk=None):
-    """Orbit of ``w`` under the reflections s_i(v) = v - v[i] * root_i: the
-    orbit ``walk`` finds from the dominant representative, where ``walk`` is
-    ``compile_orbit_walk(cartan)``, compiled here if it is not given.
-    Returns a list of at most ``cap`` weights, and raises the orbit cap as
-    soon as the orbit would hold more."""
-    top = dominant_representative(cartan, w)
-    return (walk or compile_orbit_walk(cartan))(top, cap)
-
-
 def freudenthal(tables, lam, support):
     """Multiplicities of the dominant weights of the highest-weight module.
 
@@ -216,38 +199,6 @@ def orbit_terms(walk, dominant_mults, max_terms):
             ) from None
         terms.update(zip(orbit, repeat(mult)))
     return terms
-
-
-def invariant_dominant_terms(cartan, terms):
-    """The dominant terms of ``terms`` if it is W-invariant, else None.
-
-    Invariance under W is invariance under each simple reflection s_i,
-    which fixes a weight u with u[i] = 0 and maps the terms with u[i] > 0
-    one to one to weights with u[i] < 0.  One lookup per term and positive
-    coordinate checks that s_i(u) is a term with u's coefficient; then
-    these maps are onto the terms with a negative coordinate exactly when
-    positive and negative coordinates are equally many.
-    """
-    moved = _moved_pairs(cartan)
-    get = terms.get
-    dominant = {}
-    balance = 0
-    for u, c in terms.items():
-        negative = False
-        for i, ui in enumerate(u):
-            if ui > 0:
-                v = list(u)
-                for j, a in moved[i]:
-                    v[j] -= ui * a
-                if get(tuple(v)) != c:
-                    return None
-                balance += 1
-            elif ui < 0:
-                balance -= 1
-                negative = True
-        if not negative:
-            dominant[u] = c
-    return dominant if balance == 0 else None
 
 
 def poly_mul(a, b):

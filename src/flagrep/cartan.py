@@ -119,19 +119,22 @@ class CartanData(_Record):
         roots; per simple reflection s_i, the index of s_i(a) for each root a
         (a itself when a_i = 0, and None for root i, which s_i makes
         negative); per root a, the row d_i * c_i, so that (w, a) is its dot
-        product with w; and the ``moved`` pairs of each s_i."""
+        product with w; and per s_i, the pairs (j, C[i][j]) of the
+        coordinates it can change."""
         index = {a: k for k, a in enumerate(self.positive_roots)}
         reflect = [
             [index.get(tuple(map(sub, a, map(a[i].__mul__, row)))) if a[i] else k for a, k in index.items()]
             for i, row in enumerate(self.cartan_matrix)
         ]
         rows = [list(map(mul, self.symmetrizer, c)) for c in self.root_coordinates]
-        return self.positive_roots, reflect, rows, _kernels._moved_pairs(self.cartan_matrix)
+        moved = [[(j, a) for j, a in enumerate(row) if a] for row in self.cartan_matrix]
+        return self.positive_roots, reflect, rows, moved
 
     @cached_property
     def orbit_walk(self):
-        """The orbit walk of ``_kernels.weyl_orbit`` and ``orbit_terms``,
-        compiled from the Cartan matrix alone (``_kernels.compile_orbit_walk``)."""
+        """The Weyl orbit walk of ``weyl_orbit``, ``_kernels.orbit_terms`` and
+        the invariance test of ``characters.decompose``, compiled from the
+        Cartan matrix alone (``_kernels.compile_orbit_walk``)."""
         return _kernels.compile_orbit_walk(self.cartan_matrix)
 
     @cached_property
@@ -466,4 +469,4 @@ def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = ORBIT_CAP) -> frozen
     The walk checks the cap before it adds each weight, so it raises
     ResourceCapError ``orbit-cap`` exactly when the orbit has more than
     ``cap`` weights, and never holds more than ``cap``."""
-    return frozenset(_kernels.weyl_orbit(cd.cartan_matrix, _check_weight(cd, w), cap, cd.orbit_walk))
+    return frozenset(cd.orbit_walk(dominant_representative(cd, w), cap))

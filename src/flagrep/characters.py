@@ -26,10 +26,13 @@ leave no remainder, and the code asserts that it does.
 Membership of an effective polynomial in the set of characters is decided
 constructively: ``decompose`` either returns the unique certificate (the
 multiset of highest weights with multiplicities) or reports the first
-weight whose coefficient went negative during the reduction.  A
-W-invariant polynomial, such as an s-invariant, is decided in the dominant
-chamber: its dominant terms are reduced against dominant multiplicities,
-with no orbit expanded.
+weight whose coefficient went negative during the reduction.  It first
+decides W-invariance with the group's compiled orbit walk, the one that
+expands characters: the orbits of the dominant terms must carry their
+coefficients and cover every term.  A W-invariant polynomial, such as an
+s-invariant, is then decided in the dominant chamber: its dominant terms
+are reduced against dominant multiplicities, with no character's orbits
+expanded.
 """
 
 from __future__ import annotations
@@ -270,8 +273,9 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
     triangularity makes the greedy choice exact and the certificate unique;
     the reduction stops the moment any coefficient goes negative.
 
-    A W-invariant polynomial is reduced on its dominant terms alone, against
-    the dominant multiplicities of each character, with no orbit expanded.
+    A W-invariant polynomial (``_invariant_dominant_terms``) is reduced on
+    its dominant terms alone, against the dominant multiplicities of each
+    character, with no character's orbits expanded.
     The result is the same: the remainder stays W-invariant, so its highest
     weight is dominant (a dominant weight is strictly higher than the rest
     of its orbit), and the weights that go negative form a union of orbits,
@@ -282,13 +286,39 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
         raise InputError("rank-mismatch", f"polynomial rank {p.rank} for rank {cd.rank}")
     if not p.is_effective():
         raise InputError("not-effective", "decompose needs positive coefficients")
-    dominant = _kernels.invariant_dominant_terms(cd.cartan_matrix, p.terms)
+    dominant = _invariant_dominant_terms(cd, p.terms)
     if dominant is None:
         return _greedy(cd, dict(p.terms), lambda w: weight_multiplicities(cd, w, max_terms).terms)
     # weight_multiplicities' rank cap, at the first reduction step
     if dominant and cd.rank > RANK_CAP:
         raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
     return _greedy(cd, dominant, lambda w: _dominant_character(cd, w, max_terms))
+
+
+def _invariant_dominant_terms(cd: CartanData, terms: dict[Weight, int]) -> dict[Weight, int] | None:
+    """The dominant terms of ``terms`` if it is W-invariant, else None.
+
+    Each Weyl orbit holds exactly one dominant weight, so ``terms`` is
+    W-invariant exactly when the orbit of each dominant term carries that
+    term's coefficient throughout, and these orbits cover every term.  The
+    orbits are disjoint, so they cover the terms when their sizes add up to
+    the number of terms.  Hence each walk (``cd.orbit_walk``) is capped at
+    the terms not yet covered, and one that passes its cap decides the
+    test, so no walk lists more weights than ``terms`` holds.
+    """
+    left = len(terms)
+    dominant = {}
+    for u, c in terms.items():
+        if min(u) >= 0:
+            try:
+                orbit = cd.orbit_walk(u, left)
+            except ResourceCapError:
+                return None
+            if set(map(terms.get, orbit)) != {c}:
+                return None
+            left -= len(orbit)
+            dominant[u] = c
+    return dominant if left == 0 else None
 
 
 def _greedy(

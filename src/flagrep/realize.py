@@ -110,9 +110,9 @@ def cohom_from_json(data: dict) -> tuple[CohomHom, str | None]:
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise InputError("invalid-hom", "'rows' must be a nonempty list of rows")
     hom = cohom_from_rows(rows)
-    if "n" in data and data["n"] != hom.n:
+    if "n" in data and (type(data["n"]) is not int or data["n"] != hom.n):
         raise InputError(
-            "invalid-hom", f"stated n={data['n']} but rows imply n={hom.n}"
+            "invalid-hom", f"stated n={data['n']!r} but rows imply n={hom.n}"
         )
     group = data.get("group")
     if group is not None and not isinstance(group, str):

@@ -399,6 +399,12 @@ def test_cli_boundary_errors(capsys, tmp_path):
     assert run(capsys, "char", "--group-matrix", str(path), "1,0") == expected
 
 
+def test_smap_refuses_a_stated_n_that_is_not_an_int(capsys):
+    for n, text in (("2.0", "2.0"), ('"2"', "'2'"), ("3", "3")):
+        expected = (2, "", f"error[invalid-hom]: stated n={text} but rows imply n=2\n")
+        assert run(capsys, "smap", '{"rows": [[1]], "n": %s}' % n) == expected
+
+
 def test_char_cap_from_the_weight_before_any_walk(capsys):
     tracemalloc.start()
     try:

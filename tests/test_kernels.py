@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import flagrep
 from flagrep import ResourceCapError, _kernels, cartan_from_tag, custom_cartan, weyl_orbit
-from flagrep.characters import _dominant_support
+from flagrep.characters import _dominant_support, _invariant_dominant_terms
 
 import oracles
 
@@ -77,11 +77,17 @@ def _orbit_weights(cd):
     return [*grid, *picks, cd.weyl_vector, (0,) * cd.rank]
 
 
+def walk_orbit(backend, cd, w, cap):
+    """The orbit of ``w`` as the group's compiled walk lists it, from the
+    dominant representative."""
+    return cd.orbit_walk(backend.dominant_representative(cd.cartan_matrix, w), cap)
+
+
 @pytest.mark.parametrize("backend", KERNELS)
 @pytest.mark.parametrize("cd", ORBIT_GROUPS, ids=lambda cd: cd.label)
 def test_weyl_orbit_matches_breadth_first_oracle(backend, cd):
     for w in _orbit_weights(cd):
-        orbit = backend.weyl_orbit(cd.cartan_matrix, w, 10**6)
+        orbit = walk_orbit(backend, cd, w, 10**6)
         assert type(orbit) is list
         assert len(set(orbit)) == len(orbit), w  # each element once
         assert set(orbit) == oracles.bfs_weyl_orbit(cd.cartan_matrix, w, 10**6), w
@@ -93,13 +99,14 @@ def test_weyl_orbit_matches_breadth_first_oracle(backend, cd):
 def test_weyl_orbit_cap_is_exact(backend, cd):
     for w in _orbit_weights(cd)[-6:]:
         size = len(oracles.bfs_weyl_orbit(cd.cartan_matrix, w, 10**6))
-        assert len(backend.weyl_orbit(cd.cartan_matrix, w, size)) == size
+        assert len(walk_orbit(backend, cd, w, size)) == size
         assert len(weyl_orbit(cd, w, cap=size)) == size
-        for f in (backend.weyl_orbit, oracles.bfs_weyl_orbit):
-            if size == 1 and f is oracles.bfs_weyl_orbit:
-                continue  # the oracle never checks the cap against its start
+        calls = [lambda: walk_orbit(backend, cd, w, size - 1)]
+        if size > 1:  # the oracle never checks the cap against its start
+            calls.append(lambda: oracles.bfs_weyl_orbit(cd.cartan_matrix, w, size - 1))
+        for call in calls:
             with pytest.raises(ResourceCapError) as info:
-                f(cd.cartan_matrix, w, size - 1)
+                call()
             assert (info.value.code, str(info.value)) == (
                 "orbit-cap", f"orbit size exceeds cap {size - 1}"
             )
@@ -150,21 +157,40 @@ def test_orbit_terms_matches_breadth_first_oracle(backend, group, lam):
 
 
 def invariant_by_orbits(cartan, terms):
-    """True when every term's whole breadth-first orbit carries its coefficient."""
-    return all(
-        terms.get(v) == c for u, c in terms.items() for v in oracles.bfs_weyl_orbit(cartan, u, 10**6)
-    )
+    """True when every term's whole breadth-first orbit carries its
+    coefficient; a term in an orbit already checked has that orbit."""
+    checked = set()
+    for u, c in terms.items():
+        if u not in checked:
+            orbit = oracles.bfs_weyl_orbit(cartan, u, 10**6)
+            if any(terms.get(v) != c for v in orbit):
+                return False
+            checked |= orbit
+    return True
 
 
-@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "G2", "A3", "B3"])
+# A11 is the first A_r whose compiled walk reads a run of coordinates as a
+# slice of the weight (``_kernels.RUN`` is 8)
+@pytest.mark.parametrize("tag", ["A1", "A2", "B2", "G2", "A3", "B3", "A11"])
 def test_invariant_dominant_terms_matches_orbit_oracle(tag):
-    cartan = cartan_from_tag(tag).cartan_matrix
+    cd = cartan_from_tag(tag)
+    cartan = cd.cartan_matrix
     rank = len(cartan)
     rng = random.Random(tag)
+
+    def weight(low, high):
+        if rank < 10:
+            return tuple(rng.randint(low, high) for _ in range(rank))
+        # one nonzero entry, so that its orbit holds at most C(12, 6) = 924 weights
+        w = [0] * rank
+        w[rng.randrange(rank)] = rng.randint(low, high)
+        return tuple(w)
+
+    assert ("v[" in _kernels._orbit_walk_source(cartan)) == (rank > 10)
     for _ in range(200):
         terms = {}
         for _ in range(rng.randint(0, 3)):
-            mu = tuple(rng.randint(0, 2) for _ in range(rank))
+            mu = weight(0, 2)
             c = rng.randint(1, 3)
             for w in oracles.bfs_weyl_orbit(cartan, mu, 10**6):
                 terms[w] = terms.get(w, 0) + c
@@ -172,7 +198,7 @@ def test_invariant_dominant_terms_matches_orbit_oracle(tag):
             w = rng.choice(sorted(terms))
             change = rng.choice(["up", "remove", "add"])
             if change == "add":
-                w = tuple(rng.randint(-3, 3) for _ in range(rank))
+                w = weight(-3, 3)
                 terms[w] = terms.get(w, 0) + 1
             elif change == "up":
                 terms[w] += 1
@@ -181,16 +207,43 @@ def test_invariant_dominant_terms_matches_orbit_oracle(tag):
         expected = (
             {w: c for w, c in terms.items() if min(w) >= 0} if invariant_by_orbits(cartan, terms) else None
         )
-        assert _kernels.invariant_dominant_terms(cartan, terms) == expected
+        assert _invariant_dominant_terms(cd, terms) == expected
 
 
 def test_invariant_dominant_terms_counts_the_negative_side():
-    # no term has a positive coordinate to look up from: only the count of
-    # positive against negative coordinates tells these apart
-    a1 = cartan_from_tag("A1").cartan_matrix
-    assert _kernels.invariant_dominant_terms(a1, {(-1,): 1}) is None
-    assert _kernels.invariant_dominant_terms(a1, {(1,): 1, (-1,): 1, (-3,): 1}) is None
-    assert _kernels.invariant_dominant_terms(a1, {(1,): 2, (-1,): 2, (0,): 1}) == {(1,): 2, (0,): 1}
+    # a term in no dominant term's orbit is walked from nowhere: only the
+    # count of the terms the orbits cover tells these apart
+    a1 = cartan_from_tag("A1")
+    assert _invariant_dominant_terms(a1, {(-1,): 1}) is None
+    assert _invariant_dominant_terms(a1, {(1,): 1, (-1,): 1, (-3,): 1}) is None
+    assert _invariant_dominant_terms(a1, {(1,): 2, (-1,): 2, (0,): 1}) == {(1,): 2, (0,): 1}
+
+
+def test_invariant_dominant_terms_walks_no_more_weights_than_the_input_has(monkeypatch):
+    caps = []
+    compile_orbit_walk = _kernels.compile_orbit_walk
+
+    def counting(cartan):
+        walk = compile_orbit_walk(cartan)
+
+        def counted(top, cap):
+            caps.append(cap)
+            return walk(top, cap)
+
+        return counted
+
+    monkeypatch.setattr(_kernels, "compile_orbit_walk", counting)
+    cd = custom_cartan(cartan_from_tag("A8").cartan_matrix, label="A8")  # not memoised
+    omega4 = (0, 0, 0, 1, 0, 0, 0, 0)
+    orbit = oracles.bfs_weyl_orbit(cd.cartan_matrix, omega4, 10**6)
+    assert len(orbit) == 126
+    partial = dict.fromkeys(sorted(orbit)[:-1], 1)  # all but one weight of the orbit
+    assert omega4 in partial
+    for terms in ({omega4: 1}, partial):
+        caps.clear()
+        assert _invariant_dominant_terms(cd, terms) is None
+        assert caps == [len(terms)]
+    assert _invariant_dominant_terms(cd, dict.fromkeys(orbit, 1)) == {omega4: 1}
 
 
 FREUDENTHAL_GROUPS = [

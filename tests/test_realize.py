@@ -424,6 +424,15 @@ def test_realize_boundary_errors():
     assert error(TorusRestriction, ()) == ("invalid-weights", "need at least two weights")
 
 
+def test_cohom_json_refuses_a_stated_n_that_is_not_an_int():
+    rows = [[1, 0], [-1, 1]]
+    for n, text in ((3.0, "3.0"), ("3", "'3'"), (None, "None"), ([3], "[3]"), (2, "2")):
+        with pytest.raises(InputError) as info:
+            cohom_from_json({"rows": rows, "n": n})
+        assert (info.value.code, str(info.value)) == ("invalid-hom", f"stated n={text} but rows imply n=3")
+    assert cohom_from_json({"rows": rows, "n": 3})[0] == cohom_from_rows(rows)
+
+
 def test_cohom_json_round_trip():
     for rows, group in (([[1, 0], [-1, 1]], "A2"), ([[2], [0], [-1]], None), ([[1, 0, -1]], "B3")):
         h = cohom_from_rows(rows)

@@ -128,7 +128,7 @@ def test_roots_are_found_without_an_orbit_walk(monkeypatch):
     def fail(*args):
         raise AssertionError("the roots need no Weyl orbit")
 
-    monkeypatch.setattr(_kernels, "weyl_orbit", fail)
+    monkeypatch.setattr(_kernels, "compile_orbit_walk", fail)
     monkeypatch.setattr(_kernels, "dominant_representative", fail)
     for tag in ("A6", "B5", "C5", "D6", "G2"):
         cd = custom_cartan(cartan_from_tag(tag).cartan_matrix, label=tag)  # not memoised
