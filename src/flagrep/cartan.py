@@ -170,8 +170,7 @@ class CartanData(_Record):
         return (1,) * self.rank
 
     def height_key(self, w: Weight) -> int:
-        hv = self.height_vector
-        return sum(a * b for a, b in zip(hv, w))
+        return sum(map(mul, self.height_vector, w))
 
 
 def _eliminate(aug: list[list[int]], col: int, rows: Iterable[int]) -> None:

@@ -304,20 +304,22 @@ def _invariant_dominant_terms(cd: CartanData, terms: dict[Weight, int]) -> dict[
     orbits are disjoint, so they cover the terms when their sizes add up to
     the number of terms.  Hence each walk (``cd.orbit_walk``) is capped at
     the terms not yet covered, and one that passes its cap decides the
-    test, so no walk lists more weights than ``terms`` holds.
+    test, so no walk lists more weights than ``terms`` holds.  The dominant
+    terms, those whose least coordinate is at least 0, are picked in one
+    C-level pass.
     """
     left = len(terms)
     dominant = {}
-    for u, c in terms.items():
-        if min(u) >= 0:
-            try:
-                orbit = cd.orbit_walk(u, left)
-            except ResourceCapError:
-                return None
-            if set(map(terms.get, orbit)) != {c}:
-                return None
-            left -= len(orbit)
-            dominant[u] = c
+    for u in compress(terms, map((0).__le__, map(min, terms))):
+        try:
+            orbit = cd.orbit_walk(u, left)
+        except ResourceCapError:
+            return None
+        c = terms[u]
+        if set(map(terms.get, orbit)) != {c}:
+            return None
+        left -= len(orbit)
+        dominant[u] = c
     return dominant if left == 0 else None
 
 
@@ -333,7 +335,7 @@ def _greedy(
     """
     hkey = cd.height_key
     pairs: list[tuple[Weight, int]] = []
-    for w in sorted(work, key=lambda u: (hkey(u), u), reverse=True):
+    for _, w in sorted(zip(map(hkey, work), work), reverse=True):
         if w not in work:
             continue
         if not is_dominant(w):

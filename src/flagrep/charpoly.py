@@ -168,7 +168,7 @@ class _TermDict:
         return sum(self.terms.values())
 
     def is_effective(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        return min(self.terms.values(), default=1) > 0
 
     def _common_size(self, other: "_TermDict") -> int:
         n, m = self._size, other._size

@@ -8,6 +8,12 @@ into a sum of n lattice monomials, and the candidate is certified exactly
 when that polynomial is the character of an n-dimensional representation:
 the certificate names a representation whose flag descent induces the given
 homomorphism.
+
+A matrix is checked where it enters, in one intake pass shared with torus
+weights (``_int_vectors``): the rows are read into tuples, the type of every
+entry is tested, and the rows are counted once, so that lengths are tested
+on the distinct rows only.  ``CohomHom`` keeps those counts, and ``s_map``
+reads them instead of counting the rows again.
 """
 
 from __future__ import annotations
@@ -37,24 +43,49 @@ NotCertified = NotInOmega
 
 
 def _int_vectors(vectors, m: int, code: str, message: str):
-    """``vectors`` checked to be integer vectors of length ``m``, as a tuple
-    of tuples of exact ints.
+    """``vectors`` checked to be integer vectors of length ``m``: a tuple of
+    tuples of exact ints, and the count of each distinct vector.
 
-    One bulk pass accepts the common case, exact ints.  Otherwise a
+    One bulk pass accepts the common case, exact ints: it reads every
+    vector into a tuple and tests the type of every entry, then counts the
+    tuples and tests the lengths of the distinct ones only, which suffices
+    because tuples of different lengths never compare equal.  Otherwise a
     per-vector pass accepts int subclasses other than bool and names the
-    first bad vector, in tuple form, in ``message``.
+    first bad vector in ``message``: in tuple form, or as given when it
+    cannot be read into a tuple.
     """
     try:
-        if set(map(len, vectors)) <= {m} and set(
-            map(type, chain.from_iterable(vectors))
-        ) <= {int}:
-            return tuple(map(tuple, vectors))
+        rows = tuple(map(tuple, vectors))
     except TypeError:
-        pass
-    for v in vectors:
-        if len(v) != m or not all(isinstance(x, int) and not isinstance(x, bool) for x in v):
-            raise InputError(code, message.format(tuple(v)))
-    return tuple(tuple(map(int, v)) for v in vectors)
+        rows = vectors
+    else:
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            counts = Counter(rows)
+            if set(map(len, counts)) <= {m}:
+                return rows, counts
+    checked = []
+    for v in rows:
+        try:
+            row = tuple(v)
+        except TypeError:
+            raise InputError(code, message.format(v)) from None
+        if len(row) != m or not all(isinstance(x, int) and not isinstance(x, bool) for x in row):
+            raise InputError(code, message.format(row))
+        checked.append(tuple(map(int, row)))
+    rows = tuple(checked)
+    return rows, Counter(rows)
+
+
+def _width(vectors, code: str, message: str) -> int:
+    """Length of the first vector, or ``message`` naming it as given."""
+    try:
+        return len(vectors[0])
+    except TypeError:
+        raise InputError(code, message.format(vectors[0])) from None
+
+
+_ROW_MESSAGE = "row {} is not an integer m-vector"
+_WEIGHT_MESSAGE = "weight {} is not an integer vector"
 
 
 def _count_weights(rank: int, weights: Iterable[Sequence[int]]) -> CharPoly:
@@ -67,6 +98,11 @@ class CohomHom(_Record):
 
     ``rows`` are the images of the first n-1 generators; ``derived_row`` is
     always recomputed, never stored, because the generators sum to zero.
+    The check reads the rows in one intake pass (``_int_vectors``), which
+    also counts each distinct row; the record keeps those counts for
+    ``s_map`` outside its fields, as it keeps its hash, so equality,
+    hashing, ``repr`` and pickling never see them.  A record built by
+    ``_trusted`` has no counts, and ``s_map`` counts its rows itself.
     """
 
     n: int
@@ -80,8 +116,9 @@ class CohomHom(_Record):
             raise InputError("invalid-hom", "target flag size n must be at least 2")
         if self.m < 1:
             raise InputError("invalid-hom", "rank m must be positive")
-        rows = _int_vectors(self.rows, self.m, "invalid-hom", "row {} is not an integer m-vector")
+        rows, counts = _int_vectors(self.rows, self.m, "invalid-hom", _ROW_MESSAGE)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_counts", counts)
 
     @property
     def derived_row(self) -> Weight:
@@ -99,7 +136,7 @@ class CohomHom(_Record):
 def cohom_from_rows(rows: Sequence[Sequence[int]]) -> CohomHom:
     if not rows:
         raise InputError("invalid-hom", "need at least one row")
-    return CohomHom(n=len(rows) + 1, m=len(rows[0]), rows=rows)
+    return CohomHom(len(rows) + 1, _width(rows, "invalid-hom", _ROW_MESSAGE), rows)
 
 
 def cohom_from_json(data: dict) -> tuple[CohomHom, str | None]:
@@ -132,8 +169,8 @@ class TorusRestriction(_Record):
     def __post_init__(self):
         if len(self.weights) < 2:
             raise InputError("invalid-weights", "need at least two weights")
-        m = len(self.weights[0])
-        weights = _int_vectors(self.weights, m, "invalid-weights", "weight {} is not an integer vector")
+        m = _width(self.weights, "invalid-weights", _WEIGHT_MESSAGE)
+        weights, _ = _int_vectors(self.weights, m, "invalid-weights", _WEIGHT_MESSAGE)
         object.__setattr__(self, "weights", weights)
         if any(sum(col) != 0 for col in zip(*self.weights)):
             raise InputError("weights-not-balanced", "weights must sum to zero")
@@ -150,13 +187,16 @@ class TorusRestriction(_Record):
 def s_map(h: CohomHom) -> CharPoly:
     """Sum of the n row monomials (the derived row included).
 
-    The derived row is minus the sum of the rows, taken over the distinct
-    rows with their counts.
+    The rows are counted once: a checked record keeps the counts of its
+    distinct rows from its intake pass, and a ``_trusted`` one is counted
+    here.  The derived row is minus the sum of the rows, taken over the
+    distinct rows with their counts.
     """
-    counts = Counter(h.rows)
+    counts = h.__dict__.get("_counts")
+    counts = dict(Counter(h.rows) if counts is None else counts)
     derived = tuple(-sum(map(mul, col, counts.values())) for col in zip(*counts))
-    counts[derived] += 1
-    return CharPoly._trusted(h.m, dict(counts))
+    counts[derived] = counts.get(derived, 0) + 1
+    return CharPoly._trusted(h.m, counts)
 
 
 def check_realizable(cd: CartanData, h: CohomHom, max_terms: int = TERM_CAP) -> DecomposeResult:
@@ -172,7 +212,7 @@ def check_realizable(cd: CartanData, h: CohomHom, max_terms: int = TERM_CAP) -> 
 
 def induced_hom(tr: TorusRestriction) -> CohomHom:
     """Read the cohomology matrix off the first n-1 torus weights."""
-    hom = CohomHom(n=tr.n, m=tr.m, rows=tr.weights[:-1])
+    hom = CohomHom(tr.n, tr.m, tr.weights[:-1])
     assert hom.derived_row == tr.weights[-1]  # forced by the zero-sum invariant
     return hom
 

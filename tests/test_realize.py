@@ -1,5 +1,6 @@
 import enum
 import importlib
+import pickle
 import random
 
 import pytest
@@ -143,12 +144,23 @@ def test_exact_tuple_rows_are_kept_equal():
 
 
 @pytest.mark.parametrize(
-    "rows, bad", [([[1, 0], [True, 0]], "(True, 0)"), ([[1, 0], [0, 1, 2]], "(0, 1, 2)")]
+    "rows, bad",
+    [
+        ([[1, 0], [True, 0]], "(True, 0)"),
+        ([[1, 0], [0, 1, 2]], "(0, 1, 2)"),
+        ([[1, 0], [1.0, 0]], "(1.0, 0)"),  # compares and hashes equal to the row before it
+        ([[1, 0], [1]], "(1,)"),
+        # a row that cannot be read into a tuple is named as given
+        ([[1, 0], 5], "5"),
+        ([5], "5"),
+        ([None, [1, 0]], "None"),
+    ],
 )
 def test_bad_list_row_is_named_in_tuple_form(rows, bad):
     for build in (cohom_from_rows, lambda r: CohomHom(n=len(r) + 1, m=2, rows=r)):
         with pytest.raises(InputError) as info:
             build(rows)
+        assert info.value.code == "invalid-hom"
         assert str(info.value) == f"row {bad} is not an integer m-vector"
 
 
@@ -178,6 +190,8 @@ def test_int_enum_entries_are_stored_as_ints():
         (((1, 0), (False, 0), (-1, 0)), "(False, 0)"),
         (((1, 0), (0, 0.0), (-1, 0)), "(0, 0.0)"),
         (((1, 0), (-1,), (0, 0)), "(-1,)"),
+        (((1, 0), 5), "5"),
+        ((5, (1, 0)), "5"),
     ],
 )
 def test_torus_restriction_rejects_first_bad_weight(weights, bad):
@@ -185,6 +199,38 @@ def test_torus_restriction_rejects_first_bad_weight(weights, bad):
         TorusRestriction(weights)
     assert info.value.code == "invalid-weights"
     assert str(info.value) == f"weight {bad} is not an integer vector"
+
+
+# --- the intake pass ---------------------------------------------------------
+
+def test_int_enum_rows_are_counted_with_equal_int_rows():
+    h = cohom_from_rows([[Level.ONE, 0], [1, 0], [0, 1]])
+    assert h.rows == ((1, 0), (1, 0), (0, 1))
+    assert {type(x) for row in h.rows for x in row} == {int}
+    assert s_map(h).terms == {(1, 0): 2, (0, 1): 1, (-2, -1): 1}
+    # the per-row pass, which the enum entry forces, gives what the bulk pass gives
+    assert h == cohom_from_rows([[1, 0], [1, 0], [0, 1]])
+    assert s_map(h) == s_map(cohom_from_rows([[1, 0], [1, 0], [0, 1]]))
+
+
+def test_checked_and_trusted_records_agree():
+    rows = ((1, 0), (-1, 1), (1, 0), (0, 0))
+    checked = cohom_from_rows([list(r) for r in rows])
+    trusted = CohomHom._trusted(5, 2, rows)
+    assert s_map(checked) == s_map(trusted)
+    assert s_map(checked) == s_map(checked)  # the kept counts are not consumed
+    assert checked == trusted and trusted == checked
+    assert hash(checked) == hash(trusted)
+    for record in (checked, trusted):
+        again = pickle.loads(pickle.dumps(record))
+        assert again == record and s_map(again) == s_map(record)
+
+
+def test_s_map_counts_no_row_of_a_checked_record(monkeypatch):
+    checked = cohom_from_rows([[1, 0], [1, 0], [0, 1]])
+    expected = s_map(cohom_from_rows([[1, 0], [1, 0], [0, 1]]))
+    monkeypatch.setattr(realize_module, "Counter", lambda rows: pytest.fail("rows counted again"))
+    assert s_map(checked) == expected
 
 
 def test_cohom_json():
