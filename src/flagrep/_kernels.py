@@ -201,22 +201,6 @@ def orbit_terms(walk, dominant_mults, max_terms):
     return terms
 
 
-def poly_mul(a, b):
-    """Convolution of two sparse integer-coefficient term dicts."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = {}
-    for wb, cb in b.items():
-        for wa, ca in a.items():
-            w = tuple(x + y for x, y in zip(wa, wb))
-            c = out.get(w, 0) + ca * cb
-            if c:
-                out[w] = c
-            elif w in out:
-                del out[w]
-    return out
-
-
 def kernel_backend() -> str:
     """Name of the kernel backend; the kernels are pure Python."""
     return "pure"

@@ -44,7 +44,6 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Mapping, NamedTuple
 
-from . import _kernels
 from .cartan import Weight
 from .errors import InputError
 
@@ -198,11 +197,10 @@ class _TermDict:
         if not isinstance(other, type(self)):
             return NotImplemented
         n = self._common_size(other)
-        terms = _kernels.poly_mul(self.terms, other.terms)
-        reduce = self._reduce
-        if reduce is not None:  # sums of reduced keys need not be reduced
-            terms = _add_terms({}, ((reduce(e), c) for e, c in terms.items()))
-        return self._trusted(n, terms)
+        terms = ((tuple(map(add, e, f)), c * d) for e, c in self.terms.items() for f, d in other.terms.items())
+        if self._reduce is not None:  # sums of reduced keys need not be reduced
+            terms = ((self._reduce(e), c) for e, c in terms)
+        return self._trusted(n, _add_terms({}, terms))
 
     __rmul__ = __mul__
 
@@ -225,11 +223,6 @@ class CharPoly(_TermDict):
         if rank < 1:
             raise InputError("invalid-rank", "rank must be positive")
         self._fill(rank, self._validated(rank, terms))
-
-    @classmethod
-    def from_weights(cls, rank: int, weights: Iterable[Weight]) -> "CharPoly":
-        """Sum of monomials, one per listed weight, repeats accumulating."""
-        return cls(rank, ((tuple(w), 1) for w in weights))
 
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(tuple(w), 0)

@@ -13,15 +13,16 @@ A matrix is checked where it enters, in one intake pass shared with torus
 weights (``_int_vectors``): the rows are read into tuples, the type of every
 entry is tested, and the rows are counted once, so that lengths are tested
 on the distinct rows only.  ``CohomHom`` keeps those counts, and ``s_map``
-reads them instead of counting the rows again.
+reads them instead of counting the rows again.  A matrix or weight list
+that is not a sequence is refused before the pass, named by its type.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, abc
 from itertools import chain
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._record import _Record
 from .cartan import CartanData, Weight
@@ -35,7 +36,7 @@ from .characters import (
 )
 from .charpoly import CharPoly
 from .errors import InputError
-from .schur import YPoly, _schur_weights, _shape, alpha, validate_partition
+from .schur import YPoly, _schur, _schur_weights, _shape, alpha, validate_partition
 
 #: Certification can fail while a map still exists; the criterion is
 #: sufficient, not necessary, and the result vocabulary keeps that visible.
@@ -76,8 +77,17 @@ def _int_vectors(vectors, m: int, code: str, message: str):
     return rows, Counter(rows)
 
 
+def _length(vectors, code: str, name: str) -> int:
+    """How many vectors there are; an input that is not a sequence, which
+    the intake could not index or read in order, is named by its type."""
+    if not isinstance(vectors, abc.Sequence):
+        raise InputError(code, f"{name} must be a sequence, not {type(vectors).__name__}")
+    return len(vectors)
+
+
 def _width(vectors, code: str, message: str) -> int:
-    """Length of the first vector, or ``message`` naming it as given."""
+    """Length of the first vector of a nonempty sequence, or ``message``
+    naming it as given."""
     try:
         return len(vectors[0])
     except TypeError:
@@ -86,11 +96,6 @@ def _width(vectors, code: str, message: str) -> int:
 
 _ROW_MESSAGE = "row {} is not an integer m-vector"
 _WEIGHT_MESSAGE = "weight {} is not an integer vector"
-
-
-def _count_weights(rank: int, weights: Iterable[Sequence[int]]) -> CharPoly:
-    """Sum of one monomial per validated weight, repeats accumulating."""
-    return CharPoly._trusted(rank, dict(Counter(map(tuple, weights))))
 
 
 class CohomHom(_Record):
@@ -110,7 +115,7 @@ class CohomHom(_Record):
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.n != len(self.rows) + 1:
+        if self.n != _length(self.rows, "invalid-hom", "rows") + 1:
             raise InputError("invalid-hom", "n must equal number of rows + 1")
         if self.n < 2:
             raise InputError("invalid-hom", "target flag size n must be at least 2")
@@ -136,7 +141,7 @@ class CohomHom(_Record):
 def cohom_from_rows(rows: Sequence[Sequence[int]]) -> CohomHom:
     if not rows:
         raise InputError("invalid-hom", "need at least one row")
-    return CohomHom(len(rows) + 1, _width(rows, "invalid-hom", _ROW_MESSAGE), rows)
+    return CohomHom(_length(rows, "invalid-hom", "rows") + 1, _width(rows, "invalid-hom", _ROW_MESSAGE), rows)
 
 
 def cohom_from_json(data: dict) -> tuple[CohomHom, str | None]:
@@ -167,7 +172,7 @@ class TorusRestriction(_Record):
     weights: tuple[Weight, ...]
 
     def __post_init__(self):
-        if len(self.weights) < 2:
+        if _length(self.weights, "invalid-weights", "weights") < 2:
             raise InputError("invalid-weights", "need at least two weights")
         m = _width(self.weights, "invalid-weights", _WEIGHT_MESSAGE)
         weights, _ = _int_vectors(self.weights, m, "invalid-weights", _WEIGHT_MESSAGE)
@@ -232,7 +237,7 @@ def verify_factorization(cd: CartanData, tr: TorusRestriction) -> FactorizationC
     """
     if tr.m != cd.rank:
         raise InputError("rank-mismatch", f"weights rank {tr.m} for group rank {cd.rank}")
-    character = _count_weights(tr.m, tr.weights)
+    character = CharPoly._trusted(tr.m, dict(Counter(tr.weights)))
     via = s_map(induced_hom(tr))
     return FactorizationCheck(character == via, character, via)
 
@@ -250,9 +255,9 @@ def torus_restriction_from_certificate(cd: CartanData, cert: Certificate) -> Tor
 
 class SchurRealization(_Record):
     """Map data for a Schur polynomial; ``matches`` records whether
-    alpha(s_map(hom)) equals the Schur polynomial of the tableau contents
-    the weights were read off, which is ``schur(mu, m)``: the two routes
-    compared once.  Unpacks as (n, hom, symmetric_function)."""
+    alpha(s_map(hom)) equals ``schur(mu, m)``, built by ``schur``'s own
+    builder: the two routes compared once.  Unpacks as
+    (n, hom, symmetric_function)."""
 
     n: int
     hom: CohomHom
@@ -269,9 +274,11 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     For a partition with fewer than m parts, the tableau weights, all but
     the last, are the rows of a matrix h, which satisfies
     alpha(s_map(h)) == schur(mu, m) with target size n = schur_dim(mu, m),
-    which the result's ``matches`` checks.  The tableau contents are built
-    once: the tableau weights are read off them, and so is the Schur
-    polynomial the s-invariant is compared with.
+    which the result's ``matches`` checks against the polynomial
+    ``schur``'s builder, ``_schur``, makes from the dominant partitions.
+    The tableau weights are read off the sorted tableau contents; both
+    sides read the type-A character, which is computed once and then found
+    in the character cache.
     An n above ``TERM_CAP`` raises the term cap before any row is built.
     """
     mu = validate_partition(mu)
@@ -287,11 +294,12 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
         raise InputError(
             "invalid-partition", "empty partition targets a one-point flag manifold"
         )
-    weights, target = _schur_weights(_shape(mu, m), m)
+    shape = _shape(mu, m)
+    weights = _schur_weights(shape, m)
     n = len(weights)
     # s_map derives the last weight; the rows are int tuples built here, so
     # the record takes them unchecked
     hom = CohomHom._trusted(n, m - 1, tuple(weights[:-1]))
     image = alpha(s_map(hom))
     # the workflow's defining identity, from two routes
-    return SchurRealization(n, hom, image, image == target)
+    return SchurRealization(n, hom, image, image == _schur(shape, m))

@@ -20,9 +20,13 @@ before any is built.
 
 The work is done once per dominant partition where it can be.  ``schur``
 rearranges each partition, less its smallest entry, straight into
-canonical keys, and sorts nothing.  Only the tableau listings of
-``ssyt_contents``, ``weights_of_schur`` and ``cor3`` build the content
-list and sort it.
+canonical keys, and sorts nothing (``_schur``).  Only the tableau listings
+of ``ssyt_contents``, ``weights_of_schur`` and ``cor3`` build the content
+list and sort it.  ``cor3`` compares its matrix's image under ``alpha``
+with the polynomial ``_schur`` builds: ``alpha`` makes the one side's
+canonical keys and ``_rearrangements`` the other's, and both sides read
+the dominant partitions of one type-A character, which the character
+cache holds.
 
 A partition's rearrangements depend only on its multiplicity pattern, the
 count of each distinct entry.  Each pattern's layout of positions is
@@ -274,10 +278,16 @@ def schur(mu: Iterable[int], m: int) -> YPoly:
     if m < 2 or not shape:
         _check_content_count(1, m)
         return YPoly._trusted(m, {(0,) * m: 1})  # one constant content, canonical
+    return _schur(shape, m)
+
+
+def _schur(shape: Partition, m: int) -> YPoly:
+    """The Schur polynomial of a nonempty shape in m >= 2 variables: each
+    dominant partition's rearrangements, less its smallest entry, are the
+    canonical keys of its contents, and take its multiplicity."""
     terms: dict[tuple[int, ...], int] = {}
     for p, c in _partitions(shape, m):
         e = p + (0,) * (m - len(p))
-        # a canonical key is a content less its smallest entry
         terms.update(zip(_rearrangements(e, e[-1]), repeat(c)))
     return YPoly._trusted(m, terms)
 
@@ -337,27 +347,19 @@ def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")
-    return _schur_weights(_shape(mu, m), m)[0]
+    return _schur_weights(_shape(mu, m), m)
 
 
-def _schur_weights(shape: Partition, m: int) -> tuple[list[Weight], YPoly]:
-    """The tableau weights of a shape in m >= 2 variables, their count
-    capped by ``TERM_CAP``, with the Schur polynomial of the contents they
-    are read off.
+def _schur_weights(shape: Partition, m: int) -> list[Weight]:
+    """The tableau weights of a shape in m >= 2 variables, in the order of
+    ``_contents``, their count capped by ``TERM_CAP``.
 
     A tableau's weight is the part differences of its content, so each
-    distinct weight is one tuple, repeated by its multiplicity.  A
-    content's canonical key is the content less its smallest entry, taken
-    by columns as in ``alpha``; distinct contents keep distinct keys.
+    distinct weight is one tuple, repeated by its multiplicity.
     """
     _check_tableau_count(shape, m)
     contents, counts = zip(*_contents(shape, m))
-    weights = _differences(contents)
-    cols = list(zip(*contents))
-    low = list(map(min, *cols))
-    keys = zip(*[map(sub, col, low) for col in cols]) if any(low) else contents
-    target = YPoly._trusted(m, dict(zip(keys, counts)))
-    return list(chain.from_iterable(map(repeat, weights, counts))), target
+    return list(chain.from_iterable(map(repeat, _differences(contents), counts)))
 
 
 def alpha(p: CharPoly) -> YPoly:

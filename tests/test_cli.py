@@ -315,6 +315,21 @@ def test_cor3_prints_the_check_realize_schur_made(capsys, monkeypatch):
     assert (code, out.splitlines()[-2:]) == (0, ["alpha-s: 2*y1 + 2*y2", "check: mismatch"])
 
 
+def test_cor3_prints_a_mismatch_of_the_schur_route(capsys, monkeypatch):
+    # a wrong Schur builder in realize_schur shows in the printed check too
+    build = realize_module._schur
+
+    def one_term_fewer(shape, m):
+        q = build(shape, m)
+        terms = dict(q.terms)
+        terms.popitem()
+        return type(q)._trusted(m, terms)
+
+    monkeypatch.setattr(realize_module, "_schur", one_term_fewer)
+    code, out, _ = run(capsys, "cor3", "2,1", "3")
+    assert (code, out.splitlines()[-1]) == (0, "check: mismatch")
+
+
 @pytest.mark.parametrize("mu, m", [((2, 1), 3), ((2, 2), 4), ((3, 2, 1), 5)])
 def test_cor3_rows_line_is_the_rows_json(capsys, mu, m):
     # each run of equal rows is written once; its text must still be JSON's

@@ -1,6 +1,7 @@
-"""The pure kernels against independent oracles: breadth-first Weyl orbits,
-the Laurent product and the string-walking Freudenthal recursion in
-``tests/oracles.py``."""
+"""The pure kernels against independent oracles: breadth-first Weyl orbits
+and the string-walking Freudenthal recursion in ``tests/oracles.py``; and
+the term-dict product, which ``CharPoly * CharPoly`` computes, against the
+Laurent product there."""
 
 import itertools
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import flagrep
 from flagrep import ResourceCapError, _kernels, cartan_from_tag, custom_cartan, weyl_orbit
 from flagrep.characters import _dominant_support, _invariant_dominant_terms
+from flagrep.charpoly import CharPoly
 
 import oracles
 
@@ -34,7 +36,7 @@ def test_poly_mul_matches_laurent_oracle():
             tuple(rng.randint(-6, 6) for _ in range(3)): rng.randint(-9, 9) or 1
             for _ in range(rng.randint(1, 8))
         }
-        assert _kernels.poly_mul(a, b) == oracles.laurent_mul(a, b)
+        assert (CharPoly(3, a) * CharPoly(3, b)).terms == oracles.laurent_mul(a, b)
 
 
 @pytest.mark.parametrize("backend", KERNELS)
@@ -288,5 +290,6 @@ def test_freudenthal_rejects_a_form_that_is_not_invariant(tag, lam):
 
 def test_poly_mul_drops_terms_that_cancel():
     # (x + 1)(x - 1) = x^2 - 1: the two x terms meet and cancel
-    assert _kernels.poly_mul({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}) == {(2,): 1, (0,): -1}
-    assert _kernels.poly_mul({(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1}) == {(2, 0): 1, (0, 2): -1}
+    assert (CharPoly(1, {(1,): 1, (0,): 1}) * CharPoly(1, {(1,): 1, (0,): -1})).terms == {(2,): 1, (0,): -1}
+    product = CharPoly(2, {(1, 0): 1, (0, 1): -1}) * CharPoly(2, {(1, 0): 1, (0, 1): 1})
+    assert product.terms == {(2, 0): 1, (0, 2): -1}

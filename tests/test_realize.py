@@ -27,9 +27,10 @@ from flagrep import (
     weight_multiplicities,
     weights_of_schur,
 )
+from flagrep import characters as characters_module
 from flagrep import realize as realize_module
 from flagrep.charpoly import CharPoly, render
-from flagrep.schur import alpha
+from flagrep.schur import YPoly, alpha
 
 schur_module = importlib.import_module("flagrep.schur")  # flagrep.schur is also a function
 
@@ -78,7 +79,7 @@ def test_s_map_matches_validated_sum():
         [[3, -1], [-4, 2], [0, 5], [1, -6]],
     ):
         for h in (cohom_from_rows(rows), CohomHom(n=len(rows) + 1, m=2, rows=rows)):
-            expected = CharPoly.from_weights(h.m, list(h.rows) + [h.derived_row])
+            expected = CharPoly(h.m, [(w, 1) for w in h.rows + (h.derived_row,)])
             assert s_map(h) == expected
             assert s_map(h) == CharPoly(h.m, s_map(h).terms)
 
@@ -89,7 +90,7 @@ def test_s_map_matches_validated_sum_random():
         m = rng.randint(1, 3)
         rows = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(rng.randint(1, 7))]
         h = cohom_from_rows(rows)
-        assert s_map(h) == CharPoly.from_weights(m, list(h.rows) + [h.derived_row])
+        assert s_map(h) == CharPoly(m, [(w, 1) for w in h.rows + (h.derived_row,)])
 
 
 @pytest.mark.parametrize(
@@ -231,6 +232,21 @@ def test_s_map_counts_no_row_of_a_checked_record(monkeypatch):
     expected = s_map(cohom_from_rows([[1, 0], [1, 0], [0, 1]]))
     monkeypatch.setattr(realize_module, "Counter", lambda rows: pytest.fail("rows counted again"))
     assert s_map(checked) == expected
+
+
+@pytest.mark.parametrize(
+    "build, given, code, message",
+    [
+        (lambda v: CohomHom(2, 1, v), 5, "invalid-hom", "rows must be a sequence, not int"),
+        (TorusRestriction, 5, "invalid-weights", "weights must be a sequence, not int"),
+        (cohom_from_rows, {(1, 0), (0, 1)}, "invalid-hom", "rows must be a sequence, not set"),
+        (TorusRestriction, {(1,), (-1,)}, "invalid-weights", "weights must be a sequence, not set"),
+    ],
+)
+def test_input_that_is_not_a_sequence_is_named(build, given, code, message):
+    with pytest.raises(InputError) as info:
+        build(given)
+    assert (info.value.code, str(info.value)) == (code, message)
 
 
 def test_cohom_json():
@@ -408,8 +424,33 @@ def test_realize_schur_check_compares_two_routes(monkeypatch):
     assert result.symmetric_function == schur((2, 1), 3) * 2
 
 
+def _one_term_fewer(build):
+    """``build`` with the last term of the polynomial it returns dropped."""
+    def wrong(shape, m):
+        terms = dict(build(shape, m).terms)
+        terms.popitem()
+        return YPoly._trusted(m, terms)
+    return wrong
+
+
+def test_realize_schur_check_shows_a_wrong_schur_route(monkeypatch):
+    # the other side of the check: a wrong Schur builder must show too
+    monkeypatch.setattr(realize_module, "_schur", _one_term_fewer(realize_module._schur))
+    result = realize_schur((2, 1), 3)
+    assert result.matches is False
+    assert result.symmetric_function == schur((2, 1), 3)
+
+
+def test_realize_schur_misses_the_character_cache_once():
+    characters_module._dominant_character.cache_clear()
+    assert realize_schur((2, 1), 4).matches is True
+    info = characters_module._dominant_character.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_realize_schur_builds_the_type_a_character_once(monkeypatch):
-    # the tableau weights and the Schur polynomial are both read off its contents
+    # the tableau weights are read off the sorted contents, built once; the
+    # Schur polynomial goes through schur's builder, which lists no contents
     calls = []
     build = schur_module._contents
     monkeypatch.setattr(schur_module, "_contents", lambda *a: calls.append(a) or build(*a))
