@@ -250,9 +250,14 @@ def _validate_cartan(matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def _positive_definite(a: list[list[int]]) -> bool:
-    """Sylvester's criterion: each pivot has the sign of a leading minor.
-    Eliminates the square rows ``a`` in place below the diagonal, with no
-    pivot search; columns to the right of the square ride along."""
+    """Sylvester's criterion on a Cartan matrix C itself: whether each
+    leading minor of C is positive.  C * diag(d), with d > 0 its
+    symmetrizer, is symmetric, and its k-th leading minor is C's times
+    d_1 * ... * d_k, so C is of finite type exactly when this holds
+    (``custom_cartan``).  Each pivot has the sign of a leading minor:
+    eliminates the square rows ``a`` in place below the diagonal, with no
+    pivot search; columns to the right of the square ride along
+    (``_solve``)."""
     n = len(a)
     for k in range(n):
         if a[k][k] <= 0:
@@ -325,6 +330,8 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
 
     The matrix must be a valid Cartan matrix of finite type (block-diagonal
     matrices of valid blocks are accepted, giving semisimple products).
+    Finite type is tested on C itself, by the signs of its leading minors
+    (``_positive_definite``), once its symmetrizer is found.
     Only the checks run here; the root data is built when first read.
     The label must be a ``str``: it is part of the group's hash.
     """
@@ -336,64 +343,53 @@ def custom_cartan(matrix: Iterable[Iterable[int]], label: str = "custom") -> Car
         raise InputError("invalid-cartan", "expected a matrix of integer rows") from None
     cartan = _validate_cartan(rows)
     d = _symmetrizer(cartan)
-    n = len(cartan)
-    sym = [[cartan[i][j] * d[j] for j in range(n)] for i in range(n)]
-    if not _positive_definite(sym):
-        raise InputError(
-            "invalid-cartan", "Cartan matrix is not of finite type"
-        )
-    return CartanData(rank=n, cartan_matrix=cartan, symmetrizer=d, label=label)
+    if not _positive_definite(rows):
+        raise InputError("invalid-cartan", "Cartan matrix is not of finite type")
+    return CartanData(rank=len(cartan), cartan_matrix=cartan, symmetrizer=d, label=label)
+
+
+#: The least rank of each chain series, and the entries (i, j, C[i][j]),
+#: indexed back from the last node, in which its matrix differs from the
+#: chain A_rank's.
+_CHAIN_ENDS = {
+    "A": (1, ()),
+    "B": (2, ((-2, -1, -2),)),  # last simple root is short
+    "C": (2, ((-1, -2, -2),)),  # last simple root is long
+    # fork: the last root attaches two nodes back
+    "D": (3, ((-1, -2, 0), (-2, -1, 0), (-1, -3, -1), (-3, -1, -1))),
+}
 
 
 def _series_matrix(series: str, rank: int) -> list[list[int]]:
-    def chain(n):
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            a[i][i] = 2
-            if i + 1 < n:
-                a[i][i + 1] = -1
-                a[i + 1][i] = -1
-        return a
-
-    if series == "A":
-        if rank < 1:
-            raise InputError("invalid-group", "series A needs rank >= 1")
-        return chain(rank)
-    if series == "B":
-        if rank < 2:
-            raise InputError("invalid-group", "series B needs rank >= 2")
-        a = chain(rank)
-        a[rank - 2][rank - 1] = -2  # last simple root is short
-        return a
-    if series == "C":
-        if rank < 2:
-            raise InputError("invalid-group", "series C needs rank >= 2")
-        a = chain(rank)
-        a[rank - 1][rank - 2] = -2  # last simple root is long
-        return a
-    if series == "D":
-        if rank < 3:
-            raise InputError("invalid-group", "series D needs rank >= 3")
-        a = chain(rank - 1)
-        for row in a:
-            row.append(0)
-        a.append([0] * rank)
-        a[rank - 1][rank - 1] = 2
-        a[rank - 1][rank - 3] = -1  # fork: last root attaches two nodes back
-        a[rank - 3][rank - 1] = -1
-        return a
+    """The Cartan matrix of a built-in series: G2's, or the chain A_rank's
+    with its end changed for B, C and D."""
     if series == "G":
         if rank != 2:
             raise InputError("invalid-group", "series G needs rank 2")
         return [[2, -1], [-3, 2]]
-    raise InputError("invalid-group", f"unknown series {series!r}")
+    if series not in _CHAIN_ENDS:
+        raise InputError("invalid-group", f"unknown series {series!r}")
+    least, ends = _CHAIN_ENDS[series]
+    if rank < least:
+        raise InputError("invalid-group", f"series {series} needs rank >= {least}")
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, x in ends:
+        a[i][j] = x
+    return a
 
 
 def builtin_cartan(series: str, rank: int) -> CartanData:
     """Standard Cartan data for the series A, B, C, D and G2.
 
     Built once per (series, rank) and shared: CartanData is immutable.
+    The series must be a ``str`` and the rank an ``int``, not a ``bool``,
+    checked before the memo is read: ``True`` hashes equal to ``1``, so one
+    would stand in a memo key for the other, under the other's label.
     """
+    if not isinstance(series, str):
+        raise InputError("invalid-group", "series must be a string")
+    if type(rank) is not int:
+        raise InputError("invalid-group", "rank must be an integer")
     series = series.upper()
     if series == "G2":
         series = "G"

@@ -36,7 +36,7 @@ from .characters import (
 )
 from .charpoly import CharPoly
 from .errors import InputError
-from .schur import YPoly, _schur, _schur_weights, _shape, alpha, validate_partition
+from .schur import YPoly, _check_variables, _schur, _schur_weights, _shape, alpha, validate_partition
 
 #: Certification can fail while a map still exists; the criterion is
 #: sufficient, not necessary, and the result vocabulary keeps that visible.
@@ -281,6 +281,7 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     in the character cache.
     An n above ``TERM_CAP`` raises the term cap before any row is built.
     """
+    _check_variables(m)
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2")

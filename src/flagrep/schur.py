@@ -107,6 +107,13 @@ def parse_ypoly(text: str, nvars: int) -> YPoly:
     return YPoly._parsed(nvars, text, "y", None)
 
 
+def _check_variables(m: int) -> None:
+    """Raises ``invalid-rank`` unless the number of variables m is an
+    ``int``, not a ``bool``: ``True`` would be read as one variable."""
+    if type(m) is not int:
+        raise InputError("invalid-rank", "number of variables must be an integer")
+
+
 def _shape(mu: Partition, m: int) -> Partition:
     """Nonzero parts of a validated partition, which must number at most m;
     the helpers below take the shape and validate nothing again."""
@@ -262,6 +269,7 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
     One vector per tableau (so repeats appear), sorted descending.  A
     weight of the character, repeated by its multiplicity, has one content.
     """
+    _check_variables(m)
     shape = _shape(validate_partition(mu), m)
     _check_tableau_count(shape, m)
     if m < 2 or not shape:
@@ -272,6 +280,7 @@ def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
 
 def schur(mu: Iterable[int], m: int) -> YPoly:
     """Schur polynomial in m variables: the tableau contents, canonical."""
+    _check_variables(m)
     shape = _shape(validate_partition(mu), m)
     if m < 1:
         raise InputError("invalid-rank", "need at least one variable")
@@ -294,6 +303,7 @@ def _schur(shape: Partition, m: int) -> YPoly:
 
 def schur_dim(mu: Iterable[int], m: int) -> int:
     """Value at (1,..,1) by Weyl's product over rows; counts the tableaux."""
+    _check_variables(m)
     return _tableau_count(_shape(validate_partition(mu), m), m)
 
 
@@ -316,6 +326,7 @@ def _tableau_count(shape: Partition, m: int) -> int:
 
 def weight_of_partition(mu: Iterable[int], m: int) -> Weight:
     """Highest weight of the irreducible with Schur character: part differences."""
+    _check_variables(m)
     mu = validate_partition(mu)
     if len(mu) > m:
         raise InputError("invalid-partition", f"partition {mu} has more than {m} parts")
@@ -344,6 +355,7 @@ def _content_to_weight(e: tuple[int, ...]) -> Weight:
 def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     """Torus weights of the Schur module: one per tableau, fixed order, and
     summing to zero as a character's weights do; capped by ``TERM_CAP``."""
+    _check_variables(m)
     mu = validate_partition(mu)
     if m < 2:
         raise InputError("invalid-rank", "need m >= 2 for a nontrivial weight lattice")

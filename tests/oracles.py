@@ -98,6 +98,31 @@ def symmetrizer(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def determinant(matrix: Sequence[Sequence[int]]) -> Fraction:
+    """Determinant by Gaussian elimination in Fractions, pivoting on the
+    first nonzero entry of each column."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return det
+
+
+def leading_minors(matrix: Sequence[Sequence[int]]) -> list[Fraction]:
+    """The leading principal minors of a square matrix, smallest first."""
+    return [determinant([row[:k] for row in matrix[:k]]) for k in range(1, len(matrix) + 1)]
+
+
 def gram_from_cartan(cartan_inverse, symmetrizer):
     n = len(symmetrizer)
     return tuple(

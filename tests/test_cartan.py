@@ -39,15 +39,117 @@ def test_a1_defining_data():
     assert cd.weyl_vector == (1,)
 
 
+def error(f, *args):
+    """The code and text of the InputError that ``f(*args)`` raises."""
+    with pytest.raises(InputError) as info:
+        f(*args)
+    return info.value.code, str(info.value)
+
+
 def test_d2_is_rejected():
-    with pytest.raises(InputError):
-        builtin_cartan("D", 2)
+    assert error(builtin_cartan, "D", 2) == ("invalid-group", "series D needs rank >= 3")
 
 
-@pytest.mark.parametrize("series,rank", [("B", 1), ("C", 1), ("G", 3), ("X", 2)])
+@pytest.mark.parametrize(
+    "series,rank",
+    [("B", 1), ("C", 1), ("G", 3), ("X", 2), ("A", 0), ("A", -1), ("G", 1), ("E", 6), ("x", 2)],
+)
 def test_invalid_series_rank_combinations(series, rank):
-    with pytest.raises(InputError):
-        builtin_cartan(series, rank)
+    texts = {
+        "A": "series A needs rank >= 1",
+        "B": "series B needs rank >= 2",
+        "C": "series C needs rank >= 2",
+        "G": "series G needs rank 2",
+    }
+    text = texts.get(series.upper(), f"unknown series {series.upper()!r}")
+    assert error(builtin_cartan, series, rank) == ("invalid-group", text)
+
+
+def test_builtin_cartan_checks_its_arguments_before_its_memo():
+    # True hashes equal to 1: read from the memo, it would be taken for A1
+    assert error(builtin_cartan, "A", True) == ("invalid-group", "rank must be an integer")
+    assert builtin_cartan("A", 1).label == "A1"
+    assert error(builtin_cartan, "A", 2.0) == ("invalid-group", "rank must be an integer")
+    assert error(builtin_cartan, "A", "2") == ("invalid-group", "rank must be an integer")
+    assert error(builtin_cartan, 2, 2) == ("invalid-group", "series must be a string")
+    # the series is checked first, and the rank before the series' own rule
+    assert error(builtin_cartan, 2, True) == ("invalid-group", "series must be a string")
+    assert error(builtin_cartan, "X", True) == ("invalid-group", "rank must be an integer")
+
+
+def _written_out(n, bonds):
+    """The n x n matrix with 2 on the diagonal and, per bond (i, j, a, b),
+    C[i][j] = a and C[j][i] = b; every other entry is 0."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, a, b in bonds:
+        c[i][j], c[j][i] = a, b
+    return tuple(map(tuple, c))
+
+
+def _path(n):
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
+
+
+#: Per built-in series: the ranks checked, the bonds of its Dynkin diagram,
+#: nodes numbered as in Bourbaki's plates, and its determinant.
+SERIES = {
+    "A": (range(1, 13), _path, lambda n: n + 1),
+    # a double bond, the short root last
+    "B": (range(2, 13), lambda n: _path(n - 1) + [(n - 2, n - 1, -2, -1)], lambda n: 2),
+    # a double bond, the long root last
+    "C": (range(2, 13), lambda n: _path(n - 1) + [(n - 2, n - 1, -1, -2)], lambda n: 2),
+    # a fork: nodes n - 2 and n - 1 both hang off node n - 3
+    "D": (range(3, 13), lambda n: _path(n - 1) + [(n - 3, n - 1, -1, -1)], lambda n: 4),
+    # a triple bond, the long root last
+    "G": ((2,), lambda n: [(0, 1, -1, -3)], lambda n: 1),
+}
+
+
+@pytest.mark.parametrize("series", SERIES)
+def test_builtin_series_equal_their_written_out_matrices(series):
+    ranks, bonds, det = SERIES[series]
+    for n in ranks:
+        c = builtin_cartan(series, n).cartan_matrix
+        assert c == _written_out(n, bonds(n)), n
+        assert oracles.determinant(c) == det(n), n
+
+
+def test_finite_type_is_the_sign_of_the_symmetrized_leading_minors():
+    # C * diag(d) is positive definite exactly when its leading minors are
+    # positive; they are C's own times d_1 * ... * d_k
+    rng = random.Random(30)
+    matrices = [
+        [[2, -2], [-2, 2]],  # affine A1
+        [[2, -1], [-4, 2]],  # affine A2, twisted
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # the affine A2 cycle
+    ]
+    for _ in range(4000):
+        n = rng.randint(1, 5)
+        c = [[2] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.5:
+                    c[i][j], c[j][i] = -rng.randint(1, 4), -rng.randint(1, 4)
+                else:
+                    c[i][j] = c[j][i] = 0
+        matrices.append(c)
+    finite = infinite = 0
+    for c in matrices:
+        try:
+            d = oracles.symmetrizer(c)
+        except InputError:
+            assert error(custom_cartan, c) == ("invalid-cartan", "Cartan matrix is not symmetrizable")
+            continue
+        n = len(c)
+        minors = oracles.leading_minors([[c[i][j] * d[j] for j in range(n)] for i in range(n)])
+        assert [x > 0 for x in minors] == [x > 0 for x in oracles.leading_minors(c)], c
+        if all(x > 0 for x in minors):
+            finite += 1
+            assert custom_cartan(c).symmetrizer == d, c
+        else:
+            infinite += 1
+            assert error(custom_cartan, c) == ("invalid-cartan", "Cartan matrix is not of finite type"), c
+    assert finite > 1000 and infinite > 1000, (finite, infinite)
 
 
 def test_tag_parsing():
@@ -299,11 +401,6 @@ def test_builtin_cartan_is_built_once_per_group():
 
 
 def test_cartan_boundary_errors():
-    def error(f, *args):
-        with pytest.raises(InputError) as info:
-            f(*args)
-        return info.value.code, str(info.value)
-
     # squared lengths would have to satisfy d1 = d2, d2 = d3 and d3 = 2 * d1
     cyclic = [[2, -1, -1], [-1, 2, -1], [-2, -1, 2]]
     assert error(custom_cartan, cyclic) == ("invalid-cartan", "Cartan matrix is not symmetrizable")

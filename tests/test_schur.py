@@ -789,6 +789,18 @@ def test_schur_boundary_errors():
     assert error(parse_ypoly, "y1", 0) == ("rank-mismatch", "variable 'y1' out of range for rank 0")
 
 
+@pytest.mark.parametrize("m", [3.0, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "f", [schur, schur_dim, ssyt_contents, weights_of_schur, weight_of_partition, realize_schur],
+    ids=lambda f: f.__name__,
+)
+def test_number_of_variables_must_be_an_int(f, m):
+    # True would be read as one variable, and 3.0 or "3" fail deep inside
+    with pytest.raises(InputError) as info:
+        f((2, 1), m)
+    assert (info.value.code, str(info.value)) == ("invalid-rank", "number of variables must be an integer")
+
+
 # --- the character's caps, checked before the group is built ------------------
 
 def _full_path_error(shape, m, term_cap):
