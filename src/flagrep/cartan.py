@@ -29,15 +29,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _kernels
 from ._record import _Record
-from .errors import InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 Weight = tuple[int, ...]
-
-#: Practical cap on the size of a single Weyl orbit.
-ORBIT_CAP = 10**6
 
 #: Built-in groups whose Cartan data one process keeps.
 BUILTIN_CACHE_SIZE = 64
@@ -287,9 +284,10 @@ def _solve(matrix, b: Sequence[int]) -> list[tuple[int, int]]:
 
 def _check_root_count(n: int) -> None:
     """Raises ``orbit-cap`` if n positive roots and their negatives number
-    more than ``ORBIT_CAP``."""
-    if n > ORBIT_CAP // 2:
-        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {ORBIT_CAP}")
+    more than the orbit cap, read from ``_LIMITS``."""
+    cap = _LIMITS["orbit-cap"]
+    if 2 * n > cap:
+        raise ResourceCapError("orbit-cap", f"orbit size exceeds cap {cap}")
 
 
 def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
@@ -309,8 +307,8 @@ def _positive_roots(cartan) -> tuple[tuple[Weight, ...], tuple[bytes, ...]]:
     the height finishes the argument.
 
     The roots are the positive roots and their negatives, so the walk
-    raises ``orbit-cap`` once it holds more than ``ORBIT_CAP // 2`` positive
-    roots: once the roots number more than ``ORBIT_CAP``.
+    raises ``orbit-cap`` once it holds more than half the orbit cap in
+    positive roots: once the roots number more than the cap (``_LIMITS``).
     """
     roots = list(cartan)
     coords = {a: bytes(int(j == i) for j in range(len(cartan))) for i, a in enumerate(roots)}
@@ -458,7 +456,7 @@ def dominant_representative(cd: CartanData, w: Sequence[int]) -> Weight:
     return _kernels.dominant_representative(cd.cartan_matrix, _check_weight(cd, w))
 
 
-def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = ORBIT_CAP) -> frozenset[Weight]:
+def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = _LIMITS["orbit-cap"]) -> frozenset[Weight]:
     """Full Weyl orbit of ``w``, found by a duplicate-free walk down from its
     dominant representative, compiled once per group (``cd.orbit_walk``).
     The walk checks the cap before it adds each weight, so it raises

@@ -47,12 +47,8 @@ from . import _kernels
 from ._record import _Record
 from .cartan import CartanData, Weight, _check_weight, is_dominant
 from .charpoly import CharPoly
-from .errors import InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError
 
-#: Practical caps; exceeding one raises ResourceCapError, never wrong output.
-RANK_CAP = 8
-TERM_CAP = 10**7
-OMEGA_N_CAP = 64
 #: (group, highest weight, cap) entries ``_dominant_character`` holds before
 #: it evicts the least recently used one.
 CHARACTER_CACHE_SIZE = 1024
@@ -123,7 +119,7 @@ def _require_dominant(cd: CartanData, lam: Sequence[int]) -> Weight:
     return lam
 
 
-def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = TERM_CAP) -> dict[Weight, int]:
+def _dominant_support(cd: CartanData, lam: Weight, max_terms: int = _LIMITS["term-cap"]) -> dict[Weight, int]:
     """Dominant weights mu below ``lam``, sorted by depth in the root lattice,
     each mapped to Freudenthal's denominator
     (lam - mu, lam + mu + 2 rho) = |lam + rho|^2 - |mu + rho|^2.
@@ -201,14 +197,14 @@ def _term_count(cd: CartanData, support: Sequence[Weight]) -> int:
     return sum(n * _orbit_size(cd, pattern) for pattern, n in patterns.items())
 
 
-def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = TERM_CAP) -> CharPoly:
+def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = _LIMITS["term-cap"]) -> CharPoly:
     """Character of the irreducible module with highest weight ``lam``.
 
     The dominant multiplicities come from the cache; the orbits are
     expanded on every call, into a new ``CharPoly`` that is not kept."""
     lam = _require_dominant(cd, lam)
-    if cd.rank > RANK_CAP:
-        raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
+    if cd.rank > _LIMITS["rank-cap"]:
+        raise ResourceCapError("rank-cap", f"character rank cap is {_LIMITS['rank-cap']}")
     dominant = _dominant_character(cd, lam, max_terms)
     return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.orbit_walk, dominant, max_terms))
 
@@ -264,7 +260,7 @@ def certificate_character(cd: CartanData, cert: Certificate) -> CharPoly:
     return total
 
 
-def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> DecomposeResult:
+def decompose(cd: CartanData, p: CharPoly, max_terms: int = _LIMITS["term-cap"]) -> DecomposeResult:
     """Express an effective polynomial in the basis of irreducible characters.
 
     Greedy subtraction at the remaining weight that is highest for the
@@ -290,8 +286,8 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> Decompo
     if dominant is None:
         return _greedy(cd, dict(p.terms), lambda w: weight_multiplicities(cd, w, max_terms).terms)
     # weight_multiplicities' rank cap, at the first reduction step
-    if dominant and cd.rank > RANK_CAP:
-        raise ResourceCapError("rank-cap", f"character rank cap is {RANK_CAP}")
+    if dominant and cd.rank > _LIMITS["rank-cap"]:
+        raise ResourceCapError("rank-cap", f"character rank cap is {_LIMITS['rank-cap']}")
     return _greedy(cd, dominant, lambda w: _dominant_character(cd, w, max_terms))
 
 
@@ -361,7 +357,7 @@ def _greedy(
     return _certificate(cd, pairs)
 
 
-def is_in_omega_n(cd: CartanData, p: CharPoly, n: int, max_terms: int = TERM_CAP) -> DecomposeResult:
+def is_in_omega_n(cd: CartanData, p: CharPoly, n: int, max_terms: int = _LIMITS["term-cap"]) -> DecomposeResult:
     """Certificate iff ``p`` is the character of an n-dimensional module."""
     if n < 1:
         raise InputError("invalid-dimension", "n must be a positive integer")
@@ -472,7 +468,7 @@ def _certificates(irreps: Sequence[tuple[Weight, int]], n: int) -> Iterator[Cert
 
 
 def omega_n_enumerate(
-    cd: CartanData, n: int, max_n: int = OMEGA_N_CAP, max_certificates: int | None = None
+    cd: CartanData, n: int, max_n: int = _LIMITS["n-cap"], max_certificates: int | None = None
 ) -> Iterator[Certificate]:
     """All certificates of total dimension exactly ``n``, largest parts first.
 

@@ -25,7 +25,7 @@ from . import characters, realize
 from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
 from .charpoly import parse as parse_poly
 from .charpoly import render
-from .errors import InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError
 from .schur import alpha, parse_partition, render_ypoly, schur
 
 EXIT_OK = 0
@@ -107,7 +107,11 @@ def _group_from_args(args) -> CartanData:
     return cartan_from_tag(tag)
 
 
-def _positive_cap(value: int, flag: str) -> int:
+def _positive_cap(value: int | None, flag: str, code: str) -> int:
+    """The cap a flag gives, or when it is not given the entry ``code`` of
+    ``_LIMITS``, read now, so the cached parser holds no default."""
+    if value is None:
+        return _LIMITS[code]
     if value <= 0:
         raise InputError("invalid-cap", f"{flag} must be positive, got {value}")
     return value
@@ -138,7 +142,7 @@ def _print_not_certified(result: characters.NotInOmega, fmt: str) -> None:
 def _cmd_char(args) -> int:
     cd = _group_from_args(args)
     weight = _parse_weight(args.weight)
-    max_terms = _positive_cap(args.max_terms, "--max-terms")
+    max_terms = _positive_cap(args.max_terms, "--max-terms", "term-cap")
     print(render(characters.weight_multiplicities(cd, weight, max_terms)))
     return EXIT_OK
 
@@ -160,7 +164,7 @@ def _cmd_smap(args) -> int:
 
 def _cmd_realize(args) -> int:
     cd = _group_from_args(args)
-    max_terms = _positive_cap(args.max_terms, "--max-terms")
+    max_terms = _positive_cap(args.max_terms, "--max-terms", "term-cap")
     hom, group = realize.cohom_from_json(_load_json_arg(args.hom))
     # compare matrices: a --group-matrix group carries its own label
     if group is not None and cartan_from_tag(group).cartan_matrix != cd.cartan_matrix:
@@ -230,8 +234,8 @@ def _cmd_cor3(args) -> int:
 
 def _cmd_omega(args) -> int:
     cd = _group_from_args(args)
-    max_n = _positive_cap(args.max_n, "--max-n")
-    certs = characters.omega_n_enumerate(cd, args.n, max_n, characters.TERM_CAP)
+    max_n = _positive_cap(args.max_n, "--max-n", "n-cap")
+    certs = characters.omega_n_enumerate(cd, args.n, max_n, _LIMITS["term-cap"])
     if args.format == "json":
         print(_dumps([c.to_json_dict() for c in certs]))
     else:
@@ -269,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("char", help="irreducible character of a dominant weight")
     _add_group_options(p)
     p.add_argument("weight", help="dominant weight, comma-separated, e.g. 1,0")
-    p.add_argument("--max-terms", type=int, default=characters.TERM_CAP)
+    p.add_argument("--max-terms", type=int)
     p.set_defaults(func=_cmd_char)
 
     p = sub.add_parser("dim", help="dimension of the irreducible with this highest weight")
@@ -285,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_group_options(p)
     p.add_argument("hom")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-terms", type=int, default=characters.TERM_CAP)
+    p.add_argument("--max-terms", type=int)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser(
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omega", help="enumerate all certificates of total dimension n")
     _add_group_options(p)
     p.add_argument("n", type=int)
-    p.add_argument("--max-n", type=int, default=characters.OMEGA_N_CAP)
+    p.add_argument("--max-n", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_omega)
 

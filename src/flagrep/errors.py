@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the practical caps.
+
+``_LIMITS`` holds every cap, keyed by the error code that exceeding it
+raises.  Each check reads its entry when it runs, as does the CLI for a
+flag that is not given, so lowering an entry lowers the cap everywhere;
+the public defaults (``max_terms=``, ``cap=``, ``max_n=``) are bound from
+it at import.  The layout memo of ``schur._layout`` holds its bytes to the
+term cap.
+"""
+
+#: Practical caps; exceeding one raises ResourceCapError, never wrong output.
+_LIMITS = {"term-cap": 10**7, "orbit-cap": 10**6, "rank-cap": 8, "n-cap": 64}
 
 
 class InputError(ValueError):
@@ -15,3 +26,4 @@ class ResourceCapError(RuntimeError):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
+

@@ -27,7 +27,6 @@ from typing import NamedTuple, Sequence
 from ._record import _Record
 from .cartan import CartanData, Weight
 from .characters import (
-    TERM_CAP,
     Certificate,
     DecomposeResult,
     NotInOmega,
@@ -35,7 +34,7 @@ from .characters import (
     weight_multiplicities,
 )
 from .charpoly import CharPoly
-from .errors import InputError
+from .errors import _LIMITS, InputError
 from .schur import YPoly, _check_variables, _schur, _schur_weights, _shape, alpha, validate_partition
 
 #: Certification can fail while a map still exists; the criterion is
@@ -204,7 +203,7 @@ def s_map(h: CohomHom) -> CharPoly:
     return CharPoly._trusted(h.m, counts)
 
 
-def check_realizable(cd: CartanData, h: CohomHom, max_terms: int = TERM_CAP) -> DecomposeResult:
+def check_realizable(cd: CartanData, h: CohomHom, max_terms: int = _LIMITS["term-cap"]) -> DecomposeResult:
     """Certificate that some map induces ``h``, or NotCertified.
 
     A certificate is constructive: the certified representation's flag
@@ -279,7 +278,7 @@ def realize_schur(mu: Sequence[int], m: int) -> SchurRealization:
     The tableau weights are read off the sorted tableau contents; both
     sides read the type-A character, which is computed once and then found
     in the character cache.
-    An n above ``TERM_CAP`` raises the term cap before any row is built.
+    An n above the term cap of ``_LIMITS`` raises it before any row is built.
     """
     _check_variables(m)
     mu = validate_partition(mu)

@@ -31,7 +31,7 @@ cache holds.
 A partition's rearrangements depend only on its multiplicity pattern, the
 count of each distinct entry.  Each pattern's layout of positions is
 built once and kept, by columns of one byte per entry, in a memo keyed by
-the pattern and held to ``TERM_CAP`` bytes, so a partition costs one pass
+the pattern and held to the term cap in bytes, so a partition costs one pass
 per column.  Only a process that answers several Schur queries in the
 same number of variables reuses a layout; a single query pays one walk
 step per row of each layout it builds.
@@ -49,9 +49,8 @@ from typing import Collection, Iterable, Iterator, Mapping
 
 from . import cartan, characters
 from .cartan import Weight, builtin_cartan
-from .characters import TERM_CAP
 from .charpoly import CharPoly, _TermDict, _write
-from .errors import InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError
 
 Partition = tuple[int, ...]
 
@@ -133,8 +132,9 @@ def _partitions(shape: Partition, m: int) -> list[tuple[Partition, int]]:
     A_(k-1), for k = min(m, max(2, |shape|)), give every partition, and
     each partition's distinct rearrangements, padded to m, are its contents:
     the root data does not grow with m.  When k < m, the content count
-    times m is held to ``TERM_CAP``, counted on the nonzero parts before
-    any content is built; for k = m the character's term cap applies.
+    times m is held to the term cap (``_LIMITS``), counted on the nonzero
+    parts before any content is built; for k = m the character's term cap
+    applies.
     The character's first caps, on its root strings and on the k(k-1)/2
     positive roots of A_(k-1), are checked before the group is built.
     """
@@ -142,9 +142,9 @@ def _partitions(shape: Partition, m: int) -> list[tuple[Partition, int]]:
     k = min(m, max(2, size))
     top = _content_to_weight(shape + (0,) * (k - len(shape)))  # the part differences
     # the character's first two caps, raised before A_(k-1) and its k^2 matrix are built
-    characters._check_string_terms(top, TERM_CAP)
+    characters._check_string_terms(top, _LIMITS["term-cap"])
     cartan._check_root_count(k * (k - 1) // 2)
-    dominant = characters._dominant_character(builtin_cartan("A", k - 1), top, TERM_CAP)
+    dominant = characters._dominant_character(builtin_cartan("A", k - 1), top, _LIMITS["term-cap"])
     partitions = []
     for e, c in zip(zip(*_suffix_sums(dominant)), dominant.values()):
         shift = (size - sum(e)) // k  # a content sums to |shape|
@@ -190,7 +190,7 @@ def _rearrangements(e: tuple[int, ...], low: int = 0) -> Iterator[tuple[int, ...
 
 #: The layouts ``_layout`` keeps, keyed by multiplicity pattern, oldest
 #: first, and the bytes of their columns, which ``_layout`` holds to
-#: ``TERM_CAP``.
+#: the term cap of ``_LIMITS``.
 _LAYOUTS: dict[tuple[int, ...], tuple[bytes, ...]] = {}
 _layout_bytes = 0
 _LAYOUT_LOCK = threading.Lock()
@@ -211,9 +211,10 @@ def _layout(counts: tuple[int, ...]) -> tuple[bytes, ...]:
     and the caps stop d > 10 before any layout is built.
 
     Every tuple of one pattern shares its layout, so the layouts are kept
-    in one memo keyed by the pattern and holding at most ``TERM_CAP``
-    bytes of columns (``sys.getsizeof``), the oldest evicted first.  A
-    layout larger than that is built and not kept.
+    in one memo keyed by the pattern and holding at most the term cap of
+    ``_LIMITS``, read at each build, in bytes of columns (``sys.getsizeof``),
+    the oldest evicted first.  A layout larger than that is built and not
+    kept.
     """
     global _layout_bytes
     cols = _LAYOUTS.get(counts)
@@ -237,8 +238,8 @@ def _layout(counts: tuple[int, ...]) -> tuple[bytes, ...]:
     cols = tuple(bytes(rows[i::m]) for i in range(m))
     size = sum(map(sys.getsizeof, cols))
     with _LAYOUT_LOCK:  # two threads may build one layout; it is counted once
-        if size <= TERM_CAP and counts not in _LAYOUTS:
-            while _layout_bytes + size > TERM_CAP:
+        if size <= _LIMITS["term-cap"] and counts not in _LAYOUTS:
+            while _layout_bytes + size > _LIMITS["term-cap"]:
                 _layout_bytes -= sum(map(sys.getsizeof, _LAYOUTS.pop(next(iter(_LAYOUTS)))))
             _LAYOUTS[counts] = cols
             _layout_bytes += size
@@ -246,21 +247,23 @@ def _layout(counts: tuple[int, ...]) -> tuple[bytes, ...]:
 
 
 def _check_content_count(n: int, m: int) -> None:
-    """n contents of m entries each, held to ``TERM_CAP`` before any is built."""
-    if n * m > TERM_CAP:
-        raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {TERM_CAP}")
+    """n contents of m entries each, held to the term cap (``_LIMITS``)
+    before any is built."""
+    if n * m > _LIMITS["term-cap"]:
+        raise ResourceCapError("term-cap", f"{n} terms times {m} variables exceed cap {_LIMITS['term-cap']}")
 
 
 def _check_tableau_count(shape: Partition, m: int) -> None:
-    """The count of the tableaux, held to ``TERM_CAP``.  A count of more
-    digits than Python converts to text is named by a power of two below it."""
+    """The count of the tableaux, held to the term cap (``_LIMITS``).  A
+    count of more digits than Python converts to text is named by a power
+    of two below it."""
     n = _tableau_count(shape, m)
-    if n > TERM_CAP:
+    if n > _LIMITS["term-cap"]:
         try:
             count = str(n)
         except ValueError:  # more digits than int-to-text converts
             count = f"at least 2^{n.bit_length() - 1}"
-        raise ResourceCapError("term-cap", f"{count} tableaux exceed cap {TERM_CAP}")
+        raise ResourceCapError("term-cap", f"{count} tableaux exceed cap {_LIMITS['term-cap']}")
 
 
 def ssyt_contents(mu: Iterable[int], m: int) -> tuple[tuple[int, ...], ...]:
@@ -354,7 +357,8 @@ def _content_to_weight(e: tuple[int, ...]) -> Weight:
 
 def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
     """Torus weights of the Schur module: one per tableau, fixed order, and
-    summing to zero as a character's weights do; capped by ``TERM_CAP``."""
+    summing to zero as a character's weights do; capped by the term cap
+    (``_LIMITS``)."""
     _check_variables(m)
     mu = validate_partition(mu)
     if m < 2:
@@ -364,7 +368,7 @@ def weights_of_schur(mu: Iterable[int], m: int) -> list[Weight]:
 
 def _schur_weights(shape: Partition, m: int) -> list[Weight]:
     """The tableau weights of a shape in m >= 2 variables, in the order of
-    ``_contents``, their count capped by ``TERM_CAP``.
+    ``_contents``, their count capped by the term cap (``_LIMITS``).
 
     A tableau's weight is the part differences of its content, so each
     distinct weight is one tuple, repeated by its multiplicity.

@@ -35,9 +35,9 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from flagrep.cartan import CartanData, Weight, is_dominant
-from flagrep.characters import TERM_CAP, DecomposeResult, NotInOmega, _certificate, weight_multiplicities
+from flagrep.characters import DecomposeResult, NotInOmega, _certificate, weight_multiplicities
 from flagrep.charpoly import MAX_EXPONENT, CharPoly
-from flagrep.errors import InputError, ResourceCapError
+from flagrep.errors import _LIMITS, InputError, ResourceCapError
 from flagrep.schur import Partition, YPoly, validate_partition
 
 
@@ -619,7 +619,7 @@ def fraction_dimension(cd, lam):
     return value.numerator
 
 
-def decompose(cd: CartanData, p: CharPoly, max_terms: int = TERM_CAP) -> DecomposeResult:
+def decompose(cd: CartanData, p: CharPoly, max_terms: int = _LIMITS["term-cap"]) -> DecomposeResult:
     """Express an effective polynomial in the basis of irreducible characters.
 
     Greedy subtraction at the remaining weight that is highest for the

@@ -28,8 +28,9 @@ from flagrep import (
     weight_multiplicities,
     weyl_orbit,
 )
-from flagrep.characters import TERM_CAP, _count_certificates, _dominant_support, _orbit_size, _term_count
+from flagrep.characters import _count_certificates, _dominant_support, _orbit_size, _term_count
 from flagrep.charpoly import CharPoly, render
+from flagrep.errors import _LIMITS
 
 import oracles
 
@@ -191,7 +192,7 @@ def test_root_walk_term_cap_is_exact():
     cd = cartan_from_tag("B3")
     lam = (2, 1, 2)
     support = oracles.box_dominant_support(cd.cartan_matrix, lam)
-    size = sum(len(oracles.bfs_weyl_orbit(cd.cartan_matrix, mu, TERM_CAP)) for mu in support)
+    size = sum(len(oracles.bfs_weyl_orbit(cd.cartan_matrix, mu, _LIMITS["term-cap"])) for mu in support)
     check_support(cd, lam, _dominant_support(cd, lam, max_terms=size))
     with pytest.raises(ResourceCapError, match=f"support exceeds cap {size - 1}"):
         _dominant_support(cd, lam, max_terms=size - 1)
@@ -617,7 +618,7 @@ def test_omega_certificate_cap_counts_before_the_stream():
         "term-cap", "certificates of dimension 8 exceed cap 21"
     )
     with pytest.raises(ResourceCapError, match="certificates of dimension 3000"):
-        omega_n_enumerate(A1, 3000, max_n=5000, max_certificates=TERM_CAP)
+        omega_n_enumerate(A1, 3000, max_n=5000, max_certificates=_LIMITS["term-cap"])
 
 
 def test_injectivity_on_small_slice():
@@ -687,7 +688,7 @@ def test_a_one_weight_support_builds_no_freudenthal_tables(tag, lam):
     cd = custom_cartan(cartan_from_tag(tag).cartan_matrix, label=tag)
     p = weight_multiplicities(cd, lam)
     assert "freudenthal_tables" not in vars(cd)
-    assert p.terms == dict.fromkeys(oracles.bfs_weyl_orbit(cd.cartan_matrix, lam, TERM_CAP), 1)
+    assert p.terms == dict.fromkeys(oracles.bfs_weyl_orbit(cd.cartan_matrix, lam, _LIMITS["term-cap"]), 1)
     assert len(p.terms) == dimension(cd, lam)
 
 
@@ -719,13 +720,13 @@ def test_character_cache_stays_bounded_under_threads(monkeypatch):
     memo = _small_character_memo(monkeypatch, 3)
     a2 = cartan_from_tag("A2")
     weights = [(a, b) for a in range(3) for b in range(3)]
-    expected = {lam: memo.__wrapped__(a2, lam, TERM_CAP) for lam in weights}
+    expected = {lam: memo.__wrapped__(a2, lam, _LIMITS["term-cap"]) for lam in weights}
     wrong = []
 
     def work(offset):
         for i in range(40):
             lam = weights[(offset + i) % len(weights)]
-            if characters._dominant_character(a2, lam, TERM_CAP) != expected[lam]:
+            if characters._dominant_character(a2, lam, _LIMITS["term-cap"]) != expected[lam]:
                 wrong.append(lam)
             if memo.cache_info().currsize > 3:
                 wrong.append("over the bound")

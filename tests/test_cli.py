@@ -13,6 +13,7 @@ from flagrep import cartan_from_tag, characters, custom_cartan, schur_dim, weigh
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
+from flagrep.errors import _LIMITS
 
 
 def run(capsys, *argv):
@@ -427,7 +428,7 @@ def test_char_cap_from_the_weight_before_any_walk(capsys):
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
-    assert (code, out, err) == (3, "", f"error[term-cap]: support exceeds cap {characters.TERM_CAP}\n")
+    assert (code, out, err) == (3, "", f"error[term-cap]: support exceeds cap {_LIMITS['term-cap']}\n")
 
 
 def test_deeply_nested_json_is_invalid_input(capsys):
@@ -442,7 +443,7 @@ def test_deeply_nested_json_is_invalid_input(capsys):
 def test_omega_whole_answer_or_none(capsys):
     code, out, err = run(capsys, "omega", "A1", "3000", "--max-n", "5000")
     assert (code, out) == (3, "")
-    assert err == f"error[term-cap]: certificates of dimension 3000 exceed cap {characters.TERM_CAP}\n"
+    assert err == f"error[term-cap]: certificates of dimension 3000 exceed cap {_LIMITS['term-cap']}\n"
     code, out, _ = run(capsys, "omega", "A1", "25", "--max-n", "25", "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == 1958  # p(25)
@@ -474,8 +475,26 @@ def test_char_exact_term_count_fires_before_freudenthal(capsys, monkeypatch, cap
 
     monkeypatch.setattr(_kernels, "freudenthal", fail)
     argv = ["char", "C8", "1,1,1,1,1,1,1,1"] + (["--max-terms", cap] if cap else [])
-    limit = cap or characters.TERM_CAP
+    limit = cap or _LIMITS["term-cap"]
     assert run(capsys, *argv) == (3, "", f"error[term-cap]: support exceeds cap {limit}\n")
+
+
+@pytest.mark.parametrize(
+    "code, value, argv, message",
+    [
+        ("term-cap", 11, ["char", "A2", "6,6"], "support exceeds cap 11"),
+        ("term-cap", 11, ["schur", "12", "40"], "support exceeds cap 11"),
+        ("term-cap", 11, ["omega", "A1", "30"], "certificates of dimension 30 exceed cap 11"),
+        ("n-cap", 2, ["omega", "A2", "3"], "n=3 exceeds cap 2"),
+        ("rank-cap", 1, ["char", "A2", "1,0"], "character rank cap is 1"),
+        ("orbit-cap", 30, ["schur", "7", "7"], "orbit size exceeds cap 30"),
+    ],
+)
+def test_a_lowered_limit_reaches_the_cached_parser(capsys, monkeypatch, code, value, argv, message):
+    # the parser is built before the entry is lowered, and not rebuilt
+    build_parser()
+    monkeypatch.setitem(_LIMITS, code, value)
+    assert run(capsys, *argv) == (3, "", f"error[{code}]: {message}\n")
 
 
 def _no_root_data(monkeypatch):
@@ -488,19 +507,19 @@ def _no_root_data(monkeypatch):
 
 
 _ONES_400 = ",".join(["1"] * 400)
-_RANK_CAP = (3, "", "error[rank-cap]: character rank cap is 8\n")
+_OVER_RANK = (3, "", "error[rank-cap]: character rank cap is 8\n")
 
 # every subcommand that takes a group, on inputs that need none of A400's roots
 _GROUP_CASES = [
-    (["char", "A400", _ONES_400], _RANK_CAP),
-    (["char", "A9", "1,1,1,1,1,1,1,1,1"], _RANK_CAP),
+    (["char", "A400", _ONES_400], _OVER_RANK),
+    (["char", "A9", "1,1,1,1,1,1,1,1,1"], _OVER_RANK),
     (["dim", "A400", "1"], (2, "", "error[rank-mismatch]: weight length 1 for rank 400\n")),
     (
         ["realize", "A400", '{"n":2,"rows":[[1]]}'],
         (2, "", "error[rank-mismatch]: hom rank 1 for group rank 400\n"),
     ),
     # the greedy's order, 2 rho-check, is one solve in the Cartan matrix
-    (["realize", "A400", json.dumps({"rows": [[1] + [0] * 399]})], _RANK_CAP),
+    (["realize", "A400", json.dumps({"rows": [[1] + [0] * 399]})], _OVER_RANK),
     (
         ["realize", "A400", json.dumps({"rows": [[1, -1] + [0] * 398]})],
         (

@@ -15,6 +15,7 @@ from flagrep import ResourceCapError, _kernels, cartan, characters, cli, cartan_
 from flagrep.characters import Certificate, NotInOmega, _orbit_size, decompose, dimension, dominant_weights_up_to_dim
 from flagrep.characters import weight_multiplicities
 from flagrep.charpoly import CharPoly
+from flagrep.errors import _LIMITS
 
 import oracles
 
@@ -141,7 +142,7 @@ def test_roots_are_found_without_an_orbit_walk(monkeypatch):
 def test_root_orbit_cap_fires_at_the_rank_where_an_orbit_passes_it(monkeypatch, series, largest):
     # at cap 200: A13's 182 roots form one orbit, A14's 210 do not fit, and
     # the long roots of B and D and the short roots of C number 2n(n - 1)
-    monkeypatch.setattr(cartan, "ORBIT_CAP", 200)
+    monkeypatch.setitem(_LIMITS, "orbit-cap", 200)
     fresh = custom_cartan(cartan._series_matrix(series, largest))
     assert len(fresh.positive_roots) <= 100
     with pytest.raises(ResourceCapError) as info:

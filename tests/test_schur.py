@@ -29,8 +29,9 @@ from flagrep import (
     weights_of_schur,
 )
 from flagrep import cartan, characters, custom_cartan
-from flagrep.characters import TERM_CAP, Certificate
+from flagrep.characters import Certificate
 from flagrep.charpoly import CharPoly
+from flagrep.errors import _LIMITS
 from flagrep.schur import YPoly, parse_ypoly, render_ypoly, validate_partition
 
 import oracles
@@ -256,15 +257,15 @@ def test_layout_memo_holds_its_budget(monkeypatch):
     q = schur((1,), 3000)
     assert len(q.terms) == 3000
     assert list(schur_module._LAYOUTS) == [(1, 2999)]
-    assert schur_module._layout_bytes == _layout_memo_bytes() <= TERM_CAP
+    assert schur_module._layout_bytes == _layout_memo_bytes() <= _LIMITS["term-cap"]
     # a second wide layout evicts the first, the oldest
     assert len(schur((1, 1), 140).terms) == 9730
     assert list(schur_module._LAYOUTS) == [(2, 138)]
-    assert schur_module._layout_bytes == _layout_memo_bytes() <= TERM_CAP
+    assert schur_module._layout_bytes == _layout_memo_bytes() <= _LIMITS["term-cap"]
     # the budget is read at each build; a layout larger than it is not kept
     monkeypatch.setattr(schur_module, "_LAYOUTS", {})
     monkeypatch.setattr(schur_module, "_layout_bytes", 0)
-    monkeypatch.setattr(schur_module, "TERM_CAP", 300)
+    monkeypatch.setitem(_LIMITS, "term-cap", 300)
     cols = schur_module._layout((1, 1, 1, 1, 1))  # 120 rows by 5 columns
     assert list(zip(*cols)) == sorted(itertools.permutations(range(5)), reverse=True)
     assert schur_module._LAYOUTS == {} and schur_module._layout_bytes == 0
@@ -277,7 +278,7 @@ def test_layout_memo_holds_its_budget(monkeypatch):
 def test_layout_memo_counts_each_layout_once_across_threads(monkeypatch):
     monkeypatch.setattr(schur_module, "_LAYOUTS", {})
     monkeypatch.setattr(schur_module, "_layout_bytes", 0)
-    monkeypatch.setattr(schur_module, "TERM_CAP", 1000)  # a few layouts fit, so the threads evict
+    monkeypatch.setitem(_LIMITS, "term-cap", 1000)  # a few layouts fit, so the threads evict
     patterns = [(1, 1, 1, 1), (2, 2), (1, 3), (3, 1), (1, 1, 2), (2, 1, 1), (1, 2, 1), (1, 1, 1, 1, 1)]
     errors = []
 
@@ -333,6 +334,7 @@ def test_schur_in_many_variables_is_bounded():
     assert q.terms == {tuple(int(i == j) for j in range(1000)): 1 for i in range(1000)}
     assert schur((), 10**6) == YPoly.one(10**6)
     # the contents are counted before any is built
+    cap = _LIMITS["term-cap"]
     tracemalloc.start()
     try:
         for mu, m, n in (((1,), 10**6, 10**6), ((1, 1), 1000, 499_500)):
@@ -340,13 +342,13 @@ def test_schur_in_many_variables_is_bounded():
                 with pytest.raises(ResourceCapError) as info:
                     f(mu, m)
                 assert info.value.code == "term-cap"
-                assert str(info.value) == f"{n} terms times {m} variables exceed cap {TERM_CAP}"
+                assert str(info.value) == f"{n} terms times {m} variables exceed cap {cap}"
         # the empty shape's one content has m entries too (realize_schur rejects it)
         for mu in ((), (0, 0)):
             for f in (ssyt_contents, schur, weights_of_schur):
                 with pytest.raises(ResourceCapError) as info:
-                    f(mu, TERM_CAP + 1)
-                assert str(info.value) == f"1 terms times {TERM_CAP + 1} variables exceed cap {TERM_CAP}"
+                    f(mu, cap + 1)
+                assert str(info.value) == f"1 terms times {cap + 1} variables exceed cap {cap}"
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
@@ -384,12 +386,12 @@ def test_each_public_call_validates_its_partition_once(monkeypatch):
 
 def test_tableau_weights_capped_before_expanding():
     mu = (60, 30, 10)
-    assert schur_dim(mu, 4) == 62_558_496 > TERM_CAP
+    assert schur_dim(mu, 4) == 62_558_496 > _LIMITS["term-cap"]
     for f in (ssyt_contents, weights_of_schur, realize_schur):
         with pytest.raises(ResourceCapError) as info:
             f(mu, 4)
         assert info.value.code == "term-cap"
-        assert str(info.value) == f"62558496 tableaux exceed cap {TERM_CAP}"
+        assert str(info.value) == f"62558496 tableaux exceed cap {_LIMITS['term-cap']}"
 
 
 def test_schur_is_symmetric():
@@ -825,7 +827,7 @@ def _schur_error(shape, m):
 
 
 def test_schur_raises_the_root_walks_cap_before_building_the_group(monkeypatch):
-    monkeypatch.setattr(cartan, "ORBIT_CAP", 30)  # A_(k-1) passes it once k(k-1)/2 > 15, at k = 7
+    monkeypatch.setitem(_LIMITS, "orbit-cap", 30)  # A_(k-1) passes it once k(k-1)/2 > 15, at k = 7
     built = []
     monkeypatch.setattr(schur_module, "builtin_cartan", lambda *a: built.append(a) or cartan.builtin_cartan(*a))
     at_k = (((7,), 7), ((4, 3), 20), ((3, 2, 2), 7), ((7,), 9))
@@ -834,13 +836,13 @@ def test_schur_raises_the_root_walks_cap_before_building_the_group(monkeypatch):
         (case, None) for case in below_k
     ]:
         built.clear()
-        assert _schur_error(shape, m) == _full_path_error(shape, m, TERM_CAP) == expected, (shape, m)
+        assert _schur_error(shape, m) == _full_path_error(shape, m, _LIMITS["term-cap"]) == expected, (shape, m)
         assert built == ([] if expected else [("A", 5)])
 
 
 def test_schur_raises_the_string_term_cap_before_building_the_group(monkeypatch):
-    monkeypatch.setattr(schur_module, "TERM_CAP", 11)
+    monkeypatch.setitem(_LIMITS, "term-cap", 11)
     monkeypatch.setattr(schur_module, "builtin_cartan", None)  # never reached
-    monkeypatch.setattr(cartan, "ORBIT_CAP", 100)
+    monkeypatch.setitem(_LIMITS, "orbit-cap", 100)
     for shape, m in (((11,), 11), ((30,), 2), ((12,), 40)):
         assert _schur_error(shape, m) == _full_path_error(shape, m, 11) == ("term-cap", "support exceeds cap 11")
