@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _kernels
 from ._record import _Record
-from .errors import _LIMITS, InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError, _check_cap
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -462,4 +462,5 @@ def weyl_orbit(cd: CartanData, w: Sequence[int], cap: int = _LIMITS["orbit-cap"]
     The walk checks the cap before it adds each weight, so it raises
     ResourceCapError ``orbit-cap`` exactly when the orbit has more than
     ``cap`` weights, and never holds more than ``cap``."""
+    _check_cap(cap)
     return frozenset(cd.orbit_walk(dominant_representative(cd, w), cap))

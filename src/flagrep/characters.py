@@ -47,7 +47,7 @@ from . import _kernels
 from ._record import _Record
 from .cartan import CartanData, Weight, _check_weight, is_dominant
 from .charpoly import CharPoly
-from .errors import _LIMITS, InputError, ResourceCapError
+from .errors import _LIMITS, InputError, ResourceCapError, _check_cap
 
 #: (group, highest weight, cap) entries ``_dominant_character`` holds before
 #: it evicts the least recently used one.
@@ -202,6 +202,7 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = _
 
     The dominant multiplicities come from the cache; the orbits are
     expanded on every call, into a new ``CharPoly`` that is not kept."""
+    _check_cap(max_terms)
     lam = _require_dominant(cd, lam)
     if cd.rank > _LIMITS["rank-cap"]:
         raise ResourceCapError("rank-cap", f"character rank cap is {_LIMITS['rank-cap']}")
@@ -278,6 +279,7 @@ def decompose(cd: CartanData, p: CharPoly, max_terms: int = _LIMITS["term-cap"])
     so the highest of them, the witness, is dominant too.  Any other
     polynomial is reduced on all its terms against whole characters.
     """
+    _check_cap(max_terms)
     if p.rank != cd.rank:
         raise InputError("rank-mismatch", f"polynomial rank {p.rank} for rank {cd.rank}")
     if not p.is_effective():
@@ -357,10 +359,17 @@ def _greedy(
     return _certificate(cd, pairs)
 
 
+def _check_dimension(n) -> None:
+    """Raises ``invalid-dimension`` unless n is a positive ``int``, not a
+    ``bool``: a float or ``True`` would be read as a dimension."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError("invalid-dimension", "n must be a positive integer")
+
+
 def is_in_omega_n(cd: CartanData, p: CharPoly, n: int, max_terms: int = _LIMITS["term-cap"]) -> DecomposeResult:
     """Certificate iff ``p`` is the character of an n-dimensional module."""
-    if n < 1:
-        raise InputError("invalid-dimension", "n must be a positive integer")
+    _check_dimension(n)
+    _check_cap(max_terms)
     actual = p.evaluate_at_one()
     if actual != n:
         return NotInOmega(reason="dimension-mismatch", expected=n, actual=actual)
@@ -479,8 +488,10 @@ def omega_n_enumerate(
     stream starts, and more of them than that raises the term cap, so a
     caller that prints them all prints a whole answer or none.
     """
-    if n < 1:
-        raise InputError("invalid-dimension", "n must be a positive integer")
+    _check_dimension(n)
+    _check_cap(max_n)
+    if max_certificates is not None:
+        _check_cap(max_certificates)
     if n > max_n:
         raise ResourceCapError("n-cap", f"n={n} exceeds cap {max_n}")
     irreps = dominant_weights_up_to_dim(cd, n)

@@ -96,6 +96,14 @@ class _TermDict:
     _reduce = None
 
     @classmethod
+    def _check_size(cls, n) -> None:
+        """Raises ``invalid-rank`` unless the size is exactly an ``int``,
+        before any comparison: ``True`` would be read as 1, and a float
+        would be kept as the size or fail deep inside."""
+        if type(n) is not int:
+            raise InputError("invalid-rank", f"{cls._size_name} must be an integer")
+
+    @classmethod
     def _validated(cls, n: int, terms) -> dict[tuple[int, ...], int]:
         """The clean term dict of public input, equal keys summed.
 
@@ -134,8 +142,10 @@ class _TermDict:
     def _parsed(cls, n: int, text: str, prefix: str, rho_name: str | None):
         """The polynomial ``_read`` reads from text, its terms summed with
         no second check: their keys are exact int tuples of length n,
-        reduced here by ``_reduce``.  A size below 1 gets the constructor's
-        error, after any error in the text."""
+        reduced here by ``_reduce``.  A size that is not an ``int`` is
+        refused first; one below 1 gets the constructor's error, after any
+        error in the text."""
+        cls._check_size(n)
         terms = _read(text, prefix, n, rho_name)
         if n < 1:
             return cls(n)  # raises
@@ -220,6 +230,7 @@ class CharPoly(_TermDict):
     _size_name = "rank"
 
     def __init__(self, rank: int, terms: Mapping[Weight, int] | Iterable[tuple[Weight, int]] = ()):
+        self._check_size(rank)
         if rank < 1:
             raise InputError("invalid-rank", "rank must be positive")
         self._fill(rank, self._validated(rank, terms))

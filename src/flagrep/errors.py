@@ -27,3 +27,11 @@ class ResourceCapError(RuntimeError):
         super().__init__(message)
         self.code = code
 
+
+
+def _check_cap(cap) -> None:
+    """Raises ``invalid-cap`` unless a cap given to a public function is
+    exactly an ``int``: a float or a ``bool`` would pass the caps'
+    comparisons, and a float is never an orbit's length."""
+    if type(cap) is not int:
+        raise InputError("invalid-cap", f"cap must be an integer, got {cap!r}")

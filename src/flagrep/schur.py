@@ -90,6 +90,7 @@ class YPoly(_TermDict):
     _reduce = staticmethod(_canonical)
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], int] | Iterable[tuple[tuple[int, ...], int]] = ()):
+        self._check_size(nvars)
         if nvars < 1:
             raise InputError("invalid-rank", "need at least one variable")
         self._fill(nvars, self._validated(nvars, terms))

@@ -16,6 +16,8 @@ from flagrep import (
     ResourceCapError,
     cartan_from_tag,
     certificate_character,
+    check_realizable,
+    cohom_from_rows,
     custom_cartan,
     decompose,
     dimension,
@@ -621,6 +623,28 @@ def test_omega_certificate_cap_counts_before_the_stream():
         omega_n_enumerate(A1, 3000, max_n=5000, max_certificates=_LIMITS["term-cap"])
 
 
+_CAP_CALLS = {
+    "weyl_orbit": lambda cap: weyl_orbit(A2, (1, 1), cap=cap),
+    "weight_multiplicities": lambda cap: weight_multiplicities(A2, (1, 1), cap),
+    "decompose": lambda cap: decompose(A2, weight_multiplicities(A2, (1, 1)), cap),
+    "is_in_omega_n": lambda cap: is_in_omega_n(A2, weight_multiplicities(A2, (1, 1)), 8, cap),
+    "check_realizable": lambda cap: check_realizable(A2, cohom_from_rows([[1, 0], [-1, 1]]), cap),
+    "omega_n_enumerate-max_n": lambda cap: omega_n_enumerate(A2, 3, cap),
+    "omega_n_enumerate-max_certificates": lambda cap: omega_n_enumerate(A2, 3, max_certificates=cap),
+}
+
+
+@pytest.mark.parametrize("cap", [2.5, 7.5, 10.0**7, True], ids=["2.5", "7.5", "1e7", "True"])
+@pytest.mark.parametrize("call", sorted(_CAP_CALLS))
+def test_a_cap_that_is_not_an_int_is_refused(call, cap):
+    # a float cap never equals an orbit's length, so the orbit walk would
+    # not stop, and True would be read as a cap of 1
+    with pytest.raises(InputError) as info:
+        _CAP_CALLS[call](cap)
+    assert (info.value.code, str(info.value)) == ("invalid-cap", f"cap must be an integer, got {cap!r}")
+    _CAP_CALLS[call](10**7)  # an int cap answers
+
+
 def test_injectivity_on_small_slice():
     # distinct certificates give distinct polynomials, both ranks
     for cd in (A1, A2):
@@ -777,10 +801,12 @@ def test_characters_boundary_errors():
     with pytest.raises(InputError) as info:
         decompose(a2, CharPoly(1, {(1,): 1, (-1,): 1}))
     assert (info.value.code, str(info.value)) == ("rank-mismatch", "polynomial rank 1 for rank 2")
-    for n in (0, -1):
-        with pytest.raises(InputError) as info:
-            is_in_omega_n(a2, CharPoly(2, {(0, 0): 1}), n)
-        assert (info.value.code, str(info.value)) == ("invalid-dimension", "n must be a positive integer")
+    # a float or a bool would be read as a dimension, and certify
+    for n in (0, -1, 1.0, True, "1"):
+        for f, args in ((is_in_omega_n, (a2, CharPoly(2, {(0, 0): 1}), n)), (omega_n_enumerate, (a2, n))):
+            with pytest.raises(InputError) as info:
+                f(*args)
+            assert (info.value.code, str(info.value)) == ("invalid-dimension", "n must be a positive integer")
     empty = Certificate(summands=(), total_dim=0)
     assert empty.render() == "0"
     assert empty.to_json_dict() == {"summands": [], "dim": 0}

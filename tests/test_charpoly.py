@@ -14,7 +14,7 @@ from flagrep.charpoly import (
     render,
 )
 
-from flagrep.schur import YPoly
+from flagrep.schur import YPoly, parse_ypoly
 
 import oracles
 import poly_text
@@ -429,6 +429,18 @@ def test_long_digit_runs_are_input_errors():
     with pytest.raises(InputError) as info:
         parse("1" * 5000, 1)
     assert info.value.code == "parse-error"
+
+
+@pytest.mark.parametrize("size", [2.0, True, "2"], ids=["float", "bool", "str"])
+def test_a_term_dict_size_must_be_an_int(size):
+    # True would be read as one variable, and 2.0 kept as the size or fail deep inside
+    for f, args, name in (
+        (CharPoly, (size, {(1, 0): 1}), "rank"),
+        (parse, ("w1", size), "rank"),
+        (YPoly, (size, {(1,): 1}), "nvars"),
+        (parse_ypoly, ("y1", size), "nvars"),
+    ):
+        assert outcome(f, *args) == ("invalid-rank", f"{name} must be an integer"), f.__name__
 
 
 def test_charpoly_boundary_errors():

@@ -6,7 +6,9 @@ A cited name such as ``_kernels.freudenthal`` or ``CartanData.support_steps``
 is checked when its head is a flagrep module, a name of the module that
 cites it, or a name of the package; its tail is then read attribute by
 attribute.  Any other name, such as a local (``cd.orbit_walk``), is
-skipped.  The source is read as text, and each module is imported as the
+skipped, unless it is an UPPER_SNAKE name with an underscore, such as a
+cap's old name: one that resolves nowhere is stale.  Tags such as ``A2``
+carry no underscore.  The source is read as text, and each module is imported as the
 package imports it.
 """
 
@@ -41,6 +43,10 @@ def stale(stem, text):
             obj = getattr(home, head)
         elif hasattr(flagrep, head):
             obj = getattr(flagrep, head)
+        elif head.isupper() and "_" in head:  # a constant, such as a cap, that was renamed or removed
+            checked += 1
+            missing.append(name)
+            continue
         else:
             continue
         checked += 1
@@ -64,5 +70,5 @@ def test_the_source_cites_names_that_are_checked():
 
 
 def test_a_stale_name_is_found():
-    text = "``_kernels.no_such_kernel``, ``CharPoly.no_such_method`` and ``cd.orbit_walk``"
-    assert stale("charpoly", text) == (2, ["_kernels.no_such_kernel", "CharPoly.no_such_method"])
+    text = "``_kernels.no_such_kernel``, ``CharPoly.no_such_method``, ``NO_SUCH_CAP`` and ``cd.orbit_walk``"
+    assert stale("charpoly", text) == (3, ["_kernels.no_such_kernel", "CharPoly.no_such_method", "NO_SUCH_CAP"])
