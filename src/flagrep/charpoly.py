@@ -166,6 +166,7 @@ class _TermDict:
 
     @classmethod
     def one(cls, n: int):
+        cls._check_size(n)  # before the key is built from n
         return cls(n, {(0,) * n: 1})
 
     @property

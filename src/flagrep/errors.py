@@ -28,7 +28,6 @@ class ResourceCapError(RuntimeError):
         self.code = code
 
 
-
 def _check_cap(cap) -> None:
     """Raises ``invalid-cap`` unless a cap given to a public function is
     exactly an ``int``: a float or a ``bool`` would pass the caps'

@@ -436,8 +436,10 @@ def test_a_term_dict_size_must_be_an_int(size):
     # True would be read as one variable, and 2.0 kept as the size or fail deep inside
     for f, args, name in (
         (CharPoly, (size, {(1, 0): 1}), "rank"),
+        (CharPoly.one, (size,), "rank"),
         (parse, ("w1", size), "rank"),
         (YPoly, (size, {(1,): 1}), "nvars"),
+        (YPoly.one, (size,), "nvars"),
         (parse_ypoly, ("y1", size), "nvars"),
     ):
         assert outcome(f, *args) == ("invalid-rank", f"{name} must be an integer"), f.__name__

@@ -7,9 +7,9 @@ is checked when its head is a flagrep module, a name of the module that
 cites it, or a name of the package; its tail is then read attribute by
 attribute.  Any other name, such as a local (``cd.orbit_walk``), is
 skipped, unless it is an UPPER_SNAKE name with an underscore, such as a
-cap's old name: one that resolves nowhere is stale.  Tags such as ``A2``
-carry no underscore.  The source is read as text, and each module is imported as the
-package imports it.
+removed constant's: one that resolves nowhere is stale.  Tags such as
+``A2`` carry no underscore.  The source is read as text, and each module
+is imported as the package imports it.
 """
 
 import importlib
@@ -43,7 +43,7 @@ def stale(stem, text):
             obj = getattr(home, head)
         elif hasattr(flagrep, head):
             obj = getattr(flagrep, head)
-        elif head.isupper() and "_" in head:  # a constant, such as a cap, that was renamed or removed
+        elif head.isupper() and "_" in head:  # a constant that resolves nowhere
             checked += 1
             missing.append(name)
             continue
