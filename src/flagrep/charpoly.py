@@ -20,8 +20,11 @@ the reader's terms) already satisfy the invariant and are wrapped by
 term-dict format, its validation and its arithmetic are shared with
 ``schur.YPoly`` through one base class.
 
-``render`` (and ``schur.render_ypoly``) write through one writer,
-``_write``, column by column in blocks of ``_BLOCK`` terms: per block, the
+``render`` (and ``schur.render_ypoly``) join the blocks of one writer,
+``_write``, which the CLI also reads block by block, so an answer's whole
+text is never built there.  The writer takes the sorted keys and their
+coefficients and drops the term dict before its first block, then writes
+column by column in blocks of ``_BLOCK`` terms: per block, the
 exponent columns of the variables that occur are mapped through per-variable
 factor texts and the rows joined, so no per-term Python loop runs and a
 variable absent from a block costs one slice and compare.  A unit coefficient is
@@ -42,7 +45,7 @@ import re
 import sys
 from itertools import chain
 from operator import add
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cartan import Weight
 from .errors import InputError
@@ -252,33 +255,42 @@ class CharPoly(_TermDict):
 
 
 def render(p: CharPoly) -> str:
-    """Canonical text form: reduced monomials, highest lattice point first."""
-    return _write(p.terms, "w", "rho")
+    """Canonical text form: reduced monomials, highest lattice point first.
+    Anything but a ``CharPoly`` raises ``InputError`` ``invalid-poly``."""
+    if not isinstance(p, CharPoly):
+        raise InputError("invalid-poly", f"render takes a CharPoly, not {type(p).__name__}")
+    return "".join(_write(p.terms, "w", "rho"))
 
 
-#: Terms per block in ``_write``: the lists it makes for one block are this
-#: long (times the key length), whatever the answer's size.
+#: Terms per block in ``_write``: the text and the lists it makes for one
+#: block hold this many terms (the lists times the key length), whatever
+#: the answer's size; only the sorted keys and their coefficient column are
+#: as long as the answer.
 _BLOCK = 4096
 
 
-def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | None) -> str:
+def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | None) -> Iterator[str]:
     """Text of a term dict over ``prefix``1..``prefix``<n> and the relation
-    variable ``rho_name``, highest key first.
+    variable ``rho_name``, highest key first, yielded one block at a time:
+    the text is the blocks joined.
 
-    The sorted keys are written column by column, one block of ``_BLOCK``
-    terms at a time.  Per block: each key's rho shift (rho absorbs the
-    negative exponents, as in ``normalize``; without ``rho_name`` the keys
-    have none), the block's columns sliced from one flat list of its
-    entries, and per variable its column of exponents mapped through that
-    variable's factor texts ("" at 0, then "*w1", "*w1^2", ...; a dict
-    filled with the exponents met, so a large exponent costs one entry),
-    with a rho column of the shifts and a column of signed coefficients
-    (" + c" or " - |c|") in front; each row is joined, then the block.
-    Slicing makes no object per row (``zip(*block)`` makes an iterator per
-    key, enough to set off full garbage-collector passes over a large
-    answer's keys).  Only a live column, one with a nonzero exponent, gets
-    a name and a factor table, so wide keys cost one slice compare per
-    variable.
+    Before the first block the writer takes the sorted keys and their
+    coefficient column and drops its reference to ``terms``, so a dict the
+    caller holds no other reference to (the CLI passes a fresh answer's
+    ``.terms`` straight in) is freed before any text is made.  Then the
+    keys are written column by column, one block of ``_BLOCK`` terms at a
+    time.  Per block: each key's rho shift (rho absorbs the negative
+    exponents, as in ``normalize``; without ``rho_name`` the keys have
+    none), the block's columns sliced from one flat list of its entries,
+    and per variable its column of exponents mapped through that variable's
+    factor texts ("" at 0, then "*w1", "*w1^2", ...; a dict filled with the
+    exponents met, so a large exponent costs one entry), with a rho column
+    of the shifts and a column of signed coefficients (" + c" or " - |c|")
+    in front; each row is joined, then the block.  Slicing makes no object
+    per row (``zip(*block)`` makes an iterator per key, enough to set off
+    full garbage-collector passes over a large answer's keys).  Only a live
+    column, one with a nonzero exponent, gets a name and a factor table, so
+    wide keys cost one slice compare per variable.
 
     A unit coefficient is dropped by replacing " + 1*" with " + " and
     " - 1*" with " - ": no factor text holds a space, and a coefficient is
@@ -287,15 +299,17 @@ def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | No
     " - " becomes "-".
     """
     if not terms:
-        return "0"
+        yield "0"
+        return
     keys = sorted(terms, reverse=True)
+    coeffs = list(map(terms.__getitem__, keys))
+    del terms  # the dict is freed here unless the caller still holds it
     n = len(keys[0])
     tables = {}  # variable index (n for rho) -> {exponent: factor text}
-    blocks = []
     for start in range(0, len(keys), _BLOCK):
         block = keys[start:start + _BLOCK]
-        coeffs = list(map(terms.__getitem__, block))
-        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(coeffs)}
+        column = coeffs[start:start + _BLOCK]
+        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(column)}
         shifts = [0] * len(block) if rho_name is None else [-x if x < 0 else 0 for x in map(min, block)]
         dead = [-s for s in shifts]  # a column whose shifted exponents are all 0
         shifted = any(shifts)
@@ -304,7 +318,7 @@ def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | No
         columns = [(i, list(map(add, flat[i::n], shifts)) if shifted else flat[i::n]) for i in live]
         if shifted:
             columns.append((n, shifts))
-        texts = [map(signed.__getitem__, coeffs)]
+        texts = [map(signed.__getitem__, column)]
         for i, exps in columns:
             table = tables.get(i)
             if table is None:
@@ -312,10 +326,10 @@ def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | No
             for e in set(exps).difference(table):
                 table[e] = f"{table[1]}^{e}"
             texts.append(map(table.__getitem__, exps))
-        blocks.append("".join(map("".join, zip(*texts))).replace(" + 1*", " + ").replace(" - 1*", " - "))
-    first = blocks[0]
-    blocks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-    return "".join(blocks)
+        text = "".join(map("".join, zip(*texts))).replace(" + 1*", " + ").replace(" - 1*", " - ")
+        if not start:
+            text = text[3:] if text[1] == "+" else "-" + text[3:]
+        yield text
 
 
 #: A character outside the grammar: the text's first one is its error,

@@ -2,13 +2,18 @@
 
 Structured inputs (matrices, weight lists) are JSON, given inline or as a
 file path; polynomials use the canonical text grammar.  Results go to
-stdout, diagnostics to stderr, and output is byte-stable across runs.
+stdout, diagnostics to stderr, and output is byte-stable across runs.  A
+polynomial answer is written block by block as ``charpoly._write`` makes
+it (``_print_poly``), its term dict passed straight in so that it is
+freed before the first block, and its whole text is never built.
 
 Exit codes: 0 success or certified, 1 not certified (realize only),
 2 input error, 3 resource cap exceeded, 4 internal error (a bug: the
 exception is reported as ``error[internal]`` on stderr, without a traceback),
-141 when the reader closed stdout before the answer was written, with
-nothing printed: the code a shell reports for a process that SIGPIPE ends.
+141 when the reader closed stdout before the answer was all written:
+nothing more is printed, so a reader that closed mid-answer has received a
+prefix of it; 141 is the code a shell reports for a process that SIGPIPE
+ends.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ import os
 import sys
 from collections import Counter
 from itertools import chain, repeat
+from typing import Iterable
 
 from . import characters, realize
 from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
+from .charpoly import _write
 from .charpoly import parse as parse_poly
-from .charpoly import render
 from .errors import _LIMITS, InputError, ResourceCapError
-from .schur import alpha, parse_partition, render_ypoly, schur
+from .schur import alpha, parse_partition, schur
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIED = 1
@@ -69,14 +75,26 @@ def _answer():
     """Lift Python's limit on the digits of int-to-text conversion while an
     answer is written.  Inputs are parsed under that limit, before; an
     answer computed from them can have more digits (a dimension is a
-    product, an s-invariant's derived row a sum).  The answers of ``char``,
-    ``schur``, ``cor3`` and ``omega`` are held far below it by their caps."""
+    product, an s-invariant's derived row a sum).  A polynomial's text is
+    made as ``_print_poly`` writes it, so that call runs inside.  The
+    answers of ``char``, ``schur``, ``cor3`` and ``omega`` are held far
+    below the limit by their caps."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _print_poly(blocks: Iterable[str], head: str = "") -> None:
+    """Print one polynomial answer line, ``head`` and then the text blocks
+    of ``charpoly._write`` one at a time, so the line is never built whole."""
+    write = sys.stdout.write
+    write(head)
+    for block in blocks:
+        write(block)
+    write("\n")
 
 
 def _group_from_args(args) -> CartanData:
@@ -143,7 +161,7 @@ def _cmd_char(args) -> int:
     cd = _group_from_args(args)
     weight = _parse_weight(args.weight)
     max_terms = _positive_cap(args.max_terms, "--max-terms", "term-cap")
-    print(render(characters.weight_multiplicities(cd, weight, max_terms)))
+    _print_poly(_write(characters.weight_multiplicities(cd, weight, max_terms).terms, "w", "rho"))
     return EXIT_OK
 
 
@@ -158,7 +176,7 @@ def _cmd_dim(args) -> int:
 def _cmd_smap(args) -> int:
     hom, _ = realize.cohom_from_json(_load_json_arg(args.hom))
     with _answer():
-        print(render(realize.s_map(hom)))
+        _print_poly(_write(realize.s_map(hom).terms, "w", "rho"))
     return EXIT_OK
 
 
@@ -195,14 +213,14 @@ def _cmd_verify_theorem(args) -> int:
     check = realize.verify_factorization(cd, tr)
     with _answer():
         print(f"equal: {'true' if check.equal else 'false'}")
-        print(f"character: {render(check.character)}")
-        print(f"via-induced-map: {render(check.via_cohomology)}")
+        _print_poly(_write(check.character.terms, "w", "rho"), "character: ")
+        _print_poly(_write(check.via_cohomology.terms, "w", "rho"), "via-induced-map: ")
     return EXIT_OK
 
 
 def _cmd_schur(args) -> int:
     mu = parse_partition(args.mu)
-    print(render_ypoly(schur(mu, args.m)))
+    _print_poly(_write(schur(mu, args.m).terms, "y", None))
     return EXIT_OK
 
 
@@ -212,7 +230,7 @@ def _cmd_alpha(args) -> int:
         raise InputError("typea-required", "alpha is defined for type A groups only")
     poly = parse_poly(args.poly, cd.rank)
     with _answer():
-        print(render_ypoly(alpha(poly)))
+        _print_poly(_write(alpha(poly).terms, "y", None))
     return EXIT_OK
 
 
@@ -227,7 +245,7 @@ def _cmd_cor3(args) -> int:
     rows = chain.from_iterable(repeat(row % key, n) for key, n in counts.items())
     print(f"n: {result.n}")
     print(f"rows: [{', '.join(rows)}]")
-    print(f"alpha-s: {render_ypoly(result.symmetric_function)}")
+    _print_poly(_write(result.symmetric_function.terms, "y", None), "alpha-s: ")
     print(f"check: {'ok' if result.matches else 'mismatch'}")
     return EXIT_OK
 

@@ -100,7 +100,12 @@ class YPoly(_TermDict):
 
 
 def render_ypoly(q: YPoly) -> str:
-    return _write(q.terms, "y", None)
+    """Canonical text form, highest key first.  Anything but a ``YPoly``
+    raises ``InputError`` ``invalid-poly``: a ``CharPoly``'s negative
+    exponents have no text here."""
+    if not isinstance(q, YPoly):
+        raise InputError("invalid-poly", f"render_ypoly takes a YPoly, not {type(q).__name__}")
+    return "".join(_write(q.terms, "y", None))
 
 
 def parse_ypoly(text: str, nvars: int) -> YPoly:

@@ -14,7 +14,7 @@ from flagrep.charpoly import (
     render,
 )
 
-from flagrep.schur import YPoly, parse_ypoly
+from flagrep.schur import YPoly, parse_ypoly, render_ypoly, schur
 
 import oracles
 import poly_text
@@ -217,6 +217,26 @@ def test_render_examples():
     assert render(CharPoly(1, {(1,): 1, (-1,): 1})) == "w1 + rho"
     assert render(CharPoly.zero(2)) == "0"
     assert render(CharPoly(2, {(1, 0): 1, (0, -1): 1, (-1, 1): 1})) == "w1 + w1*rho + w2^2*rho"
+
+
+@pytest.mark.parametrize(
+    "writer, poly, message",
+    [
+        (render, lambda: schur((2, 1), 3), "render takes a CharPoly, not YPoly"),
+        (render, lambda: "w1", "render takes a CharPoly, not str"),
+        (
+            render_ypoly,
+            lambda: weight_multiplicities(cartan_from_tag("A2"), (1, 0)),
+            "render_ypoly takes a YPoly, not CharPoly",
+        ),
+    ],
+)
+def test_each_writer_takes_only_its_own_polynomial_type(writer, poly, message):
+    # a YPoly's keys would print as w-monomials, and a CharPoly's negative
+    # exponents as y-powers that no reader takes
+    with pytest.raises(InputError) as exc:
+        writer(poly())
+    assert (exc.value.code, str(exc.value)) == ("invalid-poly", message)
 
 
 def test_render_signed_coefficients():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -9,11 +10,13 @@ import tracemalloc
 
 import pytest
 
-from flagrep import cartan_from_tag, characters, custom_cartan, schur_dim, weight_of_partition
+from flagrep import cartan_from_tag, characters, charpoly, custom_cartan, schur_dim, weight_of_partition
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
 from flagrep.errors import _LIMITS
+
+import poly_text
 
 
 def run(capsys, *argv):
@@ -852,3 +855,81 @@ def test_a_launch_imports_no_dataclasses_fractions_or_json():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     answers = "char 0 []\nomega 0 []\ncor3 0 []\nrealize 0 ['json']\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n2\n[]\n" + answers, "")
+
+
+# --- polynomial answers written block by block ---------------------------------
+
+def _poly_answers():
+    """(argv, expected stdout) for each subcommand that prints a polynomial,
+    the polynomial text made by ``render`` or ``render_ypoly`` at the
+    default block length; each answer has several terms, and the first
+    alpha's starts with a negative one."""
+    from flagrep import alpha, parse, realize_schur, render, render_ypoly, s_map, schur
+    from flagrep.realize import TorusRestriction, cohom_from_json, verify_factorization
+
+    hom = '{"n": 4, "rows": [[1, 0], [0, 1], [-1, 2]]}'
+    weights = [[1, 0], [-1, 1], [0, -1], [2, -1], [-1, 2], [-1, -1]]
+    check = verify_factorization(cartan_from_tag("A2"), TorusRestriction(tuple(map(tuple, weights))))
+    cor3 = realize_schur((2, 1), 3)
+    return [
+        (("char", "B2", "2,1"), render(characters.weight_multiplicities(cartan_from_tag("B2"), (2, 1))) + "\n"),
+        (("smap", hom), render(s_map(cohom_from_json(json.loads(hom))[0])) + "\n"),
+        (
+            ("verify-theorem", "A2", json.dumps(weights)),
+            f"equal: true\ncharacter: {render(check.character)}\nvia-induced-map: {render(check.via_cohomology)}\n",
+        ),
+        (("schur", "2,1", "3"), render_ypoly(schur((2, 1), 3)) + "\n"),
+        (("alpha", "A2", "--", "-w1 - w2"), render_ypoly(alpha(parse("-w1 - w2", 2))) + "\n"),
+        (("alpha", "A2", "--", "-3*w1^2 + w2 - 5 + rho^2"), render_ypoly(alpha(parse("-3*w1^2 + w2 - 5 + rho^2", 2))) + "\n"),
+        (
+            ("cor3", "2,1", "3"),
+            f"n: {cor3.n}\nrows: {json.dumps([list(row) for row in cor3.hom.rows])}\n"
+            f"alpha-s: {render_ypoly(cor3.symmetric_function)}\ncheck: ok\n",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+def test_streamed_answers_match_the_library_text(block, capsys, monkeypatch):
+    answers = _poly_answers()
+    assert answers[4][1] == "-y1*y2 - y1\n"  # the first block's sign rule runs
+    monkeypatch.setattr(charpoly, "_BLOCK", block)
+    for argv, expected in answers:
+        assert run(capsys, *argv) == (0, expected, ""), argv
+
+
+def test_char_peaks_at_the_expansion_plus_one_block(monkeypatch):
+    """The answer's whole text is never built and its term dict is freed
+    before the first block, so the CLI's traced peak for B3 (6,6,6), 20,251
+    terms in five blocks, is no higher than the expansion's own peak plus
+    what writing one block takes alone."""
+
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    cd = cartan_from_tag("B3")
+    terms = characters.weight_multiplicities(cd, (6, 6, 6)).terms
+    block = charpoly.CharPoly(3, dict(itertools.islice(sorted(terms.items(), reverse=True), charpoly._BLOCK)))
+    del terms
+    monkeypatch.setattr(sys, "stdout", Sink())
+    assert main(["char", "B3", "6,6,6"]) == 0  # the parser, the group and the cache are built
+    tracemalloc.start()
+    try:
+        charpoly.render(block)
+        one_block = tracemalloc.get_traced_memory()[1]
+        del block
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        characters.weight_multiplicities(cd, (6, 6, 6))
+        expansion = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(["char", "B3", "6,6,6"]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= expansion + one_block, (peak, expansion, one_block)
