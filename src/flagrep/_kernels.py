@@ -14,7 +14,8 @@ Conventions used by every function here:
 * The Weyl orbit walk is Python source written from the Cartan matrix's
   entries alone, each simple reflection spelt out in named coordinates,
   and compiled by ``compile_orbit_walk``.  ``CartanData.orbit_walk`` keeps
-  one per group, and ``orbit_terms`` runs the one it is given.
+  one per group, and ``orbit_terms`` runs the one it is given, into a
+  term dict or into rows (w1, ..., wr, mult).
 
 No kernel keeps a cache, and none solves in the Cartan matrix.
 """
@@ -185,19 +186,30 @@ def freudenthal(tables, lam, support):
     return mults
 
 
-def orbit_terms(walk, dominant_mults, max_terms):
-    """Expand dominant multiplicities to the full Weyl-symmetric term dict,
-    with the group's compiled ``walk`` (``compile_orbit_walk``); each key of
-    ``dominant_mults`` must be dominant, as the walk starts there."""
-    terms = {}
+def orbit_terms(walk, dominant_mults, max_terms, size=None):
+    """Expand dominant multiplicities to every term of the Weyl-symmetric
+    character, with the group's compiled ``walk`` (``compile_orbit_walk``);
+    each key of ``dominant_mults`` must be dominant, as the walk starts
+    there.  The walk of each orbit holds the terms so far to ``max_terms``.
+
+    Returns the term dict; or, given ``size``, the exact term count, a list
+    of ``size`` rows (w1, ..., wr, mult), one per term in orbit order,
+    sized once: each orbit becomes its rows as soon as it is walked, so no
+    term dict is built (``characters._character_rows``)."""
+    terms = {} if size is None else [None] * size
+    done = 0
     for mu, mult in dominant_mults.items():
         try:
-            orbit = walk(mu, max_terms - len(terms))
+            orbit = walk(mu, max_terms - done)
         except ResourceCapError:
             raise ResourceCapError(
                 "term-cap", f"support exceeds cap {max_terms}"
             ) from None
-        terms.update(zip(orbit, repeat(mult)))
+        if size is None:
+            terms.update(zip(orbit, repeat(mult)))
+        else:
+            terms[done:done + len(orbit)] = map(add, orbit, repeat((mult,)))
+        done += len(orbit)
     return terms
 
 

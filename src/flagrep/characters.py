@@ -19,7 +19,9 @@ multiplicities are memoised, in one ``lru_cache`` of
 ``CHARACTER_CACHE_SIZE`` entries keyed by group, highest weight and cap;
 ``decompose`` reads them as they are, and a caller that needs every term
 gets the Weyl orbits expanded afresh on each call, so no expanded
-character outlives its caller.  Dimensions come from the Weyl product
+character outlives its caller: ``weight_multiplicities`` into a term dict,
+and ``_character_rows``, for the CLI's ``char``, into sorted rows
+(w1, ..., wr, mult) with no term dict.  Dimensions come from the Weyl product
 formula.  Both are exact: each ends in one integer division that must
 leave no remainder, and the code asserts that it does.
 
@@ -202,12 +204,29 @@ def weight_multiplicities(cd: CartanData, lam: Sequence[int], max_terms: int = _
 
     The dominant multiplicities come from the cache; the orbits are
     expanded on every call, into a new ``CharPoly`` that is not kept."""
+    dominant = _checked_dominant(cd, lam, max_terms)
+    return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.orbit_walk, dominant, max_terms))
+
+
+def _character_rows(cd: CartanData, lam: Sequence[int], max_terms: int) -> list[tuple[int, ...]]:
+    """The terms of ``weight_multiplicities(cd, lam, max_terms)`` as rows
+    (w1, ..., wr, mult), highest weight first, with the same checks and
+    caps: what ``charpoly._write_rows`` writes, with no term dict built.
+    The list is sized once, from the orbit sizes, and sorted once."""
+    dominant = _checked_dominant(cd, lam, max_terms)
+    rows = _kernels.orbit_terms(cd.orbit_walk, dominant, max_terms, _term_count(cd, dominant))
+    rows.sort(reverse=True)
+    return rows
+
+
+def _checked_dominant(cd: CartanData, lam: Sequence[int], max_terms: int) -> dict[Weight, int]:
+    """The cached dominant multiplicities of a full character, after the
+    checks of its cap, its highest weight and the rank cap."""
     _check_cap(max_terms)
     lam = _require_dominant(cd, lam)
     if cd.rank > _LIMITS["rank-cap"]:
         raise ResourceCapError("rank-cap", f"character rank cap is {_LIMITS['rank-cap']}")
-    dominant = _dominant_character(cd, lam, max_terms)
-    return CharPoly._trusted(cd.rank, _kernels.orbit_terms(cd.orbit_walk, dominant, max_terms))
+    return _dominant_character(cd, lam, max_terms)
 
 
 def _check_string_terms(lam: Weight, max_terms: int) -> None:

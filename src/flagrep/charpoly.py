@@ -21,13 +21,17 @@ term-dict format, its validation and its arithmetic are shared with
 ``schur.YPoly`` through one base class.
 
 ``render`` (and ``schur.render_ypoly``) join the blocks of one writer,
-``_write``, which the CLI also reads block by block, so an answer's whole
-text is never built there.  The writer takes the sorted keys and their
-coefficients and drops the term dict before its first block, then writes
+``_write_rows``, which the CLI also reads block by block, so an answer's
+whole text is never built there.  It writes rows sorted highest first:
+``_write`` hands it a term dict's sorted keys and their coefficient column
+and drops the dict before the first block, and ``char`` hands it a
+character's rows (w1, ..., wr, mult), which carry their coefficients, so
+no term dict is built at all (``characters._character_rows``).  It writes
 column by column in blocks of ``_BLOCK`` terms: per block, the
 exponent columns of the variables that occur are mapped through per-variable
-factor texts and the rows joined, so no per-term Python loop runs and a
-variable absent from a block costs one slice and compare.  A unit coefficient is
+factor texts and joined in row order, so no per-term Python loop runs, no
+string is made per term, and a variable absent from a block costs one
+slice and compare.  A unit coefficient is
 dropped by one text replacement, which is exact because no factor text holds
 a space.
 
@@ -44,7 +48,7 @@ from __future__ import annotations
 import re
 import sys
 from itertools import chain
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .cartan import Weight
@@ -262,35 +266,86 @@ def render(p: CharPoly) -> str:
     return "".join(_write(p.terms, "w", "rho"))
 
 
-#: Terms per block in ``_write``: the text and the lists it makes for one
-#: block hold this many terms (the lists times the key length), whatever
-#: the answer's size; only the sorted keys and their coefficient column are
-#: as long as the answer.
+#: Terms per block in ``_write_rows``: the text and the lists it makes for
+#: one block hold this many terms (the lists times the row length),
+#: whatever the answer's size; only the sorted rows (and a term dict's
+#: coefficient column) are as long as the answer.
 _BLOCK = 4096
 
 
 def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | None) -> Iterator[str]:
     """Text of a term dict over ``prefix``1..``prefix``<n> and the relation
-    variable ``rho_name``, highest key first, yielded one block at a time:
-    the text is the blocks joined.
+    variable ``rho_name``, highest key first, yielded one block at a time
+    by ``_write_rows``: the text is the blocks joined.
 
     Before the first block the writer takes the sorted keys and their
     coefficient column and drops its reference to ``terms``, so a dict the
     caller holds no other reference to (the CLI passes a fresh answer's
-    ``.terms`` straight in) is freed before any text is made.  Then the
-    keys are written column by column, one block of ``_BLOCK`` terms at a
-    time.  Per block: each key's rho shift (rho absorbs the negative
-    exponents, as in ``normalize``; without ``rho_name`` the keys have
-    none), the block's columns sliced from one flat list of its entries,
-    and per variable its column of exponents mapped through that variable's
-    factor texts ("" at 0, then "*w1", "*w1^2", ...; a dict filled with the
-    exponents met, so a large exponent costs one entry), with a rho column
-    of the shifts and a column of signed coefficients (" + c" or " - |c|")
-    in front; each row is joined, then the block.  Slicing makes no object
-    per row (``zip(*block)`` makes an iterator per key, enough to set off
-    full garbage-collector passes over a large answer's keys).  Only a live
-    column, one with a nonzero exponent, gets a name and a factor table, so
-    wide keys cost one slice compare per variable.
+    ``.terms`` straight in) is freed before any text is made.
+    """
+    keys = sorted(terms, reverse=True)
+    coeffs = list(map(terms.__getitem__, keys))
+    del terms  # the dict is freed here unless the caller still holds it
+    yield from _write_rows(keys, prefix, rho_name, coeffs)
+
+
+def _write_rows(
+    rows: list[tuple[int, ...]], prefix: str, rho_name: str | None, coeffs: list[int] | None = None
+) -> Iterator[str]:
+    """Text of terms given as rows sorted highest first, over
+    ``prefix``1..``prefix``<n> and the relation variable ``rho_name``,
+    yielded one block of ``_BLOCK`` terms at a time (``_block_text``): the
+    text is the blocks joined.  With ``coeffs``, each row is a key and
+    ``coeffs`` is their coefficient column (``_write``); without, each row
+    is a key followed by its coefficient, which must be positive (a
+    character's rows, ``characters._character_rows``), so no term dict is
+    needed at all.  Each block is made by a call that keeps nothing of it
+    but its text, so the writer holds only the rows and the factor tables
+    between blocks.
+    """
+    if not rows:
+        yield "0"
+        return
+    n = len(rows[0]) - (coeffs is None)  # the key length
+    tables = {}  # variable index (n for rho) -> {exponent: factor text}
+    for start in range(0, len(rows), _BLOCK):
+        stop = start + _BLOCK
+        yield _block_text(
+            rows[start:stop], None if coeffs is None else coeffs[start:stop], n, tables, prefix, rho_name, not start
+        )
+
+
+def _block_text(
+    block: list[tuple[int, ...]],
+    column: list[int] | None,
+    n: int,
+    tables: dict[int, dict[int, str]],
+    prefix: str,
+    rho_name: str | None,
+    first: bool,
+) -> str:
+    """Text of one block of rows, each a key of n entries, followed by its
+    coefficient when ``column`` is None, else with ``column`` as the
+    coefficients; the first block's leading sign is written as the text's
+    first.  ``tables`` (variable index, n for rho, to {exponent: factor
+    text}) is filled with the exponents met.
+
+    The block is written column by column: each row's rho shift (rho
+    absorbs the negative exponents, as in ``normalize``; without
+    ``rho_name`` the keys have none) from ``min(row)``, which a positive
+    last entry leaves as it is, kept as ``min``'s own ints and negated, so
+    no int object is made per negative exponent; the columns sliced from
+    one flat list of the block's entries; and per variable its column of
+    exponents mapped through that variable's factor texts ("" at 0, then
+    "*w1", "*w1^2", ...; a dict filled with the exponents met, so a large
+    exponent costs one entry), with a rho column of the shifts and a column
+    of signed coefficients (" + c" or " - |c|") in front.  The texts are joined in
+    row order straight from their columns, so no string is made per row.
+    Slicing makes no object per row (``zip(*block)`` makes an iterator per
+    row, enough to set off full garbage-collector passes over a large
+    answer's rows).  Only a live column, one with a nonzero exponent, gets
+    a name and a factor table, so wide keys cost one slice compare per
+    variable.
 
     A unit coefficient is dropped by replacing " + 1*" with " + " and
     " - 1*" with " - ": no factor text holds a space, and a coefficient is
@@ -298,38 +353,35 @@ def _write(terms: Mapping[tuple[int, ...], int], prefix: str, rho_name: str | No
     a constant 1 stay.  The first block's leading " + " is dropped, and its
     " - " becomes "-".
     """
-    if not terms:
-        yield "0"
-        return
-    keys = sorted(terms, reverse=True)
-    coeffs = list(map(terms.__getitem__, keys))
-    del terms  # the dict is freed here unless the caller still holds it
-    n = len(keys[0])
-    tables = {}  # variable index (n for rho) -> {exponent: factor text}
-    for start in range(0, len(keys), _BLOCK):
-        block = keys[start:start + _BLOCK]
-        column = coeffs[start:start + _BLOCK]
-        signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(column)}
-        shifts = [0] * len(block) if rho_name is None else [-x if x < 0 else 0 for x in map(min, block)]
-        dead = [-s for s in shifts]  # a column whose shifted exponents are all 0
-        shifted = any(shifts)
-        flat = list(chain.from_iterable(block))  # column i of the block is flat[i::n]
-        live = [i for i in range(n) if flat[i::n] != dead]
-        columns = [(i, list(map(add, flat[i::n], shifts)) if shifted else flat[i::n]) for i in live]
-        if shifted:
-            columns.append((n, shifts))
-        texts = [map(signed.__getitem__, column)]
-        for i, exps in columns:
-            table = tables.get(i)
-            if table is None:
-                table = tables[i] = {0: "", 1: "*" + (rho_name if i == n else f"{prefix}{i + 1}")}
-            for e in set(exps).difference(table):
-                table[e] = f"{table[1]}^{e}"
-            texts.append(map(table.__getitem__, exps))
-        text = "".join(map("".join, zip(*texts))).replace(" + 1*", " + ").replace(" - 1*", " - ")
-        if not start:
-            text = text[3:] if text[1] == "+" else "-" + text[3:]
-        yield text
+    width = len(block[0])  # column i of the block is flat[i::width]
+    flat = list(chain.from_iterable(block))
+    if column is None:
+        column = flat[n::width]
+    signed = {c: f" + {c}" if c > 0 else f" - {-c}" for c in set(column)}
+    if rho_name is None:
+        dead = shifts = [0] * len(block)
+    else:
+        dead = [x if x < 0 else 0 for x in map(min, block)]
+        shifts = list(map(neg, dead))
+    shifted = any(shifts)
+    # a column equal to dead has all its shifted exponents 0
+    live = [i for i in range(n) if flat[i::width] != dead]
+    columns = [(i, list(map(add, flat[i::width], shifts)) if shifted else flat[i::width]) for i in live]
+    if shifted:
+        columns.append((n, shifts))
+    del flat, dead  # not held while the text is made
+    texts = [map(signed.__getitem__, column)]
+    for i, exps in columns:
+        table = tables.get(i)
+        if table is None:
+            table = tables[i] = {0: "", 1: "*" + (rho_name if i == n else f"{prefix}{i + 1}")}
+        for e in set(exps).difference(table):
+            table[e] = f"{table[1]}^{e}"
+        texts.append(map(table.__getitem__, exps))
+    text = "".join(chain.from_iterable(zip(*texts))).replace(" + 1*", " + ").replace(" - 1*", " - ")
+    if first:
+        text = text[3:] if text[1] == "+" else "-" + text[3:]
+    return text
 
 
 #: A character outside the grammar: the text's first one is its error,

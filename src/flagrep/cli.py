@@ -3,9 +3,11 @@
 Structured inputs (matrices, weight lists) are JSON, given inline or as a
 file path; polynomials use the canonical text grammar.  Results go to
 stdout, diagnostics to stderr, and output is byte-stable across runs.  A
-polynomial answer is written block by block as ``charpoly._write`` makes
-it (``_print_poly``), its term dict passed straight in so that it is
-freed before the first block, and its whole text is never built.
+polynomial answer is written block by block as the writer makes it
+(``_print_poly``), and its whole text is never built: ``char`` hands
+``charpoly._write_rows`` a character's sorted rows, with no term dict
+built (``characters._character_rows``), and every other answer hands
+``charpoly._write`` a fresh term dict, freed before the first block.
 
 Exit codes: 0 success or certified, 1 not certified (realize only),
 2 input error, 3 resource cap exceeded, 4 internal error (a bug: the
@@ -29,7 +31,7 @@ from typing import Iterable
 
 from . import characters, realize
 from .cartan import CartanData, builtin_cartan, cartan_from_tag, custom_cartan
-from .charpoly import _write
+from .charpoly import _write, _write_rows
 from .charpoly import parse as parse_poly
 from .errors import _LIMITS, InputError, ResourceCapError
 from .schur import alpha, parse_partition, schur
@@ -89,7 +91,8 @@ def _answer():
 
 def _print_poly(blocks: Iterable[str], head: str = "") -> None:
     """Print one polynomial answer line, ``head`` and then the text blocks
-    of ``charpoly._write`` one at a time, so the line is never built whole."""
+    of ``charpoly._write`` or ``_write_rows`` one at a time, so the line is
+    never built whole."""
     write = sys.stdout.write
     write(head)
     for block in blocks:
@@ -161,7 +164,7 @@ def _cmd_char(args) -> int:
     cd = _group_from_args(args)
     weight = _parse_weight(args.weight)
     max_terms = _positive_cap(args.max_terms, "--max-terms", "term-cap")
-    _print_poly(_write(characters.weight_multiplicities(cd, weight, max_terms).terms, "w", "rho"))
+    _print_poly(_write_rows(characters._character_rows(cd, weight, max_terms), "w", "rho"))
     return EXIT_OK
 
 

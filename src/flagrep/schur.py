@@ -393,8 +393,11 @@ def alpha(p: CharPoly) -> YPoly:
     (``_suffix_sums``): one ``map(min)`` over the columns gives the shifts,
     one ``map(sub)`` per column subtracts them only when one is nonzero,
     and one ``zip`` turns the columns back into keys in the order of
-    ``p``'s terms.
+    ``p``'s terms.  Anything but a ``CharPoly`` raises ``InputError``
+    ``invalid-poly``.
     """
+    if not isinstance(p, CharPoly):
+        raise InputError("invalid-poly", f"alpha takes a CharPoly, not {type(p).__name__}")
     sums = _suffix_sums(p.terms)
     low = list(map(min, *sums))
     if any(low):
@@ -413,7 +416,10 @@ def _differences(keys: Iterable[tuple[int, ...]]) -> Iterator[Weight]:
 
 def alpha_inverse(q: YPoly) -> CharPoly:
     """Inverse substitution: exponent differences give the lattice point,
-    and canonical keys with equal differences are equal."""
+    and canonical keys with equal differences are equal.  Anything but a
+    ``YPoly`` raises ``InputError`` ``invalid-poly``."""
+    if not isinstance(q, YPoly):
+        raise InputError("invalid-poly", f"alpha_inverse takes a YPoly, not {type(q).__name__}")
     if q.nvars < 2:
         raise InputError("invalid-rank", "need at least two variables to invert")
     return CharPoly._trusted(q.nvars - 1, dict(zip(_differences(q.terms), q.terms.values())))

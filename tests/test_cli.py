@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ from flagrep import cartan_from_tag, characters, charpoly, custom_cartan, schur_
 from flagrep import cli as cli_module
 from flagrep import realize as realize_module
 from flagrep.cli import build_parser, main
-from flagrep.errors import _LIMITS
+from flagrep.errors import _LIMITS, ResourceCapError
 
 import poly_text
 
@@ -680,7 +681,7 @@ def test_internal_error_exit_4(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(characters, "weight_multiplicities", broken)
+    monkeypatch.setattr(characters, "_character_rows", broken)  # what char calls
     code, out, err = run(capsys, "char", "A2", "1,1")
     assert (code, out) == (4, "")
     assert err == "error[internal]: RuntimeError: boom\n"
@@ -898,11 +899,61 @@ def test_streamed_answers_match_the_library_text(block, capsys, monkeypatch):
         assert run(capsys, *argv) == (0, expected, ""), argv
 
 
+def _char_cases(seed):
+    """(group argv, group, weight) for ``char``: built-in groups, A1's
+    two-entry rows among them, and custom matrices, each a product of one
+    to three built-in blocks with its nodes shuffled; the weights are
+    seeded and nonzero."""
+    rng = random.Random(seed)
+    groups = [((tag,), cartan_from_tag(tag)) for tag in ("A1", "A2", "B2", "G2", "A3", "B3", "C3", "D4")]
+    for count in (1, 2, 2, 3):
+        blocks = [cartan_from_tag(rng.choice(("A1", "A2", "B2", "G2"))).cartan_matrix for _ in range(count)]
+        starts = list(itertools.accumulate(map(len, blocks), initial=0))
+        n = starts[-1]
+        dense = [[0] * n for _ in range(n)]
+        for start, block in zip(starts, blocks):
+            for i, row in enumerate(block):
+                dense[start + i][start:start + len(row)] = row
+        order = rng.sample(range(n), n)
+        matrix = [[dense[i][j] for j in order] for i in order]
+        groups.append((("--group-matrix", json.dumps({"cartan": matrix})), custom_cartan(matrix)))
+    cases = []
+    for argv, cd in groups:
+        for _ in range(2):
+            lam = [rng.randint(0, max(1, 6 // cd.rank)) for _ in range(cd.rank)]
+            lam[rng.randrange(cd.rank)] += 1
+            cases.append((argv, cd, tuple(lam)))
+    return cases
+
+
+@pytest.mark.parametrize("block", poly_text.SMALL_BLOCKS)
+def test_char_rows_match_the_rendered_character(block, capsys, monkeypatch):
+    """``char`` writes a character from its sorted rows, with no term dict:
+    its stdout is ``render(weight_multiplicities(...))`` at any block
+    length, and ``--max-terms`` at the exact term count prints it, while
+    one below exits 3 with the library's message."""
+    from flagrep import render
+
+    monkeypatch.setattr(charpoly, "_BLOCK", block)
+    for argv, cd, lam in _char_cases(33):
+        text = ",".join(map(str, lam))
+        p = characters.weight_multiplicities(cd, lam)
+        count = len(p.terms)
+        expected = (0, render(p) + "\n", "")
+        assert run(capsys, "char", *argv, text) == expected, (argv, lam)
+        assert run(capsys, "char", *argv, text, "--max-terms", str(count)) == expected, (argv, lam)
+        with pytest.raises(ResourceCapError) as exc:
+            characters.weight_multiplicities(cd, lam, count - 1)
+        below = run(capsys, "char", *argv, text, "--max-terms", str(count - 1))
+        assert below == (3, "", f"error[term-cap]: {exc.value}\n"), (argv, lam)
+
+
 def test_char_peaks_at_the_expansion_plus_one_block(monkeypatch):
-    """The answer's whole text is never built and its term dict is freed
-    before the first block, so the CLI's traced peak for B3 (6,6,6), 20,251
-    terms in five blocks, is no higher than the expansion's own peak plus
-    what writing one block takes alone."""
+    """The answer's whole text is never built and no term dict is built
+    for it, so the CLI's traced peak for B3 (6,6,6), 20,251
+    terms in five blocks, is no higher than the expansion's own peak (into
+    a term dict, by ``weight_multiplicities``) plus what writing one block
+    takes alone."""
 
     class Sink:
         def write(self, text):

@@ -451,6 +451,26 @@ def test_alpha_rank_one_defining():
     assert alpha(CharPoly(1, {(1,): 1, (-1,): 1})).terms == {(1, 0): 1, (0, 1): 1}
 
 
+@pytest.mark.parametrize(
+    "substitution, poly, message",
+    [
+        (alpha, lambda: schur((2, 1), 3), "alpha takes a CharPoly, not YPoly"),
+        (alpha, lambda: "w1", "alpha takes a CharPoly, not str"),
+        (
+            alpha_inverse,
+            lambda: weight_multiplicities(cartan_from_tag("A2"), (1, 0)),
+            "alpha_inverse takes a YPoly, not CharPoly",
+        ),
+    ],
+)
+def test_each_substitution_takes_only_its_own_polynomial_type(substitution, poly, message):
+    # these raised bare AttributeErrors: a YPoly has no rank, a str no
+    # terms, a CharPoly no nvars
+    with pytest.raises(InputError) as exc:
+        substitution(poly())
+    assert (exc.value.code, str(exc.value)) == ("invalid-poly", message)
+
+
 def test_alpha_inverse_examples():
     assert alpha_inverse(YPoly(3, {(0, 1, 0): 1})) == CharPoly(2, {(-1, 1): 1})
     assert alpha_inverse(YPoly(3, {(1, 1, 1): 1})) == CharPoly.one(2)
